@@ -1,215 +1,24 @@
-"""Convex-polyhedron intersection volume kernels.
+"""Convex-polyhedron intersection volume.
 
-The swept-volume blocker table is built by testing, at every sampled roll
-angle, whether the moving cell overlaps a candidate lattice cell with
-positive volume. That inner test dominates the table build, so it ships in
-two interchangeable implementations:
+The swept-volume blocker table is built from one sampled roll: at every
+sampled angle the moving cell is tested for positive-volume overlap with
+each candidate lattice cell that pruning leaves open. The other 47 rolls
+are lattice rotations of that one or of its reverse, so they cost no
+volume calls (see ``geometry.blocker_table``).
 
-* a plane-clipping kernel written as plain loops and compiled with numba
-  (``intersection_volume_clip``), and
-* a vertex/edge collection + Qhull method on numpy/scipy
-  (``intersection_volume_hull``).
-
-``intersection_volume`` points at the clip kernel when numba is active and
-at the hull method otherwise. Set ``RHOMBIKIT_NUMBA=0`` to force the
-fallback (the benchmark and the cross-check tests exercise both paths);
-numba being uninstalled falls back automatically. RHOMBIKIT_THREADS caps
-numba's thread pool when present.
-
-Each convex polytope is described twice over: as explicit face polygons
-(padded array of shape (F, MAXV, 3) with per-face vertex counts, outward
-CCW winding) and as half-spaces of shape (F, 4), rows (nx, ny, nz, c)
-meaning n.x <= c. The clip kernel consumes A's polygons and B's planes;
-the hull method uses all four pieces. They agree to ~1e-9 on unit-scale
-cells, far tighter than the overlap thresholds used on top of them.
+``intersection_volume`` collects the intersection's vertices (each
+polytope's vertices inside the other, and every edge-facet crossing that
+lies inside both) and takes their convex hull with Qhull. Each convex
+polytope is described twice over: as face polygons of shape (F, V, 3)
+with per-face vertex counts and outward CCW winding, and as half-spaces
+of shape (F, 4), rows (nx, ny, nz, c) meaning n.x <= c. The tests
+cross-check it against an independent plane-clipping implementation and
+a Monte-Carlo estimate.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
-
-_MAXV = 32  # max vertices a clipped face can accumulate (12 clips of a quad)
-
-USE_NUMBA = os.environ.get("RHOMBIKIT_NUMBA", "1") != "0"
-if USE_NUMBA:
-    try:
-        import numba
-        from numba import njit
-    except ImportError:
-        USE_NUMBA = False
-
-if USE_NUMBA:
-    _threads = os.environ.get("RHOMBIKIT_THREADS")
-    if _threads:
-        try:
-            numba.set_num_threads(
-                max(1, min(int(_threads), numba.config.NUMBA_NUM_THREADS))
-            )
-        except ValueError:
-            pass
-
-
-def _clip_volume(polys_a, lens_a, planes_a, polys_b, lens_b, planes_b, eps):
-    """Volume of the intersection by clipping A against B's half-spaces.
-
-    Sutherland-Hodgman in 3D: every face polygon of A is clipped against
-    each plane of B in turn; each cut contributes a cap polygon built from
-    the clip-segment endpoints ordered around their centroid. The volume
-    of what survives comes from the divergence theorem over triangle fans.
-    Plain loops and preallocated arrays so numba can compile it as-is.
-    A's own planes are accepted for signature parity and not used.
-    """
-    nf = polys_a.shape[0]
-    maxv = polys_a.shape[1]
-    nfmax = nf + planes_b.shape[0]
-    cur = np.zeros((nfmax, maxv, 3))
-    cur_len = np.zeros(nfmax, dtype=np.int64)
-    cur[:nf, :, :] = polys_a
-    cur_len[:nf] = lens_a
-    n_faces = nf
-
-    out = np.zeros((nfmax, maxv, 3))
-    out_len = np.zeros(nfmax, dtype=np.int64)
-    section = np.zeros((2 * nfmax, 3))
-
-    for k in range(planes_b.shape[0]):
-        nx, ny, nz, c = planes_b[k, 0], planes_b[k, 1], planes_b[k, 2], planes_b[k, 3]
-        n_out = 0
-        n_sec = 0
-        alive = False
-        for f in range(n_faces):
-            m = cur_len[f]
-            if m == 0:
-                continue
-            nv = 0
-            for i in range(m):
-                px, py, pz = cur[f, i, 0], cur[f, i, 1], cur[f, i, 2]
-                j = (i + 1) % m
-                qx, qy, qz = cur[f, j, 0], cur[f, j, 1], cur[f, j, 2]
-                dp = nx * px + ny * py + nz * pz - c
-                dq = nx * qx + ny * qy + nz * qz - c
-                pin = dp <= eps
-                qin = dq <= eps
-                if pin:
-                    out[n_out, nv, 0] = px
-                    out[n_out, nv, 1] = py
-                    out[n_out, nv, 2] = pz
-                    nv += 1
-                if pin != qin and abs(dp - dq) > 1e-300:
-                    t = dp / (dp - dq)
-                    if t < 0.0:
-                        t = 0.0
-                    elif t > 1.0:
-                        t = 1.0
-                    ix = px + t * (qx - px)
-                    iy = py + t * (qy - py)
-                    iz = pz + t * (qz - pz)
-                    out[n_out, nv, 0] = ix
-                    out[n_out, nv, 1] = iy
-                    out[n_out, nv, 2] = iz
-                    nv += 1
-                    section[n_sec, 0] = ix
-                    section[n_sec, 1] = iy
-                    section[n_sec, 2] = iz
-                    n_sec += 1
-            if nv >= 3:
-                out_len[n_out] = nv
-                n_out += 1
-                alive = True
-        if not alive:
-            return 0.0
-        # cap polygon: order unique section points around their centroid
-        if n_sec >= 3:
-            cx = 0.0
-            cy = 0.0
-            cz = 0.0
-            for i in range(n_sec):
-                cx += section[i, 0]
-                cy += section[i, 1]
-                cz += section[i, 2]
-            cx /= n_sec
-            cy /= n_sec
-            cz /= n_sec
-            # in-plane basis (e1, e2) with e1 x e2 along +n
-            ax, ay, az = abs(nx), abs(ny), abs(nz)
-            if ax <= ay and ax <= az:
-                hx, hy, hz = 1.0, 0.0, 0.0
-            elif ay <= az:
-                hx, hy, hz = 0.0, 1.0, 0.0
-            else:
-                hx, hy, hz = 0.0, 0.0, 1.0
-            e1x = hy * nz - hz * ny
-            e1y = hz * nx - hx * nz
-            e1z = hx * ny - hy * nx
-            norm = (e1x * e1x + e1y * e1y + e1z * e1z) ** 0.5
-            e1x /= norm
-            e1y /= norm
-            e1z /= norm
-            e2x = ny * e1z - nz * e1y
-            e2y = nz * e1x - nx * e1z
-            e2z = nx * e1y - ny * e1x
-            nn = (nx * nx + ny * ny + nz * nz) ** 0.5
-            e2x /= nn
-            e2y /= nn
-            e2z /= nn
-            ang = np.empty(n_sec)
-            for i in range(n_sec):
-                vx = section[i, 0] - cx
-                vy = section[i, 1] - cy
-                vz = section[i, 2] - cz
-                u = vx * e1x + vy * e1y + vz * e1z
-                v = vx * e2x + vy * e2y + vz * e2z
-                ang[i] = np.arctan2(v, u)
-            order = np.argsort(ang)
-            nv = 0
-            for oi in range(n_sec):
-                i = order[oi]
-                if nv > 0:
-                    lx = out[n_out, nv - 1, 0]
-                    ly = out[n_out, nv - 1, 1]
-                    lz = out[n_out, nv - 1, 2]
-                    d2 = (
-                        (section[i, 0] - lx) ** 2
-                        + (section[i, 1] - ly) ** 2
-                        + (section[i, 2] - lz) ** 2
-                    )
-                    if d2 < 1e-20:
-                        continue
-                if nv < maxv:
-                    out[n_out, nv, 0] = section[i, 0]
-                    out[n_out, nv, 1] = section[i, 1]
-                    out[n_out, nv, 2] = section[i, 2]
-                    nv += 1
-            if nv >= 3:
-                out_len[n_out] = nv
-                n_out += 1
-        cur, out = out, cur
-        cur_len, out_len = out_len, cur_len
-        n_faces = n_out
-
-    # divergence theorem over triangle fans
-    vol = 0.0
-    for f in range(n_faces):
-        m = cur_len[f]
-        x0, y0, z0 = cur[f, 0, 0], cur[f, 0, 1], cur[f, 0, 2]
-        for i in range(1, m - 1):
-            x1, y1, z1 = cur[f, i, 0], cur[f, i, 1], cur[f, i, 2]
-            x2, y2, z2 = cur[f, i + 1, 0], cur[f, i + 1, 1], cur[f, i + 1, 2]
-            vol += (
-                x0 * (y1 * z2 - z1 * y2)
-                - y0 * (x1 * z2 - z1 * x2)
-                + z0 * (x1 * y2 - y1 * x2)
-            )
-    vol /= 6.0
-    return vol if vol > 0.0 else 0.0
-
-
-if USE_NUMBA:
-    intersection_volume_clip = njit(cache=True)(_clip_volume)
-else:
-    intersection_volume_clip = _clip_volume
 
 
 def _loop_edges(polys, lens):
@@ -247,7 +56,7 @@ def _edge_crossings(p, q, planes_cut, planes_a, planes_b, eps):
     return x[inside]
 
 
-def intersection_volume_hull(
+def intersection_volume(
     polys_a, lens_a, planes_a, polys_b, lens_b, planes_b, eps=1e-9
 ):
     """Intersection volume via point collection + convex hull.
@@ -277,16 +86,3 @@ def intersection_volume_hull(
         return float(ConvexHull(arr, qhull_options="Pp").volume)
     except QhullError:
         return 0.0  # coplanar or otherwise degenerate: grazing contact
-
-
-if USE_NUMBA:
-
-    def intersection_volume(
-        polys_a, lens_a, planes_a, polys_b, lens_b, planes_b, eps=1e-9
-    ):
-        return intersection_volume_clip(
-            polys_a, lens_a, planes_a, polys_b, lens_b, planes_b, eps
-        )
-
-else:
-    intersection_volume = intersection_volume_hull

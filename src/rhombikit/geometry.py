@@ -25,7 +25,15 @@ import numpy as np
 
 from . import _kernels
 from .errors import ValidationError
-from .lattice import FACE_DIRS, FACE_DIR_INDEX, Configuration, Pos, add
+from .lattice import (
+    DIR_PERM,
+    FACE_DIRS,
+    FACE_DIR_INDEX,
+    Configuration,
+    Pos,
+    add,
+    apply_rotation,
+)
 
 # --------------------------------------------------------------------------
 # canonical solid
@@ -437,10 +445,6 @@ def _swept_cells_uncached(
 
     skip = {(0, 0, 0), tuple(from_dir), tuple(to_dir)}
     blockers: set[Pos] = set()
-    maxv = _kernels._MAXV
-    padded = np.zeros((len(thetas), 12, maxv, 3))
-    padded[:, :, :4, :] = movers
-    padded_b = np.zeros((12, maxv, 3))
 
     for q in itertools.product(range(-3, 4), repeat=3):
         if sum(q) % 2 != 0 or q in skip:
@@ -461,11 +465,11 @@ def _swept_cells_uncached(
         if not near.any():
             continue
         planes_b = np.hstack([_DIRS_ARR, (2.0 + _DIRS_ARR @ w)[:, None]])
-        padded_b[:, :4, :] = _BASE_POLYS + w
+        polys_b = _BASE_POLYS + w
         for k in np.nonzero(near)[0]:
             vol = _kernels.intersection_volume(
-                padded[k], _POLY_LENS, planes_a[k],
-                padded_b, _POLY_LENS, planes_b, 1e-9,
+                movers[k], _POLY_LENS, planes_a[k],
+                polys_b, _POLY_LENS, planes_b, 1e-9,
             )
             if vol > vol_eps:
                 blockers.add(q)
@@ -485,8 +489,10 @@ def swept_cells(
     mover with volume above vol_eps at any sampled angle of the
     120-degree roll from from_dir to to_dir. Grazing face or edge contact
     carries no volume and so never blocks. The substrate itself and the
-    start/destination offsets are excluded. Results for the default
-    parameters are cached for all 48 direction pairs on first use.
+    start/destination offsets are excluded. step_deg must lie in (0, 1]
+    and vol_eps must be finite and non-negative. The default parameters
+    read blocker_table(), which sweeps one roll and maps it to all 48 by
+    lattice symmetry; any other parameters sweep this roll directly.
     """
     f = tuple(from_dir)
     t = tuple(to_dir)
@@ -494,8 +500,10 @@ def swept_cells(
         raise ValidationError(f"not face directions: {from_dir!r}, {to_dir!r}")
     if sum(a * b for a, b in zip(f, t)) != 1:
         raise ValidationError(f"faces {f} and {t} are not edge-adjacent")
-    if step_deg <= 0 or step_deg > 1.0:
+    if not 0 < step_deg <= 1.0:  # also rejects nan
         raise ValidationError("step_deg must be in (0, 1]")
+    if not (math.isfinite(vol_eps) and vol_eps >= 0):
+        raise ValidationError("vol_eps must be finite and non-negative")
     if step_deg == 1.0 and vol_eps == 1e-9:
         return blocker_table()[(FACE_DIR_INDEX[f], FACE_DIR_INDEX[t])]
     return _swept_cells_uncached(f, t, step_deg, vol_eps)
@@ -504,16 +512,20 @@ def swept_cells(
 def blocker_table() -> dict[tuple[int, int], frozenset[Pos]]:
     """The full 48-entry blocker table, built once and then read-only.
 
-    Keys are (from_index, to_index) pairs into FACE_DIRS.
+    Keys are (from_index, to_index) pairs into FACE_DIRS. Only the roll
+    FACE_DIRS[0] -> FACE_DIRS[1] is swept (1-degree steps, vol_eps 1e-9);
+    each of the 24 lattice rotations maps it onto one roll and, reversed,
+    onto that roll's reverse, which fills all 48 keys.
     """
     global _blocker_table
     if _blocker_table is None:
         with _blocker_lock:
             if _blocker_table is None:
+                base = _swept_cells_uncached(FACE_DIRS[0], FACE_DIRS[1], 1.0, 1e-9)
+                # each roll rotates this one or its reverse (same swept volume)
                 table = {}
-                for i, f in enumerate(FACE_DIRS):
-                    for j, t in enumerate(FACE_DIRS):
-                        if sum(a * b for a, b in zip(f, t)) == 1:
-                            table[(i, j)] = _swept_cells_uncached(f, t, 1.0, 1e-9)
+                for r, perm in enumerate(DIR_PERM):
+                    cells = frozenset(apply_rotation(r, q) for q in base)
+                    table[(perm[0], perm[1])] = table[(perm[1], perm[0])] = cells
                 _blocker_table = table
     return _blocker_table

@@ -24,6 +24,7 @@ from rhombikit.geometry import (
     structure_mesh,
     swept_cells,
     blocker_table,
+    _swept_cells_uncached,
 )
 from rhombikit.lattice import (
     FACE_DIRS,
@@ -373,6 +374,14 @@ class TestSweptCells:
                 if (fi, ti) in blocker_table_ready:
                     assert blocker_table_ready[(fi, ti)] == blocker_table_ready[(ti, fi)]
 
+    def test_derived_entries_match_direct_sweep(self, blocker_table_ready):
+        # the table sweeps FACE_DIRS[0] -> FACE_DIRS[1] only; the first pair
+        # lies in the other rotation orbit and is reached only through
+        # reversal, the second through a non-identity rotation
+        for f, t in [((1, 1, 0), (1, 0, 1)), ((1, 0, 1), (1, 1, 0))]:
+            key = (FACE_DIR_INDEX[f], FACE_DIR_INDEX[t])
+            assert blocker_table_ready[key] == _swept_cells_uncached(f, t, 1.0, 1e-9)
+
     def test_convergence_half_step(self):
         # halving the angular step must not change the result
         for f, t in [((1, 1, 0), (1, 0, 1)), ((0, -1, 1), (-1, 0, 1))]:
@@ -381,3 +390,7 @@ class TestSweptCells:
     def test_step_validation(self):
         with pytest.raises(ValidationError):
             swept_cells((1, 1, 0), (1, 0, 1), step_deg=2.0)
+        for bad in ({"step_deg": math.nan}, {"vol_eps": math.nan},
+                    {"vol_eps": math.inf}, {"vol_eps": -1.0}):
+            with pytest.raises(ValidationError):
+                swept_cells((1, 1, 0), (1, 0, 1), **bad)
