@@ -489,8 +489,9 @@ def swept_cells(
     mover with volume above vol_eps at any sampled angle of the
     120-degree roll from from_dir to to_dir. Grazing face or edge contact
     carries no volume and so never blocks. The substrate itself and the
-    start/destination offsets are excluded. step_deg must lie in (0, 1]
-    and vol_eps must be finite and non-negative. The default parameters
+    start/destination offsets are excluded. step_deg must lie in
+    [0.1, 1] (a 0.1-degree sweep costs about ten default ones) and
+    vol_eps must be finite and non-negative. The default parameters
     read blocker_table(), which sweeps one roll and maps it to all 48 by
     lattice symmetry; any other parameters sweep this roll directly.
     """
@@ -500,8 +501,8 @@ def swept_cells(
         raise ValidationError(f"not face directions: {from_dir!r}, {to_dir!r}")
     if sum(a * b for a, b in zip(f, t)) != 1:
         raise ValidationError(f"faces {f} and {t} are not edge-adjacent")
-    if not 0 < step_deg <= 1.0:  # also rejects nan
-        raise ValidationError("step_deg must be in (0, 1]")
+    if not 0.1 <= step_deg <= 1.0:  # also rejects nan
+        raise ValidationError("step_deg must be in [0.1, 1]")
     if not (math.isfinite(vol_eps) and vol_eps >= 0):
         raise ValidationError("vol_eps must be finite and non-negative")
     if step_deg == 1.0 and vol_eps == 1e-9:

@@ -6,7 +6,9 @@ by an edge roll realigns exactly (the same property that makes the shape
 roll in your hand). A move is described by the mover, the substrate, and
 the substrate faces it leaves and lands on; legality additionally demands
 that the destination is free, the structure stays connected without the
-mover, and nothing occupies the volume the mover sweeps through.
+mover (lattice.removable_cells, the one articulation pass both check_move
+and legal_moves use), and nothing occupies the volume the mover sweeps
+through.
 """
 
 from __future__ import annotations
@@ -23,9 +25,11 @@ from .lattice import (
     Cell,
     Configuration,
     Pos,
+    _mat_apply,
     add,
     check_pos,
     compose,
+    removable_cells,
     sub,
 )
 
@@ -90,14 +94,6 @@ def _trace(m) -> int:
     return m[0][0] + m[1][1] + m[2][2]
 
 
-def _mat_apply(m, v):
-    return (
-        m[0][0] * v[0] + m[0][1] * v[1] + m[0][2] * v[2],
-        m[1][0] * v[0] + m[1][1] * v[1] + m[1][2] * v[2],
-        m[2][0] * v[0] + m[2][1] * v[1] + m[2][2] * v[2],
-    )
-
-
 def _solve_pivot_rotations() -> dict[tuple[int, int], int]:
     """For each (from, to) pair, the unique 120-degree body rotation.
 
@@ -143,106 +139,14 @@ def pivot_rotation(move: PivotMove) -> int:
     return _PIVOT_ROTATIONS[(fi, ti)]
 
 
-def _connected_without(c: Configuration, skip: Pos) -> bool:
-    """Is the configuration still connected with one cell taken out?"""
-    n = len(c) - 1
-    if n <= 0:
-        return True
-    start = next(cell.pos for cell in c.cells if cell.pos != skip)
-    seen = {start}
-    stack = [start]
-    while stack:
-        p = stack.pop()
-        for d in FACE_DIRS:
-            q = add(p, d)
-            if q != skip and q in c and q not in seen:
-                seen.add(q)
-                stack.append(q)
-    return len(seen) == n
-
-
-def _removable_cells(c: Configuration) -> set[Pos]:
-    """Cells whose removal keeps the rest in one piece.
-
-    For a connected configuration these are the non-articulation cells
-    (one iterative lowlink pass); a configuration in exactly two pieces
-    only frees its singleton pieces; more pieces free nothing. Agrees
-    with _connected_without cell by cell.
-    """
-    n = len(c)
-    positions = c._by_pos
-    if n <= 1:
-        return set(positions)
-    adj = {
-        p: [q for d in FACE_DIRS if (q := add(p, d)) in positions]
-        for p in positions
-    }
-    root = c.cells[0].pos
-    disc: dict[Pos, int] = {root: 0}
-    low: dict[Pos, int] = {root: 0}
-    counter = 1
-    artic: set[Pos] = set()
-    root_children = 0
-    stack = [(root, None, iter(adj[root]))]
-    while stack:
-        v, parent, it = stack[-1]
-        child = None
-        for w in it:
-            if w == parent:
-                continue
-            dw = disc.get(w)
-            if dw is not None:
-                if dw < low[v]:
-                    low[v] = dw
-            else:
-                child = w
-                break
-        if child is None:
-            stack.pop()
-            if stack:
-                u = stack[-1][0]
-                if low[v] < low[u]:
-                    low[u] = low[v]
-                if stack[-1][1] is None:
-                    root_children += 1
-                elif low[v] >= disc[u]:
-                    artic.add(u)
-        else:
-            disc[child] = low[child] = counter
-            counter += 1
-            stack.append((child, v, iter(adj[child])))
-    if root_children >= 2:
-        artic.add(root)
-
-    if len(disc) == n:  # connected
-        return set(positions) - artic
-    # disconnected: label the remaining components
-    comp_of: dict[Pos, int] = {}
-    comp_count = 0
-    for p in positions:
-        if p in comp_of:
-            continue
-        comp_count += 1
-        comp_of[p] = comp_count
-        frontier = [p]
-        while frontier:
-            u = frontier.pop()
-            for w in adj[u]:
-                if w not in comp_of:
-                    comp_of[w] = comp_count
-                    frontier.append(w)
-    if comp_count != 2:
-        return set()
-    return {p for p in positions if not adj[p]}  # singleton pieces only
-
-
 def check_move(
     c: Configuration, move: PivotMove, strict_stability: bool = False
 ) -> MoveLegality:
     """Classify a move, reporting the first failed check.
 
     Check order: mover present, substrate present, destination free,
-    connectivity without the mover, swept volume clear. With
+    connectivity without the mover (the mover is in removable_cells),
+    swept volume clear. With
     strict_stability the mover must additionally land with at least one
     neighbor besides the substrate.
     """
@@ -253,7 +157,7 @@ def check_move(
     dest = move.destination
     if dest in c:
         return MoveLegality.DESTINATION_OCCUPIED
-    if not _connected_without(c, move.mover):
+    if move.mover not in removable_cells(c):
         return MoveLegality.DISCONNECTS_STRUCTURE
     fi = FACE_DIR_INDEX[move.from_dir]
     ti = FACE_DIR_INDEX[move.to_dir]
@@ -296,9 +200,9 @@ def legal_moves(
     """All legal moves, ordered by (mover position, from index, to index).
 
     Equivalent to filtering every candidate through check_move, but the
-    connectivity analysis (the expensive part) runs once per
-    configuration instead of once per candidate, which matters inside
-    the planner's inner loop.
+    connectivity analysis (removable_cells, the expensive part) runs
+    once per configuration instead of once per candidate, which matters
+    inside the planner's inner loop.
     """
     table = blocker_table()
     removable: set[Pos] | None = None  # computed once, on first demand
@@ -310,7 +214,7 @@ def legal_moves(
             if s not in c:
                 continue
             if removable is None:
-                removable = _removable_cells(c)
+                removable = removable_cells(c)
             if mover not in removable:
                 break
             for t in pivot_destinations(f):

@@ -4,7 +4,10 @@ Positions are integer triples whose coordinate sum is even; each position
 has 12 nearest neighbors reached by the signed permutations of (1, 1, 0).
 The module also carries the 24 proper rotations of the cell shape (the
 chiral octahedral group) as exact signed-permutation matrices, so cell
-orientations compose without any floating point.
+orientations compose without any floating point. Connectivity is decided
+here too: is_connected for a configuration, and removable_cells for the
+cells that can leave it without splitting the rest (the legality test a
+roll needs).
 
 Enumeration conventions (fixed, relied on by file formats and tests):
 
@@ -302,11 +305,9 @@ def canonicalize(c: Configuration) -> Configuration:
     return c.translate((-m[0], -m[1], -m[2]))
 
 
-def is_connected(c: Configuration) -> bool:
-    """True when the face-adjacency graph of the cells has one component."""
-    _require_nonempty(c)
-    occupied = c._by_pos
-    start = c.cells[0].pos
+def _one_piece(occupied) -> bool:
+    """Do the positions of a nonempty set (or dict) form one face-connected piece?"""
+    start = next(iter(occupied))
     seen = {start}
     stack = [start]
     while stack:
@@ -316,4 +317,69 @@ def is_connected(c: Configuration) -> bool:
             if n in occupied and n not in seen:
                 seen.add(n)
                 stack.append(n)
-    return len(seen) == len(c)
+    return len(seen) == len(occupied)
+
+
+def is_connected(c: Configuration) -> bool:
+    """True when the face-adjacency graph of the cells has one component."""
+    _require_nonempty(c)
+    return _one_piece(c._by_pos)
+
+
+def removable_cells(c: Configuration) -> set[Pos]:
+    """Cells whose removal leaves the rest in one piece.
+
+    A single cell is removable. For a connected configuration these are
+    the non-articulation cells, found in one iterative lowlink pass; in a
+    disconnected one, only an isolated cell can be, and only when the
+    cells without it are connected.
+    """
+    positions = c._by_pos
+    if len(positions) <= 1:
+        return set(positions)
+    adj = {
+        p: [q for d in FACE_DIRS if (q := add(p, d)) in positions]
+        for p in positions
+    }
+    root = c.cells[0].pos
+    disc: dict[Pos, int] = {root: 0}
+    low: dict[Pos, int] = {root: 0}
+    counter = 1
+    artic: set[Pos] = set()
+    root_children = 0
+    stack = [(root, None, iter(adj[root]))]
+    while stack:
+        v, parent, it = stack[-1]
+        child = None
+        for w in it:
+            if w == parent:
+                continue
+            dw = disc.get(w)
+            if dw is not None:
+                if dw < low[v]:
+                    low[v] = dw
+            else:
+                child = w
+                break
+        if child is None:
+            stack.pop()
+            if stack:
+                u = stack[-1][0]
+                if low[v] < low[u]:
+                    low[u] = low[v]
+                if stack[-1][1] is None:
+                    root_children += 1
+                elif low[v] >= disc[u]:
+                    artic.add(u)
+        else:
+            disc[child] = low[child] = counter
+            counter += 1
+            stack.append((child, v, iter(adj[child])))
+    if root_children >= 2:
+        artic.add(root)
+
+    if len(disc) == len(positions):  # connected
+        return set(positions) - artic
+    return {
+        p for p in positions if not adj[p] and _one_piece(positions.keys() - {p})
+    }

@@ -2,11 +2,13 @@
 
 States are configurations deduplicated up to translation (canonical
 form); a goal is reached when the shapes coincide, optionally also
-matching cell kinds. Breadth-first search guarantees minimal plans; A*
-with an admissible heuristic returns plans of the same length while
-expanding fewer states. Both run on the same successor generator, which
-a Planner instance memoizes so that repeated queries over one state
-space (parameter sweeps, test batteries) stay cheap.
+matching cell kinds. The search's goal test and goal_matches (which
+replay uses) compare the same canonical key. Breadth-first search
+guarantees minimal plans; A* with an admissible heuristic returns plans
+of the same length while expanding fewer states. Both run on the same
+successor generator, which a Planner instance memoizes so that repeated
+queries over one state space (parameter sweeps, test batteries) stay
+cheap.
 
 The exact-position heuristic is an optimal assignment between cell
 positions under the lattice step metric (each move relocates one cell by
@@ -154,9 +156,13 @@ def heuristic(
         raise ValidationError(
             f"configurations differ in size: {len(c)} vs {len(goal)}"
         )
-    if match_up_to_translation:
-        return _translation_bound(c.positions, goal.positions)
-    return _assignment_bound(c.positions, goal.positions)
+    return _bound(c.positions, goal.positions, match_up_to_translation)
+
+
+def _bound(a: tuple[Pos, ...], b: tuple[Pos, ...], translate: bool) -> int:
+    if translate:
+        return _translation_bound(a, b)
+    return _assignment_bound(a, b)
 
 
 # --------------------------------------------------------------------------
@@ -164,6 +170,36 @@ def heuristic(
 # --------------------------------------------------------------------------
 
 _State = tuple  # sorted tuple of positions, or of (position, kind value)
+
+
+def _state(c: Configuration, kind_sensitive: bool) -> _State:
+    if kind_sensitive:
+        return tuple((cell.pos, cell.kind.value) for cell in c.cells)
+    return c.positions  # cells are kept sorted by position
+
+
+def _positions(state: _State, kind_sensitive: bool) -> tuple[Pos, ...]:
+    if kind_sensitive:
+        return tuple(p for p, _ in state)
+    return state
+
+
+def _canonical(
+    state: _State, kind_sensitive: bool, translate: bool
+) -> tuple[_State, Pos]:
+    """The goal key of a state: with translate, shifted so its smallest
+    position is the origin. Returns the key and the shift subtracted.
+
+    Subtracting the minimum keeps a sorted state sorted.
+    """
+    if not translate:
+        return state, (0, 0, 0)
+    m = state[0][0] if kind_sensitive else state[0]
+    if m == (0, 0, 0):
+        return state, m
+    if kind_sensitive:
+        return tuple((sub(p, m), k) for p, k in state), m
+    return tuple(sub(p, m) for p in state), m
 
 
 class Planner:
@@ -177,38 +213,6 @@ class Planner:
     def __init__(self, opts: PlannerOptions | None = None):
         self.opts = opts or PlannerOptions()
         self._succ: dict[_State, list[tuple[PivotMove, _State, Pos]]] = {}
-
-    # -- state encoding ----------------------------------------------------
-
-    def _to_state(self, positions, kinds) -> _State:
-        if self.opts.kind_sensitive:
-            return tuple(sorted(zip(positions, kinds)))
-        return tuple(sorted(positions))
-
-    def _state_positions(self, state: _State) -> tuple[Pos, ...]:
-        if self.opts.kind_sensitive:
-            return tuple(p for p, _ in state)
-        return state
-
-    def _canonical(self, state: _State) -> tuple[_State, Pos]:
-        """Translate so the smallest position is the origin; returns the
-        canonical state and the shift that was subtracted."""
-        if not self.opts.match_up_to_translation:
-            return state, (0, 0, 0)
-        pos = self._state_positions(state)
-        m = min(pos)
-        if m == (0, 0, 0):
-            return state, m
-        if self.opts.kind_sensitive:
-            moved = tuple(sorted((sub(p, m), k) for (p, k) in state))
-        else:
-            moved = tuple(sorted(sub(p, m) for p in pos))
-        return moved, m
-
-    def _config_state(self, c: Configuration) -> _State:
-        return self._to_state(
-            c.positions, tuple(cell.kind.value for cell in c.cells)
-        )
 
     # -- successor generation ----------------------------------------------
 
@@ -238,18 +242,12 @@ class Planner:
                         for p, k in state
                     )
                 )
-            canon, shift = self._canonical(nxt)
+            canon, shift = _canonical(
+                nxt, self.opts.kind_sensitive, self.opts.match_up_to_translation
+            )
             out.append((move, canon, shift))
         self._succ[state] = out
         return out
-
-    # -- goal handling -------------------------------------------------------
-
-    def _heuristic(self, state: _State, goal_pos: tuple[Pos, ...]) -> int:
-        pos = self._state_positions(state)
-        if self.opts.match_up_to_translation:
-            return _translation_bound(pos, goal_pos)
-        return _assignment_bound(pos, goal_pos)
 
     # -- public entry -------------------------------------------------------
 
@@ -268,9 +266,11 @@ class Planner:
                 stats=SearchStats(0, 0, time.perf_counter() - t0),
             )
 
-        start_state, start_shift = self._canonical(self._config_state(start))
-        goal_state, _ = self._canonical(self._config_state(goal))
-        goal_pos = self._state_positions(goal_state)
+        ks = self.opts.kind_sensitive
+        translate = self.opts.match_up_to_translation
+        start_state, start_shift = _canonical(_state(start, ks), ks, translate)
+        goal_state, _ = _canonical(_state(goal, ks), ks, translate)
+        goal_pos = _positions(goal_state, ks)
 
         astar = self.opts.algorithm is Algorithm.ASTAR
         budget = self.opts.max_states
@@ -281,6 +281,7 @@ class Planner:
         }
         expanded = 0
         peak = 1
+        state = None
 
         if astar:
             h_cache: dict[_State, int] = {}
@@ -288,7 +289,7 @@ class Planner:
             def h(s: _State) -> int:
                 v = h_cache.get(s)
                 if v is None:
-                    v = self._heuristic(s, goal_pos)
+                    v = _bound(_positions(s, ks), goal_pos, translate)
                     h_cache[s] = v
                 return v
 
@@ -303,19 +304,8 @@ class Planner:
                 g = -negg
                 closed.add(state)
                 expanded += 1
-                if state == goal_state:
-                    return self._emit(
-                        start, start_state, start_shift, goal, state,
-                        parents, expanded, peak, t0,
-                    )
-                if expanded >= budget:
-                    return PlanResult(
-                        PlanStatus.BUDGET_EXHAUSTED,
-                        reason=f"expanded {expanded} states",
-                        stats=SearchStats(
-                            expanded, peak, time.perf_counter() - t0
-                        ),
-                    )
+                if state == goal_state or expanded >= budget:
+                    break
                 for move, nxt, shift in self._successors(state):
                     if nxt in closed:
                         continue
@@ -333,29 +323,30 @@ class Planner:
             while queue:
                 state = queue.popleft()
                 expanded += 1
-                if state == goal_state:
-                    return self._emit(
-                        start, start_state, start_shift, goal, state,
-                        parents, expanded, peak, t0,
-                    )
-                if expanded >= budget:
-                    return PlanResult(
-                        PlanStatus.BUDGET_EXHAUSTED,
-                        reason=f"expanded {expanded} states",
-                        stats=SearchStats(
-                            expanded, peak, time.perf_counter() - t0
-                        ),
-                    )
+                if state == goal_state or expanded >= budget:
+                    break
                 for move, nxt, shift in self._successors(state):
                     if nxt not in parents:
                         parents[nxt] = (state, move, shift)
                         queue.append(nxt)
                 peak = max(peak, len(queue))
 
+        # a search that runs dry ends without a break: its last state is
+        # not the goal and the budget is not spent
+        if state == goal_state:
+            return self._emit(
+                start, start_state, start_shift, goal, state,
+                parents, expanded, peak, t0,
+            )
+        stats = SearchStats(expanded, peak, time.perf_counter() - t0)
+        if expanded >= budget:
+            return PlanResult(
+                PlanStatus.BUDGET_EXHAUSTED,
+                reason=f"expanded {expanded} states",
+                stats=stats,
+            )
         return PlanResult(
-            PlanStatus.NO_PATH,
-            reason="state space exhausted",
-            stats=SearchStats(expanded, peak, time.perf_counter() - t0),
+            PlanStatus.NO_PATH, reason="state space exhausted", stats=stats
         )
 
     def _emit(
@@ -411,19 +402,19 @@ def goal_matches(
     match_up_to_translation: bool = True,
     kind_sensitive: bool = False,
 ) -> bool:
-    """Does a configuration meet the goal criterion?"""
+    """Does a configuration meet the goal criterion?
 
-    def key(cfg: Configuration):
-        items = [
-            (cell.pos, cell.kind.value if kind_sensitive else "")
-            for cell in cfg.cells
-        ]
-        if match_up_to_translation:
-            m = min(p for p, _ in items)
-            items = [(sub(p, m), k) for p, k in items]
-        return tuple(sorted(items))
-
-    return len(c) == len(goal) and key(c) == key(goal)
+    Compares the same canonical key the planner's goal test uses.
+    """
+    if len(c) == 0 or len(goal) == 0:
+        raise ValidationError("configurations must be nonempty")
+    if len(c) != len(goal):
+        return False
+    ks, translate = kind_sensitive, match_up_to_translation
+    return (
+        _canonical(_state(c, ks), ks, translate)[0]
+        == _canonical(_state(goal, ks), ks, translate)[0]
+    )
 
 
 def replay(

@@ -390,7 +390,10 @@ class TestSweptCells:
     def test_step_validation(self):
         with pytest.raises(ValidationError):
             swept_cells((1, 1, 0), (1, 0, 1), step_deg=2.0)
-        for bad in ({"step_deg": math.nan}, {"vol_eps": math.nan},
+        # too fine a step would ask for billions of angles; only the
+        # validation runs here
+        for bad in ({"step_deg": math.nan}, {"step_deg": 1e-7},
+                    {"step_deg": 0.05}, {"vol_eps": math.nan},
                     {"vol_eps": math.inf}, {"vol_eps": -1.0}):
             with pytest.raises(ValidationError):
                 swept_cells((1, 1, 0), (1, 0, 1), **bad)

@@ -266,8 +266,10 @@ class TestLegalMoves:
         assert legal_moves(Configuration.from_positions([(0, 0, 0)])) == []
 
     def test_equivalent_to_check_move_filter(self):
-        # the fast path shares nothing with check_move's per-move
-        # connectivity test, so the brute filter is its oracle
+        # the brute filter checks candidate enumeration, destination,
+        # blocker and stability filtering; both sides share
+        # lattice.removable_cells, whose own independent oracle is
+        # tests/test_lattice.py::TestRemovableCells
         rng = np.random.default_rng(83)
         configs = []
         for _ in range(40):

@@ -2,6 +2,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rhombikit.errors import ValidationError
 from rhombikit.lattice import (
@@ -25,6 +27,7 @@ from rhombikit.lattice import (
     is_connected,
     lattice_distance,
     neighbors,
+    removable_cells,
     rotation_matrix,
 )
 
@@ -258,3 +261,33 @@ class TestIsConnected:
     def test_empty_rejected(self):
         with pytest.raises(ValidationError):
             is_connected(Configuration([]))
+
+
+def _walk_plus_far_cells(drawn):
+    """The cells of a walk from the origin plus `far` cells far from it
+    and from each other."""
+    steps, far = drawn
+    walk = dict.fromkeys(itertools.accumulate(steps, add, initial=(0, 0, 0)))
+    return list(walk) + [(40 * k, 40 * k, 0) for k in range(1, far + 1)]
+
+
+# a walk of up to 8 steps (1-9 distinct cells) plus up to two far cells:
+# one piece, a cluster plus an isolated cell, two isolated cells, or
+# three pieces
+_pieces = st.tuples(
+    st.lists(st.sampled_from(FACE_DIRS), max_size=8), st.integers(0, 2)
+).map(_walk_plus_far_cells)
+
+
+class TestRemovableCells:
+    @settings(derandomize=True, deadline=None, max_examples=400)
+    @given(_pieces)
+    def test_matches_is_connected_without_each_cell(self, positions):
+        c = Configuration.from_positions(positions)
+        expected = {
+            p
+            for p in c.positions
+            if len(c) == 1
+            or is_connected(Configuration(x for x in c.cells if x.pos != p))
+        }
+        assert removable_cells(c) == expected

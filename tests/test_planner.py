@@ -165,6 +165,19 @@ class TestPlan:
         final = replay(s, res.plan)
         assert goal_matches(final, g, kind_sensitive=True)
 
+    def test_goal_matches_empty_and_translation(self):
+        empty = Configuration([])
+        for translate in (True, False):
+            with pytest.raises(ValidationError):
+                goal_matches(empty, empty, match_up_to_translation=translate)
+        with pytest.raises(ValidationError):
+            replay(empty, Plan((), SearchStats(0, 0, 0.0), goal=empty))
+        off = (2, 0, 2)
+        assert goal_matches(TRI3.translate(off), TRI3)
+        assert not goal_matches(
+            TRI3.translate(off), TRI3, match_up_to_translation=False
+        )
+
     def test_deterministic_serialized_plans(self):
         doc_a = None
         for _ in range(2):
