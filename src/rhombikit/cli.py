@@ -21,14 +21,7 @@ from .docking import (
     enumerate_valid_layouts,
     validate_genderless,
 )
-from .errors import (
-    IllegalMove,
-    PairingError,
-    ParseError,
-    RhombikitError,
-    UnsupportedSymmetry,
-    ValidationError,
-)
+from .errors import IllegalMove, RhombikitError, ValidationError
 from .geometry import (
     classify_ground_contact,
     rotation_from_axis_angle,
@@ -400,9 +393,6 @@ def cli_main(argv: list[str] | None = None) -> int:
     except IllegalMove as exc:
         where = f" (move {exc.index})" if exc.index is not None else ""
         print(f"error: {exc}{where}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except (ParseError, ValidationError, PairingError, UnsupportedSymmetry) as exc:
-        print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except RhombikitError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import io as _io
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -18,7 +19,7 @@ import numpy as np
 
 from .analytics import DesignMeta, Trajectory
 from .docking import CellLayout, FaceLayout, MagnetSpec, Polarity
-from .errors import ParseError, ValidationError
+from .errors import ParseError, UnsupportedSymmetry, ValidationError
 from .geometry import ContactType, Mesh
 from .kinematics import PivotMove
 from .lattice import Cell, CellKind, Configuration, check_pos
@@ -46,6 +47,19 @@ def _load_json(text: str, source: str | None) -> object:
         raise ParseError(
             f"invalid JSON: {exc.msg}", source, f"line {exc.lineno} column {exc.colno}"
         ) from exc
+    except (ValueError, RecursionError) as exc:  # huge int literal, deep nesting
+        raise ParseError(f"invalid JSON: {exc}", source) from exc
+
+
+def _finite(v) -> bool:
+    """Is v a number that is neither a boolean (bool subclasses int) nor
+    NaN, an infinity or an int too large for a float?"""
+    if isinstance(v, bool) or not isinstance(v, (int, float)):
+        return False
+    try:
+        return math.isfinite(v)
+    except OverflowError:
+        return False
 
 
 def _field(obj: dict, key: str, types, where: str, source, required=True, default=None):
@@ -56,6 +70,10 @@ def _field(obj: dict, key: str, types, where: str, source, required=True, defaul
     val = obj[key]
     if types is not None and not isinstance(val, types):
         raise ParseError(f"field {key!r} has wrong type", source, where)
+    if isinstance(val, (int, float)) and not _finite(val):
+        raise ParseError(
+            f"field {key!r} must be a finite number, got {val!r}", source, where
+        )
     return val
 
 
@@ -253,8 +271,10 @@ def parse_layout(data: object, source: str | None = None) -> CellLayout:
             if not isinstance(rmag, dict):
                 raise ParseError("magnet must be an object", source, mwhere)
             pos = _field(rmag, "pos", list, mwhere, source)
-            if len(pos) != 2 or not all(isinstance(v, (int, float)) for v in pos):
-                raise ParseError("pos must be two numbers", source, f"{mwhere}.pos")
+            if len(pos) != 2 or not all(map(_finite, pos)):
+                raise ParseError(
+                    "pos must be two finite numbers", source, f"{mwhere}.pos"
+                )
             pol = _field(rmag, "polarity", str, mwhere, source)
             if pol not in _POLARITIES:
                 raise ParseError(
@@ -263,7 +283,7 @@ def parse_layout(data: object, source: str | None = None) -> CellLayout:
             magnets.append(MagnetSpec((float(pos[0]), float(pos[1])), _POLARITIES[pol]))
         try:
             faces.append(FaceLayout(tuple(magnets), symmetry))
-        except ValidationError as exc:
+        except (ValidationError, UnsupportedSymmetry) as exc:
             raise ParseError(str(exc), source, where) from exc
     try:
         return CellLayout(tuple(faces))
@@ -308,13 +328,9 @@ def parse_positions(data: object, source: str | None = None) -> list[tuple[float
     raw = _field(data, "positions", list, "", source)
     out = []
     for i, rp in enumerate(raw):
-        if (
-            not isinstance(rp, list)
-            or len(rp) != 2
-            or not all(isinstance(v, (int, float)) for v in rp)
-        ):
+        if not isinstance(rp, list) or len(rp) != 2 or not all(map(_finite, rp)):
             raise ParseError(
-                "position must be two numbers", source, f"positions[{i}]"
+                "position must be two finite numbers", source, f"positions[{i}]"
             )
         out.append((float(rp[0]), float(rp[1])))
     return out
@@ -363,18 +379,17 @@ def parse_trajectories(text: str, source: str | None = None) -> list[Trajectory]
         if not trial:
             raise ParseError("empty trial_id", source, f"line {lineno}")
         try:
-            t = float(row[1])
-            x = float(row[2])
-            y = float(row[3])
-            h = float(row[4]) if has_heading else None
+            values = [float(v) for v in row[1:]]
         except ValueError as exc:
             raise ParseError(
                 f"bad numeric value: {exc}", source, f"line {lineno}"
             ) from exc
+        if not all(map(_finite, values)):
+            raise ParseError("values must be finite numbers", source, f"line {lineno}")
         if trial not in rows:
             rows[trial] = []
             order.append(trial)
-        rows[trial].append((t, x, y, h))
+        rows[trial].append((*values[:3], values[3] if has_heading else None))
 
     if not order:
         raise ParseError("no data rows", source)

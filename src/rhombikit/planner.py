@@ -3,12 +3,16 @@
 States are configurations deduplicated up to translation (canonical
 form); a goal is reached when the shapes coincide, optionally also
 matching cell kinds. The search's goal test and goal_matches (which
-replay uses) compare the same canonical key. Breadth-first search
-guarantees minimal plans; A* with an admissible heuristic returns plans
-of the same length while expanding fewer states. Both run on the same
-successor generator, which a Planner instance memoizes so that repeated
-queries over one state space (parameter sweeps, test batteries) stay
-cheap.
+replay uses) compare the same canonical key. One best-first loop runs
+both algorithms: A* orders states by depth plus a lower bound, and
+breadth-first search is the same loop with a zero bound, which pops
+states in (depth, discovery) order just as a FIFO queue would. Both
+return minimal plans; A* expands fewer states. Because every bound used
+is consistent (one move changes it by at most 1), the first expansion of
+a state is at its optimal depth, so a single parent table holding each
+state's best depth also serves as the closed set. The successor
+generator is memoized per Planner instance so that repeated queries over
+one state space (parameter sweeps, test batteries) stay cheap.
 
 The exact-position heuristic is an optimal assignment between cell
 positions under the lattice step metric (each move relocates one cell by
@@ -24,7 +28,6 @@ from __future__ import annotations
 
 import heapq
 import time
-from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -222,29 +225,22 @@ class Planner:
         cached = self._succ.get(state)
         if cached is not None:
             return cached
-        if self.opts.kind_sensitive:
-            config = Configuration.from_positions([p for p, _ in state])
-            kind_of = dict(state)
-        else:
-            config = Configuration.from_positions(state)
-            kind_of = None
+        ks = self.opts.kind_sensitive
+        config = Configuration.from_positions(_positions(state, ks))
         out = []
         for move in legal_moves(config, self.opts.strict_stability):
-            if kind_of is None:
-                raw: tuple = tuple(
-                    move.destination if p == move.mover else p for p in state
-                )
-                nxt = tuple(sorted(raw))
-            else:
+            if ks:
                 nxt = tuple(
                     sorted(
                         ((move.destination if p == move.mover else p), k)
                         for p, k in state
                     )
                 )
-            canon, shift = _canonical(
-                nxt, self.opts.kind_sensitive, self.opts.match_up_to_translation
-            )
+            else:
+                nxt = tuple(
+                    sorted(move.destination if p == move.mover else p for p in state)
+                )
+            canon, shift = _canonical(nxt, ks, self.opts.match_up_to_translation)
             out.append((move, canon, shift))
         self._succ[state] = out
         return out
@@ -272,64 +268,42 @@ class Planner:
         goal_state, _ = _canonical(_state(goal, ks), ks, translate)
         goal_pos = _positions(goal_state, ks)
 
-        astar = self.opts.algorithm is Algorithm.ASTAR
+        if self.opts.algorithm is Algorithm.ASTAR:
+            def h(s: _State) -> int:
+                return _bound(_positions(s, ks), goal_pos, translate)
+        else:
+            def h(s: _State) -> int:
+                return 0
         budget = self.opts.max_states
 
-        # parent map: state -> (parent state, move in parent frame, shift)
-        parents: dict[_State, tuple[_State, PivotMove, Pos] | None] = {
-            start_state: None
-        }
+        # state -> (depth, parent state, move in parent frame, shift); the
+        # depth is the best found so far and is optimal once the state is
+        # expanded, because both bounds (and zero) are consistent
+        parents: dict[_State, tuple] = {start_state: (0, None, None, None)}
+        # (f, -g, push counter): lower f first, then the deeper entry; a
+        # zero bound makes this the (depth, discovery) order of BFS
+        heap: list = [(h(start_state), 0, 0, start_state)]
+        counter = 0
         expanded = 0
         peak = 1
         state = None
-
-        if astar:
-            h_cache: dict[_State, int] = {}
-
-            def h(s: _State) -> int:
-                v = h_cache.get(s)
-                if v is None:
-                    v = _bound(_positions(s, ks), goal_pos, translate)
-                    h_cache[s] = v
-                return v
-
-            counter = 0
-            best_g: dict[_State, int] = {start_state: 0}
-            open_heap: list = [(h(start_state), 0, 0, start_state)]
-            closed: set[_State] = set()
-            while open_heap:
-                f, negg, _, state = heapq.heappop(open_heap)
-                if state in closed:
-                    continue
-                g = -negg
-                closed.add(state)
-                expanded += 1
-                if state == goal_state or expanded >= budget:
-                    break
-                for move, nxt, shift in self._successors(state):
-                    if nxt in closed:
-                        continue
-                    g2 = g + 1
-                    old = best_g.get(nxt)
-                    if old is not None and old <= g2:
-                        continue
-                    best_g[nxt] = g2
-                    parents[nxt] = (state, move, shift)
-                    counter += 1
-                    heapq.heappush(open_heap, (g2 + h(nxt), -g2, counter, nxt))
-                peak = max(peak, len(open_heap))
-        else:
-            queue: deque[_State] = deque([start_state])
-            while queue:
-                state = queue.popleft()
-                expanded += 1
-                if state == goal_state or expanded >= budget:
-                    break
-                for move, nxt, shift in self._successors(state):
-                    if nxt not in parents:
-                        parents[nxt] = (state, move, shift)
-                        queue.append(nxt)
-                peak = max(peak, len(queue))
+        while heap:
+            _, negg, _, state = heapq.heappop(heap)
+            g = -negg
+            if g > parents[state][0]:
+                continue  # stale entry: a shorter path was pushed later
+            expanded += 1
+            if state == goal_state or expanded >= budget:
+                break
+            g += 1
+            for move, nxt, shift in self._successors(state):
+                old = parents.get(nxt)
+                if old is not None and old[0] <= g:
+                    continue  # covers expanded states too
+                parents[nxt] = (g, state, move, shift)
+                counter += 1
+                heapq.heappush(heap, (g + h(nxt), -g, counter, nxt))
+            peak = max(peak, len(heap))
 
         # a search that runs dry ends without a break: its last state is
         # not the goal and the budget is not spent
@@ -357,11 +331,11 @@ class Planner:
         chain: list[tuple[PivotMove, Pos]] = []
         state = goal_state
         while True:
-            entry = parents[state]
-            if entry is None:
+            _, parent, move, shift = parents[state]
+            if parent is None:
                 break
-            state, move, shift = entry
             chain.append((move, shift))
+            state = parent
         chain.reverse()
 
         # re-express each move in the original, evolving frame: the offset

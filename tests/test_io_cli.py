@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -72,6 +73,33 @@ class TestStructureFiles:
             rio.parse_structure({"format_version": 99, "cells": []})
 
 
+    @pytest.mark.parametrize(
+        "text, where",
+        [
+            ('{"cells": [{"pos": [0, 0, 0], "kind": "passive", "orient": true}]}',
+             "cells[0]"),
+            ('{"cells": [{"pos": [0, 0, 0], "kind": "passive"}], '
+             '"scale_cm_per_unit": NaN}', "scale_cm_per_unit"),
+            ('{"cells": [{"pos": [0, 0, 0], "kind": "passive"}], '
+             '"scale_cm_per_unit": Infinity}', "scale_cm_per_unit"),
+        ],
+    )
+    def test_boolean_and_non_finite_numbers_rejected(self, text, where):
+        with pytest.raises(ParseError, match=re.escape(where)):
+            rio.parse_structure(json.loads(text))
+
+    @pytest.mark.parametrize(
+        "text",
+        ['{"cells": [], "scale_cm_per_unit": ' + "9" * 5000 + "}", "[" * 100_000],
+        ids=["5000-digit integer", "100000-deep array"],
+    )
+    def test_json_the_decoder_cannot_hold_is_parse_error(self, tmp_path, text):
+        path = tmp_path / "big.json"
+        path.write_text(text)
+        with pytest.raises(ParseError, match="invalid JSON"):
+            rio.load_structure(path)
+
+
 class TestPlanFiles:
     def test_round_trip(self):
         line = Configuration.from_positions([(0, 0, 0), (1, 1, 0), (2, 2, 0)])
@@ -91,6 +119,17 @@ class TestPlanFiles:
         with pytest.raises(ParseError, match=r"moves\[0\]"):
             rio.parse_plan(data)
 
+    def test_boolean_face_index_rejected(self):
+        # True is an int in Python and would otherwise read as face 1
+        data = {
+            "start": {"cells": [{"pos": [0, 0, 0], "kind": "passive"}]},
+            "moves": [
+                {"mover": [1, 1, 0], "substrate": [0, 0, 0], "from": 0, "to": True}
+            ],
+        }
+        with pytest.raises(ParseError, match=r"moves\[0\].*'to'"):
+            rio.parse_plan(data)
+
 
 class TestLayoutFiles:
     def test_round_trip_default_layout(self):
@@ -103,6 +142,58 @@ class TestLayoutFiles:
         data = {"faces": []}
         with pytest.raises(ParseError, match="12 faces"):
             rio.parse_layout(data)
+
+    @pytest.mark.parametrize("symmetry", [1, 0, -3, True])
+    def test_symmetry_below_two_is_parse_error(self, symmetry):
+        data = rio.layout_to_dict(default_cell_layout())
+        data["faces"][3]["symmetry"] = symmetry
+        with pytest.raises(ParseError, match=r"faces\[3\]"):
+            rio.parse_layout(data)
+
+    def test_non_finite_magnet_position_rejected(self):
+        data = rio.layout_to_dict(default_cell_layout())
+        data["faces"][0]["magnets"][1]["pos"] = [float("nan"), 0.5]
+        with pytest.raises(ParseError, match=re.escape("faces[0].magnets[1].pos")):
+            rio.parse_layout(data)
+
+
+class TestPositionsFiles:
+    def test_pairs_read_as_floats(self):
+        assert rio.parse_positions({"positions": [[1, 0.5], [-0.5, 0]]}) == [
+            (1.0, 0.5),
+            (-0.5, 0.0),
+        ]
+
+    @pytest.mark.parametrize("bad", ["[true, 0.5]", "[NaN, 0.5]", "[0.5, -Infinity]"])
+    def test_boolean_and_non_finite_rejected(self, bad):
+        text = '{"positions": [[0.5, 0.5], ' + bad + "]}"
+        with pytest.raises(ParseError, match=re.escape("positions[1]")):
+            rio.parse_positions(json.loads(text))
+
+
+class TestDesignFiles:
+    DESIGN = {
+        "name": "Design A",
+        "passive": 2,
+        "active": 1,
+        "body_length_cm": 9.5,
+        "body_weight_g": 77,
+        "contact": "point",
+    }
+
+    def test_single_design_object(self):
+        (spec,) = rio.parse_designs(dict(self.DESIGN))
+        assert spec.meta.body_length_cm == 9.5 and spec.trial_ids is None
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [("body_length_cm", float("nan")), ("body_weight_g", float("inf")),
+         ("active", True), ("passive", False)],
+    )
+    def test_boolean_and_non_finite_rejected(self, key, value):
+        data = {"designs": [dict(self.DESIGN), dict(self.DESIGN, **{key: value})]}
+        with pytest.raises(ParseError, match=re.escape(f"designs[1]: field {key!r}")):
+            rio.parse_designs(data)
 
 
 class TestTrajectoryFiles:
@@ -132,6 +223,19 @@ class TestTrajectoryFiles:
     def test_bad_header(self):
         with pytest.raises(ParseError, match="header"):
             rio.parse_trajectories("a,b,c\n1,2,3\n")
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "trial_id,t,x,y\nA,0,0,0\nA,1,nan,1\n",
+            "trial_id,t,x,y\nA,0,0,0\nA,inf,1,1\n",
+            "trial_id,t,x,y\nA,0,0,0\nA,1,1,-Infinity\n",
+            "trial_id,t,x,y,heading\nA,0,0,0,0\nA,1,1,1,nan\n",
+        ],
+    )
+    def test_non_finite_values_rejected(self, text):
+        with pytest.raises(ParseError, match="line 3"):
+            rio.parse_trajectories(text)
 
     def test_empty(self):
         with pytest.raises(ParseError):

@@ -1,9 +1,11 @@
+from collections import deque
+
 import numpy as np
 import pytest
 
 from rhombikit.errors import IllegalMove, ValidationError
 from rhombikit.io import PlanDoc, StructureDoc, dumps_plan
-from rhombikit.kinematics import PivotMove
+from rhombikit.kinematics import PivotMove, apply_move, legal_moves
 from rhombikit.lattice import Configuration
 from rhombikit.planner import (
     Algorithm,
@@ -19,6 +21,29 @@ from rhombikit.planner import (
 )
 
 from conftest import canon_positions
+
+
+def _fifo_reference(planner, start, goal):
+    """The FIFO breadth-first loop over the planner's own successors:
+    (states expanded, frontier peak, plan length or None)."""
+    start_state = canon_positions(start.positions)
+    goal_state = canon_positions(goal.positions)
+    depth = {start_state: 0}
+    queue = deque([start_state])
+    expanded = 0
+    peak = 1
+    while queue:
+        state = queue.popleft()
+        expanded += 1
+        if state == goal_state:
+            return expanded, peak, depth[state]
+        for _, nxt, _ in planner._successors(state):
+            if nxt not in depth:
+                depth[nxt] = depth[state] + 1
+                queue.append(nxt)
+        peak = max(peak, len(queue))
+    return expanded, peak, None
+
 
 LINE3 = Configuration.from_positions([(0, 0, 0), (1, 1, 0), (2, 2, 0)])
 TRI3 = Configuration.from_positions([(0, 0, 0), (1, 1, 0), (1, 0, 1)])
@@ -65,6 +90,20 @@ class TestHeuristic:
                     continue
                 h = heuristic(cs, Configuration.from_positions(g), True)
                 assert h <= d, (s, g, h, d)
+
+    def test_consistent_on_all_3cell_box_moves(self, shape_graphs):
+        # one move changes either bound by at most 1; the search loop
+        # relies on this to treat a state's first expansion as optimal
+        shapes, _, _ = shape_graphs[3]
+        goals = [Configuration.from_positions(g) for g in shapes]
+        for s in shapes:
+            cs = Configuration.from_positions(s)
+            for move in legal_moves(cs):
+                cn = apply_move(cs, move)
+                for g in goals:
+                    for t in (True, False):
+                        d = heuristic(cs, g, t) - heuristic(cn, g, t)
+                        assert abs(d) <= 1, (s, move, g.positions, t, d)
 
 
 class TestPlan:
@@ -116,6 +155,19 @@ class TestPlan:
                     ra = astar.plan(cs, Configuration.from_positions(g))
                     assert rb.ok and ra.ok
                     assert len(rb.plan.moves) == len(ra.plan.moves) == d
+
+    def test_bfs_counters_match_fifo_reference(self, shape_graphs):
+        shapes, _, _ = shape_graphs[3]
+        bfs = Planner(PlannerOptions(algorithm=Algorithm.BFS))
+        for s in shapes:
+            cs = Configuration.from_positions(s)
+            for g in shapes:
+                cg = Configuration.from_positions(g)
+                expanded, peak, length = _fifo_reference(bfs, cs, cg)
+                res = bfs.plan(cs, cg)
+                assert res.stats.states_expanded == expanded, (s, g)
+                assert res.stats.frontier_peak == peak, (s, g)
+                assert (len(res.plan.moves) if res.ok else None) == length, (s, g)
 
     def test_plan_length_bounded_below_by_heuristic(self, shape_graphs):
         shapes, _, dists = shape_graphs[3]
