@@ -7,14 +7,17 @@ roll in your hand). A move is described by the mover, the substrate, and
 the substrate faces it leaves and lands on; legality additionally demands
 that the destination is free, the structure stays connected without the
 mover (lattice.removable_cells, the one articulation pass both check_move
-and legal_moves use), and nothing occupies the volume the mover sweeps
-through.
+and the move generator use), and nothing occupies the volume the mover
+sweeps through. The one generator, _legal_rolls, takes sorted occupied
+positions and returns plain (mover, substrate, from_dir, to_dir) tuples:
+legal_moves validates them into PivotMoves, the planner uses them as is.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import cache
 
 from .errors import IllegalMove, ValidationError
 from .geometry import blocker_table, shared_face_edge
@@ -90,10 +93,6 @@ def pivot_destinations(d: Pos) -> list[Pos]:
     return [e for e in FACE_DIRS if sum(a * b for a, b in zip(t, e)) == 1]
 
 
-def _trace(m) -> int:
-    return m[0][0] + m[1][1] + m[2][2]
-
-
 def _solve_pivot_rotations() -> dict[tuple[int, int], int]:
     """For each (from, to) pair, the unique 120-degree body rotation.
 
@@ -113,7 +112,7 @@ def _solve_pivot_rotations() -> dict[tuple[int, int], int]:
             sols = [
                 ri
                 for ri, m in enumerate(ROTATIONS)
-                if _trace(m) == 0
+                if m[0][0] + m[1][1] + m[2][2] == 0  # trace 0: a 120-degree turn
                 and _mat_apply(m, axis) == axis
                 and add(_mat_apply(m, start), e0) == target
             ]
@@ -157,22 +156,24 @@ def check_move(
     dest = move.destination
     if dest in c:
         return MoveLegality.DESTINATION_OCCUPIED
-    if move.mover not in removable_cells(c):
+    if move.mover not in removable_cells(set(c.positions)):
         return MoveLegality.DISCONNECTS_STRUCTURE
     fi = FACE_DIR_INDEX[move.from_dir]
     ti = FACE_DIR_INDEX[move.to_dir]
     for offset in blocker_table()[(fi, ti)]:
         if add(move.substrate, offset) in c:
             return MoveLegality.SWEPT_VOLUME_BLOCKED
-    if strict_stability:
-        support = sum(
-            1
-            for d in FACE_DIRS
-            if (n := add(dest, d)) in c and n != move.substrate and n != move.mover
-        )
-        if support == 0:
-            return MoveLegality.UNSTABLE
+    if strict_stability and not _supported(c, dest, move.substrate, move.mover):
+        return MoveLegality.UNSTABLE
     return MoveLegality.LEGAL
+
+
+def _supported(occupied, dest: Pos, substrate: Pos, mover: Pos) -> bool:
+    """Does dest touch an occupied cell other than the substrate and the mover?"""
+    return any(
+        (n := add(dest, d)) in occupied and n != substrate and n != mover
+        for d in FACE_DIRS
+    )
 
 
 def apply_move(
@@ -199,35 +200,44 @@ def legal_moves(
 ) -> list[PivotMove]:
     """All legal moves, ordered by (mover position, from index, to index).
 
-    Equivalent to filtering every candidate through check_move, but the
-    connectivity analysis (removable_cells, the expensive part) runs
-    once per configuration instead of once per candidate, which matters
-    inside the planner's inner loop.
+    Equivalent to filtering every candidate through check_move.
     """
-    table = blocker_table()
-    removable: set[Pos] | None = None  # computed once, on first demand
+    return [PivotMove(*r) for r in _legal_rolls(c.positions, strict_stability)]
+
+
+Roll = tuple[Pos, Pos, Pos, Pos]  # (mover, substrate, from_dir, to_dir)
+
+
+@cache
+def _roll_table() -> list[tuple[Pos, list[tuple[Pos, tuple[Pos, ...]]]]]:
+    """[(from_dir, [(to_dir, blocker offsets), ...]), ...] in FACE_DIRS order."""
+    rolls = [(f, []) for f in FACE_DIRS]
+    for (fi, ti), blockers in sorted(blocker_table().items()):
+        rolls[fi][1].append((FACE_DIRS[ti], tuple(blockers)))
+    return rolls
+
+
+def _legal_rolls(positions: tuple[Pos, ...], strict: bool) -> list[Roll]:
+    """The legal moves of sorted occupied positions, in legal_moves' order.
+
+    The connectivity analysis (removable_cells, the expensive part) runs
+    once per call.
+    """
+    occupied = set(positions)
+    removable = removable_cells(occupied)
     out = []
-    for cell in c.cells:  # cells are sorted by position
-        mover = cell.pos
-        for fi, f in enumerate(FACE_DIRS):
+    for mover in positions:
+        if mover not in removable:
+            continue
+        for f, rolls in _roll_table():
             s = sub(mover, f)
-            if s not in c:
+            if s not in occupied:
                 continue
-            if removable is None:
-                removable = removable_cells(c)
-            if mover not in removable:
-                break
-            for t in pivot_destinations(f):
+            for t, blockers in rolls:
                 dest = add(s, t)
-                if dest in c:
+                if dest in occupied or any(add(s, b) in occupied for b in blockers):
                     continue
-                ti = FACE_DIR_INDEX[t]
-                if any(add(s, b) in c for b in table[(fi, ti)]):
+                if strict and not _supported(occupied, dest, s, mover):
                     continue
-                if strict_stability and not any(
-                    (n := add(dest, d)) in c and n != s and n != mover
-                    for d in FACE_DIRS
-                ):
-                    continue
-                out.append(PivotMove(mover, s, f, t))
+                out.append((mover, s, f, t))
     return out

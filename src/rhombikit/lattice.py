@@ -6,8 +6,8 @@ The module also carries the 24 proper rotations of the cell shape (the
 chiral octahedral group) as exact signed-permutation matrices, so cell
 orientations compose without any floating point. Connectivity is decided
 here too: is_connected for a configuration, and removable_cells for the
-cells that can leave it without splitting the rest (the legality test a
-roll needs).
+positions that can leave a set of occupied ones without splitting the
+rest (the legality test a roll needs; no Configuration is required).
 
 Enumeration conventions (fixed, relied on by file formats and tests):
 
@@ -24,7 +24,7 @@ import itertools
 import operator
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Iterator, Sequence
+from typing import AbstractSet, Iterable, Iterator, Sequence
 
 from .errors import ValidationError
 
@@ -326,22 +326,21 @@ def is_connected(c: Configuration) -> bool:
     return _one_piece(c._by_pos)
 
 
-def removable_cells(c: Configuration) -> set[Pos]:
-    """Cells whose removal leaves the rest in one piece.
+def removable_cells(positions: AbstractSet[Pos]) -> set[Pos]:
+    """The occupied positions whose removal leaves the rest in one piece.
 
-    A single cell is removable. For a connected configuration these are
-    the non-articulation cells, found in one iterative lowlink pass; in a
+    A single cell is removable. For a connected set these are the
+    non-articulation cells, found in one iterative lowlink pass; in a
     disconnected one, only an isolated cell can be, and only when the
     cells without it are connected.
     """
-    positions = c._by_pos
     if len(positions) <= 1:
         return set(positions)
     adj = {
         p: [q for d in FACE_DIRS if (q := add(p, d)) in positions]
         for p in positions
     }
-    root = c.cells[0].pos
+    root = next(iter(positions))
     disc: dict[Pos, int] = {root: 0}
     low: dict[Pos, int] = {root: 0}
     counter = 1
@@ -380,6 +379,4 @@ def removable_cells(c: Configuration) -> set[Pos]:
 
     if len(disc) == len(positions):  # connected
         return set(positions) - artic
-    return {
-        p for p in positions if not adj[p] and _one_piece(positions.keys() - {p})
-    }
+    return {p for p in positions if not adj[p] and _one_piece(positions - {p})}

@@ -10,9 +10,11 @@ states in (depth, discovery) order just as a FIFO queue would. Both
 return minimal plans; A* expands fewer states. Because every bound used
 is consistent (one move changes it by at most 1), the first expansion of
 a state is at its optimal depth, so a single parent table holding each
-state's best depth also serves as the closed set. The successor
-generator is memoized per Planner instance so that repeated queries over
-one state space (parameter sweeps, test batteries) stay cheap.
+state's best depth also serves as the closed set. States are sorted
+position tuples (with kinds when kind-sensitive), the input of the move
+generator kinematics._legal_rolls, whose raw move tuples are memoized per
+Planner so that repeated queries over one state space (parameter sweeps,
+test batteries) stay cheap; PivotMoves are built only for the returned plan.
 
 The exact-position heuristic is an optimal assignment between cell
 positions under the lattice step metric (each move relocates one cell by
@@ -35,7 +37,8 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from .errors import IllegalMove, ValidationError
-from .kinematics import PivotMove, apply_move, legal_moves
+from .kinematics import PivotMove, Roll, _legal_rolls, apply_move
+from .kinematics import legal_moves  # noqa: F401 - perfbench's tracer patches it here
 from .lattice import (
     Configuration,
     Pos,
@@ -66,8 +69,11 @@ class PlannerOptions:
     kind_sensitive: bool = False
 
     def __post_init__(self) -> None:
-        if self.max_states < 1:
-            raise ValidationError("max_states must be at least 1")
+        m = self.max_states
+        if type(m) is not int or m < 1:  # also rejects bools
+            raise ValidationError(f"max_states must be an int >= 1, got {m!r}")
+        if not isinstance(self.algorithm, Algorithm):
+            raise ValidationError(f"not an Algorithm: {self.algorithm!r}")
 
 
 @dataclass(frozen=True)
@@ -215,31 +221,24 @@ class Planner:
 
     def __init__(self, opts: PlannerOptions | None = None):
         self.opts = opts or PlannerOptions()
-        self._succ: dict[_State, list[tuple[PivotMove, _State, Pos]]] = {}
+        self._succ: dict[_State, list[tuple[Roll, _State, Pos]]] = {}
 
     # -- successor generation ----------------------------------------------
 
-    def _successors(self, state: _State) -> list[tuple[PivotMove, _State, Pos]]:
-        """Successors of a canonical state: (move in this frame,
+    def _successors(self, state: _State) -> list[tuple[Roll, _State, Pos]]:
+        """Successors of a canonical state: (roll tuple in this frame,
         successor canonical state, canonicalization shift)."""
         cached = self._succ.get(state)
         if cached is not None:
             return cached
         ks = self.opts.kind_sensitive
-        config = Configuration.from_positions(_positions(state, ks))
         out = []
-        for move in legal_moves(config, self.opts.strict_stability):
+        for move in _legal_rolls(_positions(state, ks), self.opts.strict_stability):
+            mover, dest = move[0], add(move[1], move[3])
             if ks:
-                nxt = tuple(
-                    sorted(
-                        ((move.destination if p == move.mover else p), k)
-                        for p, k in state
-                    )
-                )
+                nxt = tuple(sorted(((dest if p == mover else p), k) for p, k in state))
             else:
-                nxt = tuple(
-                    sorted(move.destination if p == move.mover else p for p in state)
-                )
+                nxt = tuple(sorted(dest if p == mover else p for p in state))
             canon, shift = _canonical(nxt, ks, self.opts.match_up_to_translation)
             out.append((move, canon, shift))
         self._succ[state] = out
@@ -255,15 +254,16 @@ class Planner:
             raise ValidationError("start configuration is not connected")
         if not is_connected(goal):
             raise ValidationError("goal configuration is not connected")
-        if len(start) != len(goal):
-            return PlanResult(
+        ks = self.opts.kind_sensitive
+        translate = self.opts.match_up_to_translation
+        kinds = [sorted(cell.kind.value for cell in c) for c in (start, goal)]
+        if len(start) != len(goal) or ks and kinds[0] != kinds[1]:
+            return PlanResult(  # a move never changes a cell's kind
                 PlanStatus.NO_PATH,
-                reason="size_mismatch",
+                reason="size_mismatch" if len(start) != len(goal) else "kind_mismatch",
                 stats=SearchStats(0, 0, time.perf_counter() - t0),
             )
 
-        ks = self.opts.kind_sensitive
-        translate = self.opts.match_up_to_translation
         start_state, start_shift = _canonical(_state(start, ks), ks, translate)
         goal_state, _ = _canonical(_state(goal, ks), ks, translate)
         goal_pos = _positions(goal_state, ks)
@@ -328,7 +328,7 @@ class Planner:
         parents, expanded, peak, t0,
     ) -> PlanResult:
         # walk back to the start, collecting moves in canonical frames
-        chain: list[tuple[PivotMove, Pos]] = []
+        chain: list[tuple[Roll, Pos]] = []
         state = goal_state
         while True:
             _, parent, move, shift = parents[state]
@@ -342,15 +342,8 @@ class Planner:
         # maps the canonical frame back onto the caller's coordinates
         offset = start_shift
         moves = []
-        for move, shift in chain:
-            moves.append(
-                PivotMove(
-                    add(move.mover, offset),
-                    add(move.substrate, offset),
-                    move.from_dir,
-                    move.to_dir,
-                )
-            )
+        for (mover, substrate, f, t), shift in chain:
+            moves.append(PivotMove(add(mover, offset), add(substrate, offset), f, t))
             offset = add(offset, shift)
         stats = SearchStats(expanded, peak, time.perf_counter() - t0)
         plan = Plan(

@@ -349,6 +349,24 @@ class TestCli:
     def test_plan_size_mismatch_exit_2(self, files):
         assert cli_main(["plan", "--from", files["two"], "--to", files["tri"]]) == 2
 
+    def test_plan_kind_mismatch_exit_2(self, files, capsys):
+        # six cells: a search would spend the whole budget and exit 3
+        for name, actives in (("one", {0}), ("two", {0, 5})):
+            cells = [
+                {"pos": [k, k, 0], "kind": "active" if k in actives else "passive"}
+                for k in range(6)
+            ]
+            (files["tmp"] / f"{name}.json").write_text(json.dumps({"cells": cells}))
+        code = cli_main(
+            ["plan", "--from", str(files["tmp"] / "one.json"),
+             "--to", str(files["tmp"] / "two.json"),
+             "--kind-sensitive", "--max-states", "100000", "--json"]
+        )
+        assert code == 2
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["reason"] == "kind_mismatch"
+        assert payload["states_expanded"] == 0
+
     def test_plan_budget_exit_3(self, files):
         assert (
             cli_main(

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rhombikit.errors import IllegalMove, ValidationError
 from rhombikit.geometry import FACE_VERTICES, CANONICAL_VERTICES, shared_face_edge
@@ -20,12 +22,41 @@ from rhombikit.lattice import (
     Cell,
     CellKind,
     Configuration,
+    add,
     compose,
     is_connected,
     sub,
 )
 
 from conftest import random_connected_positions
+
+
+def _grown(drawn):
+    """A connected configuration grown from the origin: each step puts a
+    cell next to an earlier one (a taken spot is skipped), and the cells
+    take the drawn kinds and orientations in order."""
+    steps, looks = drawn
+    cells = [(0, 0, 0)]
+    for i, d in steps:
+        p = add(cells[i % len(cells)], d)
+        if p not in cells:
+            cells.append(p)
+    return Configuration(Cell(p, k, r) for p, (k, r) in zip(cells, looks))
+
+
+# 2-9 cells (the first step always adds one), mixed kinds and orientations
+_connected = st.tuples(
+    st.lists(
+        st.tuples(st.integers(0, 8), st.sampled_from(FACE_DIRS)),
+        min_size=1,
+        max_size=8,
+    ),
+    st.lists(
+        st.tuples(st.sampled_from(CellKind), st.integers(0, 23)),
+        min_size=9,
+        max_size=9,
+    ),
+).map(_grown)
 
 
 def _all_pairs():
@@ -219,19 +250,14 @@ class TestApplyMove:
             assert is_connected(c2)
             assert all(sum(cell.pos) % 2 == 0 for cell in c2.cells)
 
-    def test_move_then_reverse_restores(self):
-        rng = np.random.default_rng(61)
-        for _ in range(30):
-            c = Configuration.from_positions(random_connected_positions(rng, 5))
-            moves = legal_moves(c)
-            if not moves:
-                continue
-            m = moves[rng.integers(len(moves))]
+    @settings(derandomize=True, deadline=None, max_examples=200)
+    @given(_connected)
+    def test_move_then_reverse_restores(self, c):
+        for m in legal_moves(c):
             c2 = apply_move(c, m)
-            back = check_move(c2, m.reversed())
-            assert back is MoveLegality.LEGAL  # reversibility
-            c3 = apply_move(c2, m.reversed())
-            assert c3 == c  # positions, kinds, and orientations restored
+            assert m.reversed() in legal_moves(c2)  # reversibility
+            # positions, kinds and orientations restored
+            assert apply_move(c2, m.reversed()) == c
 
     def test_illegal_move_raises_with_reason(self):
         c = Configuration.from_positions([(0, 0, 0), (1, 1, 0), (1, 0, 1)])

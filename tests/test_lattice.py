@@ -290,4 +290,4 @@ class TestRemovableCells:
             if len(c) == 1
             or is_connected(Configuration(x for x in c.cells if x.pos != p))
         }
-        assert removable_cells(c) == expected
+        assert removable_cells(set(c.positions)) == expected

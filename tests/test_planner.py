@@ -6,7 +6,7 @@ import pytest
 from rhombikit.errors import IllegalMove, ValidationError
 from rhombikit.io import PlanDoc, StructureDoc, dumps_plan
 from rhombikit.kinematics import PivotMove, apply_move, legal_moves
-from rhombikit.lattice import Configuration
+from rhombikit.lattice import Cell, CellKind, Configuration
 from rhombikit.planner import (
     Algorithm,
     Plan,
@@ -47,6 +47,30 @@ def _fifo_reference(planner, start, goal):
 
 LINE3 = Configuration.from_positions([(0, 0, 0), (1, 1, 0), (2, 2, 0)])
 TRI3 = Configuration.from_positions([(0, 0, 0), (1, 1, 0), (1, 0, 1)])
+
+
+def _with_actives(positions, active):
+    """Cells at positions, active at the given indices, passive elsewhere."""
+    return Configuration(
+        Cell(p, CellKind.ACTIVE if i in active else CellKind.PASSIVE)
+        for i, p in enumerate(positions)
+    )
+
+
+class TestOptions:
+    @pytest.mark.parametrize("algorithm", ["astar", "bogus", None])
+    def test_algorithm_must_be_a_member(self, algorithm):
+        with pytest.raises(ValidationError):
+            PlannerOptions(algorithm=algorithm)
+
+    @pytest.mark.parametrize("max_states", [float("nan"), True, 2.5, 0, "10"])
+    def test_max_states_must_be_a_positive_int(self, max_states):
+        with pytest.raises(ValidationError):
+            PlannerOptions(max_states=max_states)
+
+    def test_valid_options_accepted(self):
+        opts = PlannerOptions(max_states=1, algorithm=Algorithm.BFS)
+        assert (opts.max_states, opts.algorithm) == (1, Algorithm.BFS)
 
 
 class TestHeuristic:
@@ -128,6 +152,19 @@ class TestPlan:
         res = plan(Configuration.from_positions([(0, 0, 0), (1, 1, 0)]), TRI3)
         assert res.status is PlanStatus.NO_PATH
         assert res.reason == "size_mismatch"
+
+    @pytest.mark.parametrize("algorithm", list(Algorithm))
+    def test_kind_mismatch_is_no_path_without_search(self, algorithm):
+        # no move changes a cell's kind, so different active counts can
+        # never match; this must be known without searching the space
+        line6 = [(k, k, 0) for k in range(6)]
+        opts = PlannerOptions(algorithm=algorithm, kind_sensitive=True)
+        res = plan(_with_actives(line6, {0}), _with_actives(line6, {0, 5}), opts)
+        assert res.status is PlanStatus.NO_PATH
+        assert res.reason == "kind_mismatch"
+        assert (res.stats.states_expanded, res.stats.frontier_peak) == (0, 0)
+        # without kinds the same pair is already at its goal
+        assert plan(_with_actives(line6, {0}), _with_actives(line6, {0, 5})).ok
 
     def test_disconnected_inputs_rejected(self):
         disc = Configuration.from_positions([(0, 0, 0), (2, 2, 0), (4, 4, 0)])
@@ -238,6 +275,34 @@ class TestPlan:
             if doc_a is None:
                 doc_a = doc
             assert doc == doc_a
+
+    @pytest.mark.parametrize("kind_sensitive", [False, True])
+    @pytest.mark.parametrize("algorithm", list(Algorithm))
+    def test_builds_pivot_moves_only_for_the_plan(
+        self, monkeypatch, algorithm, kind_sensitive
+    ):
+        # states are position tuples from start to goal: the search
+        # builds no Configuration, and a PivotMove only per plan move
+        line5 = [(k, k, 0) for k in range(5)]
+        bent5 = [(0, 0, 0), (1, 1, 0), (2, 2, 0), (3, 2, 1), (4, 2, 2)]
+        start, goal = _with_actives(line5, {4}), _with_actives(bent5, {4})
+        built = {"moves": 0, "configs": 0}
+        post_init, init = PivotMove.__post_init__, Configuration.__init__
+
+        def counted_post_init(self):
+            built["moves"] += 1
+            post_init(self)
+
+        def counted_init(self, cells):
+            built["configs"] += 1
+            init(self, cells)
+
+        monkeypatch.setattr(PivotMove, "__post_init__", counted_post_init)
+        monkeypatch.setattr(Configuration, "__init__", counted_init)
+        opts = PlannerOptions(algorithm=algorithm, kind_sensitive=kind_sensitive)
+        res = Planner(opts).plan(start, goal)
+        assert res.ok and len(res.plan.moves) == (6 if kind_sensitive else 4)
+        assert built == {"moves": len(res.plan.moves), "configs": 0}
 
     def test_strict_stability_option(self):
         res = plan(LINE3, TRI3, PlannerOptions(strict_stability=True))
