@@ -10,9 +10,8 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
-
-import numpy as np
 
 from . import io as rio
 from .analytics import RotationDirection, report_table, summarize, trial_stats
@@ -365,7 +364,7 @@ def build_parser() -> _Parser:
     p.add_argument(
         "--theta-min",
         type=float,
-        default=float(np.pi),
+        default=math.pi,
         help="rotation threshold in radians",
     )
 

@@ -18,12 +18,13 @@ test batteries) stay cheap; PivotMoves are built only for the returned plan.
 
 The exact-position heuristic is an optimal assignment between cell
 positions under the lattice step metric (each move relocates one cell by
-one step, so the matching cost never overestimates). For
-translation-invariant matching an assignment at any fixed alignment can
-overestimate the true quotient distance, so the heuristic instead uses a
-translation-minimized per-axis relaxation, which is admissible and
-consistent on the quotient; see the test suite for the counterexample
-that rules out the aligned-assignment variant.
+one step, so the matching cost never overestimates), solved on plain
+ints by shortest augmenting paths. For translation-invariant matching an
+assignment at any fixed alignment can overestimate the true quotient
+distance, so the heuristic instead uses a translation-minimized per-axis
+relaxation, which is admissible and consistent on the quotient; see the
+test suite for the counterexample that rules out the aligned-assignment
+variant.
 """
 
 from __future__ import annotations
@@ -33,9 +34,6 @@ import time
 from dataclasses import dataclass, field
 from enum import Enum
 
-import numpy as np
-from scipy.optimize import linear_sum_assignment
-
 from .errors import IllegalMove, ValidationError
 from .kinematics import PivotMove, Roll, _legal_rolls, apply_move
 from .kinematics import legal_moves  # noqa: F401 - perfbench's tracer patches it here
@@ -44,7 +42,6 @@ from .lattice import (
     Pos,
     add,
     is_connected,
-    lattice_distance,
     sub,
 )
 
@@ -74,6 +71,10 @@ class PlannerOptions:
             raise ValidationError(f"max_states must be an int >= 1, got {m!r}")
         if not isinstance(self.algorithm, Algorithm):
             raise ValidationError(f"not an Algorithm: {self.algorithm!r}")
+        for name in ("match_up_to_translation", "strict_stability", "kind_sensitive"):
+            value = getattr(self, name)
+            if type(value) is not bool:
+                raise ValidationError(f"{name} must be a bool, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -118,11 +119,59 @@ class PlanResult:
 
 
 def _assignment_bound(a: tuple[Pos, ...], b: tuple[Pos, ...]) -> int:
-    cost = np.array(
-        [[lattice_distance(p, q) for q in b] for p in a], dtype=np.int64
-    )
-    ri, ci = linear_sum_assignment(cost)
-    return int(cost[ri, ci].sum())
+    """Minimum total lattice distance over one-to-one pairings of a and b.
+
+    Shortest augmenting paths with dual potentials (the Hungarian method
+    in the form of Jonker & Volgenant, Computing 1987): O(n^3) on plain
+    ints, one row added per phase. a and b have the same length. Columns
+    are 1-based; column 0 and row 0 are the virtual start of each phase.
+    """
+    cost = [None]
+    for p in a:
+        row = [0]
+        for q in b:
+            dx = abs(p[0] - q[0])
+            dy = abs(p[1] - q[1])
+            dz = abs(p[2] - q[2])
+            # lattice_distance, inlined: it validates both positions per call
+            row.append(max(dx, dy, dz, -((dx + dy + dz) // -2)))
+        cost.append(row)
+    n = len(b)
+    cols = range(1, n + 1)
+    inf = 1 << 62
+    u = [0] * (n + 1)  # row potentials
+    v = [0] * (n + 1)  # column potentials
+    owner = [0] * (n + 1)  # row assigned to each column, 0 for none
+    for i in range(1, n + 1):
+        owner[0] = i
+        j0 = 0
+        slack = [inf] * (n + 1)
+        way = [0] * (n + 1)  # previous column on the shortest path
+        used = [False] * (n + 1)
+        while owner[j0]:  # grow the tree until it reaches a free column
+            used[j0] = True
+            i0 = owner[j0]
+            row, ui = cost[i0], u[i0]
+            delta, j1 = inf, 0
+            for j in cols:
+                if not used[j]:
+                    r = row[j] - ui - v[j]
+                    if r < slack[j]:
+                        slack[j], way[j] = r, j0
+                    if slack[j] < delta:
+                        delta, j1 = slack[j], j
+            for j in range(n + 1):
+                if used[j]:
+                    u[owner[j]] += delta
+                    v[j] -= delta
+                else:
+                    slack[j] -= delta
+            j0 = j1
+        while j0:  # flip the augmenting path
+            j1 = way[j0]
+            owner[j0] = owner[j1]
+            j0 = j1
+    return sum(cost[owner[j]][j] for j in cols)
 
 
 def _axis_bound(sa: list[int], ga: list[int]) -> int:

@@ -1,9 +1,14 @@
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import rhombikit
 from rhombikit import io as rio
 from rhombikit.cli import cli_main
 from rhombikit.docking import default_cell_layout
@@ -418,6 +423,49 @@ class TestCli:
 
     def test_dock_check_requires_mode(self, capsys):
         assert cli_main(["dock-check"]) == 1
+
+    def test_planning_path_imports_no_scipy(self, tmp_path):
+        # a fresh interpreter, since this one has scipy loaded by the tests;
+        # it imports the same rhombikit as this process, from an uninstalled
+        # checkout (PYTHONPATH=src) as well as from site-packages
+        shapes = {
+            "line": [(0, 0, 0), (1, 1, 0), (2, 2, 0), (3, 3, 0)],
+            "bent": [(0, 0, 0), (1, 1, 0), (2, 2, 0), (3, 2, 1)],
+        }
+        for name, cells in shapes.items():
+            doc = {"cells": [{"pos": list(p), "kind": "passive"} for p in cells]}
+            (tmp_path / f"{name}.json").write_text(json.dumps(doc), encoding="utf-8")
+        line, bent, plan_path = (
+            str(tmp_path / f) for f in ("line.json", "bent.json", "plan.json")
+        )
+        runs = [
+            ["validate", line],
+            ["plan", "--from", line, "--to", bent, "--plan-out", plan_path],
+            ["replay", "--plan", plan_path],
+        ]
+        code = (
+            "import json, sys\n"
+            "from rhombikit import cli, geometry\n"
+            "codes = [cli.cli_main(a) for a in json.loads(sys.argv[1])]\n"
+            "loaded = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+            "print(json.dumps([codes, loaded, geometry._blocker_table is not None]))\n"
+        )
+        package_root = str(Path(rhombikit.__file__).resolve().parents[1])
+        pythonpath = os.pathsep.join(
+            p for p in (package_root, os.environ.get("PYTHONPATH")) if p
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", code, json.dumps(runs)],
+            capture_output=True,
+            text=True,
+            env=dict(os.environ, PYTHONPATH=pythonpath),
+            timeout=120,
+        )
+        assert out.returncode == 0, out.stderr
+        codes, loaded, table_built = json.loads(out.stdout.splitlines()[-1])
+        assert codes == [0, 0, 0]
+        assert table_built  # plan and replay ran the volume kernel
+        assert loaded == []
 
     def test_analyze_end_to_end(self, files, capsys):
         csv_path = files["tmp"] / "trials.csv"

@@ -1,8 +1,8 @@
 """Cross-checks of the intersection-volume kernel against an oracle.
 
-The oracle below clips one polytope's faces against the other's
-half-spaces; ``_kernels.intersection_volume`` collects points and takes
-their convex hull. The two are algorithmically unrelated, so their
+``_kernels.intersection_volume`` clips one polytope's faces against the
+other's half-spaces; the oracle below collects points and takes their
+convex hull with Qhull. The two are algorithmically unrelated, so their
 agreement on random poses is strong evidence for both; a Monte-Carlo
 estimate referees a few cases from a third direction.
 """
@@ -11,166 +11,80 @@ import math
 
 import numpy as np
 import pytest
+from scipy.spatial import ConvexHull, QhullError
 
 from rhombikit import _kernels
-from rhombikit.geometry import CANONICAL_VERTICES, FACE_VERTICES, rotation_from_axis_angle
+from rhombikit.geometry import (
+    CANONICAL_VERTICES,
+    FACE_VERTICES,
+    _swept_cells_uncached,
+    blocker_table,
+    rotation_from_axis_angle,
+)
 from rhombikit.lattice import FACE_DIRS
 
-_MAXV = 32  # max vertices a clipped face can accumulate (12 clips of a quad)
 
+def _loop_edges(polys, lens):
+    """Endpoints (P, Q) of every polygon boundary edge, vectorized.
 
-def _clip_volume(polys_a, lens_a, planes_a, polys_b, lens_b, planes_b, eps):
-    """Volume of the intersection by clipping A against B's half-spaces.
-
-    Sutherland-Hodgman in 3D: every face polygon of A is clipped against
-    each plane of B in turn; each cut contributes a cap polygon built from
-    the clip-segment endpoints ordered around their centroid. The volume
-    of what survives comes from the divergence theorem over triangle fans.
-    A's own planes are accepted for signature parity and not used.
+    Edges shared by two faces appear twice; duplicates only add repeated
+    candidate points, which the hull does not mind.
     """
-    nf = polys_a.shape[0]
-    maxv = polys_a.shape[1]
-    nfmax = nf + planes_b.shape[0]
-    cur = np.zeros((nfmax, maxv, 3))
-    cur_len = np.zeros(nfmax, dtype=np.int64)
-    cur[:nf, :, :] = polys_a
-    cur_len[:nf] = lens_a
-    n_faces = nf
+    ps = []
+    qs = []
+    for m in np.unique(lens):
+        rows = np.nonzero(lens == m)[0]
+        pts = polys[rows, :m]  # (R, m, 3)
+        ps.append(pts.reshape(-1, 3))
+        qs.append(np.roll(pts, -1, axis=1).reshape(-1, 3))
+    return np.vstack(ps), np.vstack(qs)
 
-    out = np.zeros((nfmax, maxv, 3))
-    out_len = np.zeros(nfmax, dtype=np.int64)
-    section = np.zeros((2 * nfmax, 3))
 
-    for k in range(planes_b.shape[0]):
-        nx, ny, nz, c = planes_b[k, 0], planes_b[k, 1], planes_b[k, 2], planes_b[k, 3]
-        n_out = 0
-        n_sec = 0
-        alive = False
-        for f in range(n_faces):
-            m = cur_len[f]
-            if m == 0:
-                continue
-            nv = 0
-            for i in range(m):
-                px, py, pz = cur[f, i, 0], cur[f, i, 1], cur[f, i, 2]
-                j = (i + 1) % m
-                qx, qy, qz = cur[f, j, 0], cur[f, j, 1], cur[f, j, 2]
-                dp = nx * px + ny * py + nz * pz - c
-                dq = nx * qx + ny * qy + nz * qz - c
-                pin = dp <= eps
-                qin = dq <= eps
-                if pin:
-                    out[n_out, nv, 0] = px
-                    out[n_out, nv, 1] = py
-                    out[n_out, nv, 2] = pz
-                    nv += 1
-                if pin != qin and abs(dp - dq) > 1e-300:
-                    t = dp / (dp - dq)
-                    if t < 0.0:
-                        t = 0.0
-                    elif t > 1.0:
-                        t = 1.0
-                    ix = px + t * (qx - px)
-                    iy = py + t * (qy - py)
-                    iz = pz + t * (qz - pz)
-                    out[n_out, nv, 0] = ix
-                    out[n_out, nv, 1] = iy
-                    out[n_out, nv, 2] = iz
-                    nv += 1
-                    section[n_sec, 0] = ix
-                    section[n_sec, 1] = iy
-                    section[n_sec, 2] = iz
-                    n_sec += 1
-            if nv >= 3:
-                out_len[n_out] = nv
-                n_out += 1
-                alive = True
-        if not alive:
-            return 0.0
-        # cap polygon: order unique section points around their centroid
-        if n_sec >= 3:
-            cx = 0.0
-            cy = 0.0
-            cz = 0.0
-            for i in range(n_sec):
-                cx += section[i, 0]
-                cy += section[i, 1]
-                cz += section[i, 2]
-            cx /= n_sec
-            cy /= n_sec
-            cz /= n_sec
-            # in-plane basis (e1, e2) with e1 x e2 along +n
-            ax, ay, az = abs(nx), abs(ny), abs(nz)
-            if ax <= ay and ax <= az:
-                hx, hy, hz = 1.0, 0.0, 0.0
-            elif ay <= az:
-                hx, hy, hz = 0.0, 1.0, 0.0
-            else:
-                hx, hy, hz = 0.0, 0.0, 1.0
-            e1x = hy * nz - hz * ny
-            e1y = hz * nx - hx * nz
-            e1z = hx * ny - hy * nx
-            norm = (e1x * e1x + e1y * e1y + e1z * e1z) ** 0.5
-            e1x /= norm
-            e1y /= norm
-            e1z /= norm
-            e2x = ny * e1z - nz * e1y
-            e2y = nz * e1x - nx * e1z
-            e2z = nx * e1y - ny * e1x
-            nn = (nx * nx + ny * ny + nz * nz) ** 0.5
-            e2x /= nn
-            e2y /= nn
-            e2z /= nn
-            ang = np.empty(n_sec)
-            for i in range(n_sec):
-                vx = section[i, 0] - cx
-                vy = section[i, 1] - cy
-                vz = section[i, 2] - cz
-                u = vx * e1x + vy * e1y + vz * e1z
-                v = vx * e2x + vy * e2y + vz * e2z
-                ang[i] = np.arctan2(v, u)
-            order = np.argsort(ang)
-            nv = 0
-            for oi in range(n_sec):
-                i = order[oi]
-                if nv > 0:
-                    lx = out[n_out, nv - 1, 0]
-                    ly = out[n_out, nv - 1, 1]
-                    lz = out[n_out, nv - 1, 2]
-                    d2 = (
-                        (section[i, 0] - lx) ** 2
-                        + (section[i, 1] - ly) ** 2
-                        + (section[i, 2] - lz) ** 2
-                    )
-                    if d2 < 1e-20:
-                        continue
-                if nv < maxv:
-                    out[n_out, nv, 0] = section[i, 0]
-                    out[n_out, nv, 1] = section[i, 1]
-                    out[n_out, nv, 2] = section[i, 2]
-                    nv += 1
-            if nv >= 3:
-                out_len[n_out] = nv
-                n_out += 1
-        cur, out = out, cur
-        cur_len, out_len = out_len, cur_len
-        n_faces = n_out
+def _edge_crossings(p, q, planes_cut, planes_a, planes_b, eps):
+    """Edge/plane crossing points lying inside both polytopes."""
+    d = q - p
+    nrm = planes_cut[:, :3]
+    dn = d @ nrm.T  # (E, K)
+    pn = p @ nrm.T - planes_cut[:, 3]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t = -pn / dn
+    ok = (np.abs(dn) > 1e-300) & (t >= -1e-12) & (t <= 1.0 + 1e-12)
+    ei, ki = np.nonzero(ok)
+    if len(ei) == 0:
+        return np.empty((0, 3))
+    x = p[ei] + np.clip(t[ei, ki], 0.0, 1.0)[:, None] * d[ei]
+    inside = np.all(x @ planes_a[:, :3].T - planes_a[:, 3] <= eps, axis=1) & np.all(
+        x @ planes_b[:, :3].T - planes_b[:, 3] <= eps, axis=1
+    )
+    return x[inside]
 
-    # divergence theorem over triangle fans
-    vol = 0.0
-    for f in range(n_faces):
-        m = cur_len[f]
-        x0, y0, z0 = cur[f, 0, 0], cur[f, 0, 1], cur[f, 0, 2]
-        for i in range(1, m - 1):
-            x1, y1, z1 = cur[f, i, 0], cur[f, i, 1], cur[f, i, 2]
-            x2, y2, z2 = cur[f, i + 1, 0], cur[f, i + 1, 1], cur[f, i + 1, 2]
-            vol += (
-                x0 * (y1 * z2 - z1 * y2)
-                - y0 * (x1 * z2 - z1 * x2)
-                + z0 * (x1 * y2 - y1 * x2)
-            )
-    vol /= 6.0
-    return vol if vol > 0.0 else 0.0
+
+def _hull_volume(polys_a, lens_a, planes_a, polys_b, lens_b, planes_b, eps):
+    """Volume of the intersection via point collection + convex hull.
+
+    The intersection of two convex polytopes is the convex hull of: A's
+    vertices inside B, B's vertices inside A, and every edge-facet
+    crossing point that lies inside both. Degenerate (flat or empty)
+    collections have zero volume.
+    """
+    pa, qa = _loop_edges(polys_a, lens_a)
+    pb, qb = _loop_edges(polys_b, lens_b)
+
+    chunks = [
+        pa[np.all(pa @ planes_b[:, :3].T - planes_b[:, 3] <= eps, axis=1)],
+        pb[np.all(pb @ planes_a[:, :3].T - planes_a[:, 3] <= eps, axis=1)],
+        _edge_crossings(pa, qa, planes_b, planes_a, planes_b, eps),
+        _edge_crossings(pb, qb, planes_a, planes_a, planes_b, eps),
+    ]
+    arr = np.vstack(chunks)
+    if len(arr) < 4:
+        return 0.0
+    if np.ptp(arr, axis=0).min() < 1e-12:
+        return 0.0  # axis-aligned flat set, zero volume
+    try:
+        return float(ConvexHull(arr, qhull_options="Pp").volume)
+    except QhullError:
+        return 0.0  # coplanar or otherwise degenerate: grazing contact
 
 
 _BASE_POLYS = np.array(
@@ -181,18 +95,16 @@ _DIRS = np.array(FACE_DIRS, dtype=float)
 
 
 def _cell(rot: np.ndarray, shift: np.ndarray):
-    """Padded polygons and half-spaces of a rotated, shifted cell."""
+    """Face polygons and half-spaces of a rotated, shifted cell."""
     polys = np.einsum("ij,fvj->fvi", rot, _BASE_POLYS) + shift
     normals = _DIRS @ rot.T
     planes = np.hstack([normals, (normals @ shift + 2.0)[:, None]])
-    padded = np.zeros((12, _MAXV, 3))
-    padded[:, :4, :] = polys
-    return padded, planes
+    return polys, planes
 
 
 def _both(a, b):
     """(oracle, kernel) volumes of the same pair."""
-    va = _clip_volume(a[0], _LENS, a[1], b[0], _LENS, b[1], 1e-9)
+    va = _hull_volume(a[0], _LENS, a[1], b[0], _LENS, b[1], 1e-9)
     vb = _kernels.intersection_volume(a[0], _LENS, a[1], b[0], _LENS, b[1], 1e-9)
     return va, vb
 
@@ -278,8 +190,6 @@ class TestCrossValidation:
             dtype=float,
         )
         lens = np.full(4, 3, dtype=np.int64)
-        padded = np.zeros((4, _MAXV, 3))
-        padded[:, :4, :] = tet
         # half-space form of the tetra
         planes_t = np.array(
             [
@@ -290,10 +200,20 @@ class TestCrossValidation:
             ]
         )
         cell = _cell(np.eye(3), np.zeros(3))
-        va = _clip_volume(padded, lens, planes_t, cell[0], _LENS, cell[1], 1e-9)
+        va = _hull_volume(tet, lens, planes_t, cell[0], _LENS, cell[1], 1e-9)
         vb = _kernels.intersection_volume(
-            padded, lens, planes_t, cell[0], _LENS, cell[1], 1e-9
+            tet, lens, planes_t, cell[0], _LENS, cell[1], 1e-9
         )
         assert va == pytest.approx(vb, abs=1e-9)
         assert 0.0 < va < 4.5  # tetra volume is 27/6 = 4.5, partially outside
 
+
+
+class TestBlockerTable:
+    def test_swept_roll_matches_hull_oracle(self, monkeypatch):
+        # the table's swept roll, recomputed with the hull oracle in the
+        # kernel's place; the table itself was built by the kernel
+        table = blocker_table()
+        monkeypatch.setattr(_kernels, "intersection_volume", _hull_volume)
+        swept = _swept_cells_uncached(FACE_DIRS[0], FACE_DIRS[1], 1.0, 1e-9)
+        assert swept == table[(0, 1)]

@@ -1,13 +1,17 @@
+import itertools
 from collections import deque
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rhombikit.errors import IllegalMove, ValidationError
 from rhombikit.io import PlanDoc, StructureDoc, dumps_plan
 from rhombikit.kinematics import PivotMove, apply_move, legal_moves
-from rhombikit.lattice import Cell, CellKind, Configuration
+from rhombikit.lattice import Cell, CellKind, Configuration, lattice_distance
 from rhombikit.planner import (
+    _assignment_bound,
     Algorithm,
     Plan,
     Planner,
@@ -49,6 +53,20 @@ LINE3 = Configuration.from_positions([(0, 0, 0), (1, 1, 0), (2, 2, 0)])
 TRI3 = Configuration.from_positions([(0, 0, 0), (1, 1, 0), (1, 0, 1)])
 
 
+# a lattice position from (x, y, k): z = 2k plus the parity of x + y
+_lattice_pos = st.tuples(st.integers(-4, 4), st.integers(-4, 4), st.integers(-2, 2)).map(
+    lambda t: (t[0], t[1], 2 * t[2] + (t[0] + t[1]) % 2)
+)
+
+
+@st.composite
+def _equal_size_sets(draw):
+    """Two tuples of 1-7 distinct lattice positions each, of equal size."""
+    n = draw(st.integers(1, 7))
+    side = st.lists(_lattice_pos, min_size=n, max_size=n, unique=True).map(tuple)
+    return draw(side), draw(side)
+
+
 def _with_actives(positions, active):
     """Cells at positions, active at the given indices, passive elsewhere."""
     return Configuration(
@@ -67,6 +85,14 @@ class TestOptions:
     def test_max_states_must_be_a_positive_int(self, max_states):
         with pytest.raises(ValidationError):
             PlannerOptions(max_states=max_states)
+
+    @pytest.mark.parametrize(
+        "flag", ["match_up_to_translation", "strict_stability", "kind_sensitive"]
+    )
+    @pytest.mark.parametrize("value", ["no", "yes", 0.0, 1, None])
+    def test_flags_must_be_bools(self, flag, value):
+        with pytest.raises(ValidationError, match=flag):
+            PlannerOptions(**{flag: value})
 
     def test_valid_options_accepted(self):
         opts = PlannerOptions(max_states=1, algorithm=Algorithm.BFS)
@@ -103,6 +129,16 @@ class TestHeuristic:
         assert heuristic(s, g, match_up_to_translation=True) <= 1
         result = plan(s, g)
         assert len(result.plan.moves) == 1
+
+    @settings(derandomize=True, deadline=None, max_examples=200)
+    @given(_equal_size_sets())
+    def test_assignment_is_min_over_permutations(self, sides):
+        a, b = sides
+        best = min(
+            sum(lattice_distance(p, q) for p, q in zip(a, perm))
+            for perm in itertools.permutations(b)
+        )
+        assert _assignment_bound(a, b) == best
 
     def test_admissible_on_all_3cell_box_instances(self, shape_graphs):
         shapes, graph, dists = shape_graphs[3]
