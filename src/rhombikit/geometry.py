@@ -371,8 +371,10 @@ def _rodrigues(axis: np.ndarray, theta: float) -> np.ndarray:
 def rotation_from_axis_angle(axis, degrees: float) -> np.ndarray:
     """Proper rotation matrix about an arbitrary axis through the origin."""
     a = np.asarray(axis, dtype=float)
-    if a.shape != (3,) or np.linalg.norm(a) < 1e-12:
-        raise ValidationError("rotation axis must be a nonzero 3-vector")
+    if a.shape != (3,) or not np.isfinite(a).all() or np.linalg.norm(a) < 1e-12:
+        raise ValidationError("rotation axis must be a finite nonzero 3-vector")
+    if not math.isfinite(degrees):
+        raise ValidationError(f"rotation angle must be finite, got {degrees!r}")
     return _rodrigues(a, math.radians(degrees))
 
 

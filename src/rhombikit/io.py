@@ -482,8 +482,8 @@ def export_obj(m: Mesh, scale: float = 1.0) -> str:
     """Wavefront OBJ text: fixed 6-decimal vertices, 1-based CCW faces."""
     if len(m.vertices) == 0 or len(m.faces) == 0:
         raise ValidationError("mesh is empty")
-    if scale <= 0:
-        raise ValidationError("scale must be positive")
+    if not (math.isfinite(scale) and scale > 0):
+        raise ValidationError(f"scale must be finite and positive, got {scale!r}")
     lines = []
     for v in m.vertices:
         lines.append(f"v {v[0] * scale:.6f} {v[1] * scale:.6f} {v[2] * scale:.6f}")

@@ -11,6 +11,9 @@ and the move generator use), and nothing occupies the volume the mover
 sweeps through. The one generator, _legal_rolls, takes sorted occupied
 positions and returns plain (mover, substrate, from_dir, to_dir) tuples:
 legal_moves validates them into PivotMoves, the planner uses them as is.
+It tests a candidate's destination and swept volume together, as one
+set test of the occupied positions relative to the substrate against the
+roll's shadow (destination plus blocker offsets).
 """
 
 from __future__ import annotations
@@ -209,11 +212,17 @@ Roll = tuple[Pos, Pos, Pos, Pos]  # (mover, substrate, from_dir, to_dir)
 
 
 @cache
-def _roll_table() -> list[tuple[Pos, list[tuple[Pos, tuple[Pos, ...]]]]]:
-    """[(from_dir, [(to_dir, blocker offsets), ...]), ...] in FACE_DIRS order."""
+def _roll_table() -> list[tuple[Pos, list[tuple[Pos, frozenset[Pos]]]]]:
+    """[(from_dir, [(to_dir, shadow), ...]), ...] in FACE_DIRS order.
+
+    A roll's shadow is its destination offset plus its blocker offsets,
+    all relative to the substrate: the roll is free exactly when no
+    occupied cell lies in it.
+    """
     rolls = [(f, []) for f in FACE_DIRS]
     for (fi, ti), blockers in sorted(blocker_table().items()):
-        rolls[fi][1].append((FACE_DIRS[ti], tuple(blockers)))
+        t = FACE_DIRS[ti]
+        rolls[fi][1].append((t, frozenset((t, *blockers))))
     return rolls
 
 
@@ -221,10 +230,13 @@ def _legal_rolls(positions: tuple[Pos, ...], strict: bool) -> list[Roll]:
     """The legal moves of sorted occupied positions, in legal_moves' order.
 
     The connectivity analysis (removable_cells, the expensive part) runs
-    once per call.
+    once per call. Per substrate, the occupied positions are taken
+    relative to it once, so that each candidate roll costs one set test
+    against its shadow.
     """
     occupied = set(positions)
     removable = removable_cells(occupied)
+    around: dict[Pos, set[Pos]] = {}  # substrate -> occupied offsets from it
     out = []
     for mover in positions:
         if mover not in removable:
@@ -233,11 +245,14 @@ def _legal_rolls(positions: tuple[Pos, ...], strict: bool) -> list[Roll]:
             s = sub(mover, f)
             if s not in occupied:
                 continue
-            for t, blockers in rolls:
-                dest = add(s, t)
-                if dest in occupied or any(add(s, b) in occupied for b in blockers):
+            rel = around.get(s)
+            if rel is None:
+                sx, sy, sz = s
+                rel = around[s] = {(x - sx, y - sy, z - sz) for x, y, z in positions}
+            for t, shadow in rolls:
+                if not rel.isdisjoint(shadow):
                     continue
-                if strict and not _supported(occupied, dest, s, mover):
+                if strict and not _supported(occupied, add(s, t), s, mover):
                     continue
                 out.append((mover, s, f, t))
     return out

@@ -14,7 +14,9 @@ state's best depth also serves as the closed set. States are sorted
 position tuples (with kinds when kind-sensitive), the input of the move
 generator kinematics._legal_rolls, whose raw move tuples are memoized per
 Planner so that repeated queries over one state space (parameter sweeps,
-test batteries) stay cheap; PivotMoves are built only for the returned plan.
+test batteries) stay cheap; a successor is its parent's sorted tuple with
+the mover removed and the destination inserted in order, and PivotMoves
+are built only for the returned plan.
 
 The exact-position heuristic is an optimal assignment between cell
 positions under the lattice step metric (each move relocates one cell by
@@ -24,13 +26,17 @@ assignment at any fixed alignment can overestimate the true quotient
 distance, so the heuristic instead uses a translation-minimized per-axis
 relaxation, which is admissible and consistent on the quotient; see the
 test suite for the counterexample that rules out the aligned-assignment
-variant.
+variant. That relaxation compares axis profiles (the sorted coordinates
+per axis); the goal's is computed once per plan() call, a state's on each
+evaluation.
 """
 
 from __future__ import annotations
 
 import heapq
+import operator
 import time
+from bisect import bisect_left, insort
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -174,24 +180,34 @@ def _assignment_bound(a: tuple[Pos, ...], b: tuple[Pos, ...]) -> int:
     return sum(cost[owner[j]][j] for j in cols)
 
 
-def _axis_bound(sa: list[int], ga: list[int]) -> int:
+def _axes(positions: tuple[Pos, ...]) -> tuple:
+    """The x, y and z coordinates of sorted positions, each sorted.
+
+    The x coordinates of sorted positions come out sorted already.
+    """
+    xs, ys, zs = zip(*positions)
+    return xs, sorted(ys), sorted(zs)
+
+
+def _axis_bound(sa, ga) -> int:
     """min over integer shifts of the optimal 1D matching cost.
 
     Sorted-to-sorted matching is optimal on a line, and the best shift of
-    the sorted differences is their median.
+    the sorted differences d is their median d[m]. The total deviation
+    from it is sum(d[m+1:]) - sum(d[:m]) + d[m] * (m - (n - m - 1)): each
+    of the m entries below the median adds d[m], each of the n - m - 1
+    above it takes d[m] away.
     """
-    d = sorted(s - g for s, g in zip(sa, ga))
-    med = d[len(d) // 2]
-    return sum(abs(x - med) for x in d)
+    d = sorted(map(operator.sub, sa, ga))
+    m = len(d) // 2
+    return sum(d[m + 1:]) - sum(d[:m]) + d[m] * (2 * m + 1 - len(d))
 
 
-def _translation_bound(a: tuple[Pos, ...], b: tuple[Pos, ...]) -> int:
-    bounds = [
-        _axis_bound(sorted(p[i] for p in a), sorted(q[i] for q in b))
-        for i in range(3)
-    ]
-    total = bounds[0] + bounds[1] + bounds[2]
-    return max(bounds[0], bounds[1], bounds[2], -(total // -2))
+def _translation_bound(a_axes: tuple, b_axes: tuple) -> int:
+    """The translation-minimized per-axis bound between two axis profiles
+    (see _axes)."""
+    bx, by, bz = map(_axis_bound, a_axes, b_axes)
+    return max(bx, by, bz, -((bx + by + bz) // -2))
 
 
 def heuristic(
@@ -214,13 +230,20 @@ def heuristic(
         raise ValidationError(
             f"configurations differ in size: {len(c)} vs {len(goal)}"
         )
-    return _bound(c.positions, goal.positions, match_up_to_translation)
+    translate = match_up_to_translation
+    return _bound(c.positions, _goal_profile(goal.positions, translate), translate)
 
 
-def _bound(a: tuple[Pos, ...], b: tuple[Pos, ...], translate: bool) -> int:
+def _goal_profile(goal: tuple[Pos, ...], translate: bool) -> tuple:
+    """What _bound compares a state with: the goal's axis profile with
+    translate, else its positions. Computed once per plan."""
+    return _axes(goal) if translate else goal
+
+
+def _bound(a: tuple[Pos, ...], goal_profile: tuple, translate: bool) -> int:
     if translate:
-        return _translation_bound(a, b)
-    return _assignment_bound(a, b)
+        return _translation_bound(_axes(a), goal_profile)
+    return _assignment_bound(a, goal_profile)
 
 
 # --------------------------------------------------------------------------
@@ -263,9 +286,10 @@ def _canonical(
 class Planner:
     """Reusable search engine; memoizes successor expansion per state.
 
-    One instance assumes a fixed strict_stability setting and a fixed
-    kind sensitivity (taken from the options it is built with); the
-    translation quotient is applied per plan() call.
+    The memo's states are canonical under the instance's options, so
+    strict_stability, kind sensitivity and the translation quotient are
+    all fixed by the options it is built with; queries that differ in any
+    of them need separate instances.
     """
 
     def __init__(self, opts: PlannerOptions | None = None):
@@ -284,10 +308,14 @@ class Planner:
         out = []
         for move in _legal_rolls(_positions(state, ks), self.opts.strict_stability):
             mover, dest = move[0], add(move[1], move[3])
-            if ks:
-                nxt = tuple(sorted(((dest if p == mover else p), k) for p, k in state))
+            nxt = list(state)
+            if ks:  # (mover,) sorts just before (mover, kind)
+                _, kind = nxt.pop(bisect_left(state, (mover,)))
+                insort(nxt, (dest, kind))
             else:
-                nxt = tuple(sorted(dest if p == mover else p for p in state))
+                nxt.remove(mover)
+                insort(nxt, dest)
+            nxt = tuple(nxt)
             canon, shift = _canonical(nxt, ks, self.opts.match_up_to_translation)
             out.append((move, canon, shift))
         self._succ[state] = out
@@ -315,11 +343,11 @@ class Planner:
 
         start_state, start_shift = _canonical(_state(start, ks), ks, translate)
         goal_state, _ = _canonical(_state(goal, ks), ks, translate)
-        goal_pos = _positions(goal_state, ks)
+        goal_profile = _goal_profile(_positions(goal_state, ks), translate)
 
         if self.opts.algorithm is Algorithm.ASTAR:
             def h(s: _State) -> int:
-                return _bound(_positions(s, ks), goal_pos, translate)
+                return _bound(_positions(s, ks), goal_profile, translate)
         else:
             def h(s: _State) -> int:
                 return 0

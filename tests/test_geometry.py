@@ -201,6 +201,25 @@ class TestScalars:
         )
 
 
+class TestRotationFromAxisAngle:
+    def test_proper_rotation(self):
+        r = rotation_from_axis_angle((1, 2, -2), 37.0)
+        assert np.allclose(r @ r.T, np.eye(3), atol=1e-12)
+        assert np.linalg.det(r) == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("deg", [math.nan, math.inf, -math.inf])
+    def test_non_finite_angle_rejected(self, deg):
+        with pytest.raises(ValidationError, match="angle"):
+            rotation_from_axis_angle((1, 0, 0), deg)
+
+    @pytest.mark.parametrize(
+        "axis", [(math.nan, 0, 0), (1, math.inf, 0), (0, 0, -math.inf), (0, 0, 0)]
+    )
+    def test_bad_axis_rejected(self, axis):
+        with pytest.raises(ValidationError, match="axis"):
+            rotation_from_axis_angle(axis, 90.0)
+
+
 class TestGroundContact:
     def test_identity_single_cell_point(self):
         c = Configuration.from_positions([(0, 0, 0)])

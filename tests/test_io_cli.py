@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import re
 import subprocess
@@ -272,6 +273,11 @@ class TestObjExport:
         with pytest.raises(ValidationError):
             rio.export_obj(Mesh(np.zeros((0, 3)), ()))
 
+    @pytest.mark.parametrize("scale", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+    def test_bad_scale_rejected(self, scale):
+        with pytest.raises(ValidationError, match="scale"):
+            rio.export_obj(canonical_cell_mesh(), scale)
+
 
 @pytest.fixture()
 def files(tmp_path):
@@ -403,6 +409,27 @@ class TestCli:
         cli_main(["export", "--structure", files["two"], "--obj", a])
         cli_main(["export", "--structure", files["two"], "--obj", b])
         assert open(a, "rb").read() == open(b, "rb").read()
+
+    @pytest.mark.parametrize("scale", ["nan", "inf", "0"])
+    def test_export_bad_scale_exit_1_writes_nothing(self, files, capsys, scale):
+        out = files["tmp"] / "bad.obj"
+        code = cli_main(
+            ["export", "--structure", files["two"], "--obj", str(out), "--scale", scale]
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "scale" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("rot", ["1,0,0,inf", "1,0,0,nan", "nan,0,0,90", "0,inf,0,90"])
+    def test_contact_non_finite_rotation_exit_1(self, files, capsys, rot):
+        code = cli_main(["contact", "--structure", files["two"], f"--rot={rot}"])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error:") and "rotation" in captured.err
+        assert "Traceback" not in captured.err
+        assert captured.out == ""
 
     def test_contact_json(self, files, capsys):
         code = cli_main(

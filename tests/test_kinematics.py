@@ -1,3 +1,5 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -267,6 +269,31 @@ class TestApplyMove:
         assert ei.value.reason is MoveLegality.DESTINATION_OCCUPIED
 
 
+def _brute_legal_moves(c, strict, verdicts):
+    """Every candidate roll filtered through check_move, in legal_moves'
+    order; the verdict of each candidate is counted in verdicts."""
+    brute = []
+    for cell in c.cells:
+        for f in FACE_DIRS:
+            s = sub(cell.pos, f)
+            if s not in c:
+                continue
+            for t in pivot_destinations(f):
+                m = PivotMove(cell.pos, s, f, t)
+                verdict = check_move(c, m, strict)
+                verdicts[verdict] += 1
+                if verdict is MoveLegality.LEGAL:
+                    brute.append(m)
+    return brute
+
+
+def _assert_filters_exercised(verdicts):
+    # the move generator tests the destination and the blockers in one
+    # set test; both halves must have rejected some candidate
+    assert verdicts[MoveLegality.SWEPT_VOLUME_BLOCKED] > 0, verdicts
+    assert verdicts[MoveLegality.DESTINATION_OCCUPIED] > 0, verdicts
+
+
 class TestLegalMoves:
     def test_two_cell_count(self):
         # an isolated mover on one substrate face has exactly 4 pivots;
@@ -313,15 +340,18 @@ class TestLegalMoves:
             Configuration.from_positions([(0, 0, 0), (1, 1, 0), (6, 6, 0)])
         )
         for strict in (False, True):
+            verdicts = Counter()
             for c in configs:
-                brute = []
-                for cell in c.cells:
-                    for f in FACE_DIRS:
-                        s = sub(cell.pos, f)
-                        if s not in c:
-                            continue
-                        for t in pivot_destinations(f):
-                            m = PivotMove(cell.pos, s, f, t)
-                            if check_move(c, m, strict) is MoveLegality.LEGAL:
-                                brute.append(m)
-                assert legal_moves(c, strict) == brute
+                assert legal_moves(c, strict) == _brute_legal_moves(c, strict, verdicts)
+            _assert_filters_exercised(verdicts)
+
+            # and generated configurations of mixed kinds and orientations
+            generated = Counter()
+
+            @settings(derandomize=True, deadline=None, max_examples=100)
+            @given(_connected)
+            def agrees(c):
+                assert legal_moves(c, strict) == _brute_legal_moves(c, strict, generated)
+
+            agrees()
+            _assert_filters_exercised(generated)

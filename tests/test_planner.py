@@ -1,9 +1,10 @@
 import itertools
+import math
 from collections import deque
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rhombikit.errors import IllegalMove, ValidationError
@@ -60,9 +61,9 @@ _lattice_pos = st.tuples(st.integers(-4, 4), st.integers(-4, 4), st.integers(-2,
 
 
 @st.composite
-def _equal_size_sets(draw):
-    """Two tuples of 1-7 distinct lattice positions each, of equal size."""
-    n = draw(st.integers(1, 7))
+def _equal_size_sets(draw, max_n=7):
+    """Two tuples of 1-max_n distinct lattice positions each, of equal size."""
+    n = draw(st.integers(1, max_n))
     side = st.lists(_lattice_pos, min_size=n, max_size=n, unique=True).map(tuple)
     return draw(side), draw(side)
 
@@ -139,6 +140,36 @@ class TestHeuristic:
             for perm in itertools.permutations(b)
         )
         assert _assignment_bound(a, b) == best
+
+    @settings(derandomize=True, deadline=None, max_examples=150)
+    @given(_equal_size_sets(6))
+    @example(sides=(((0, 0, 0), (1, 1, 0)), ((0, 0, 0), (3, -1, 2))))
+    @example(
+        sides=(
+            ((0, 0, 0), (1, 1, 0), (2, 0, 0), (4, 0, 2)),
+            ((0, 0, 0), (-2, 2, 0), (1, 1, 2), (3, -3, 0)),
+        )
+    )
+    def test_translation_bound_matches_brute_force(self, sides):
+        # per axis, the best matching over all pairings and integer shifts
+        # (any optimal shift lies between the extreme differences); even
+        # sizes are where the median has two candidates
+        a, b = sides
+        per_axis = []
+        for i in range(3):
+            xs = [p[i] for p in a]
+            best = None
+            for perm in set(itertools.permutations(q[i] for q in b)):
+                d = [x - y for x, y in zip(xs, perm)]
+                for k in range(min(d), max(d) + 1):
+                    cost = sum(abs(e - k) for e in d)
+                    if best is None or cost < best:
+                        best = cost
+            per_axis.append(best)
+        bx, by, bz = per_axis
+        want = max(bx, by, bz, math.ceil((bx + by + bz) / 2))
+        ca, cb = Configuration.from_positions(a), Configuration.from_positions(b)
+        assert heuristic(ca, cb, True) == want
 
     def test_admissible_on_all_3cell_box_instances(self, shape_graphs):
         shapes, graph, dists = shape_graphs[3]
