@@ -100,8 +100,11 @@ def rotation_direction(
     exposed rather than baked in. Marker headings are used verbatim when
     present; otherwise headings come from velocity directions, skipping
     steps shorter than min_step (cm) where the direction estimate would
-    be noise.
+    be noise. Both thresholds must be finite and nonnegative.
     """
+    for name, value in (("theta_min", theta_min), ("min_step", min_step)):
+        if not (math.isfinite(value) and value >= 0.0):
+            raise ValidationError(f"{name} must be finite and >= 0, got {value!r}")
     if tr.heading is not None:
         headings = tr.heading
     else:

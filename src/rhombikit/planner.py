@@ -27,8 +27,12 @@ distance, so the heuristic instead uses a translation-minimized per-axis
 relaxation, which is admissible and consistent on the quotient; see the
 test suite for the counterexample that rules out the aligned-assignment
 variant. That relaxation compares axis profiles (the sorted coordinates
-per axis); the goal's is computed once per plan() call, a state's on each
-evaluation.
+per axis). The goal's profile is computed once per plan() call and
+carries one memo per axis, which maps a state's sorted coordinates on
+that axis to its bound against the goal's; since one move changes at most
+one coordinate per axis, most evaluations find all three axes there. The
+memos live in the goal profile, so they last one plan() call and are
+never shared between goals.
 """
 
 from __future__ import annotations
@@ -181,12 +185,13 @@ def _assignment_bound(a: tuple[Pos, ...], b: tuple[Pos, ...]) -> int:
 
 
 def _axes(positions: tuple[Pos, ...]) -> tuple:
-    """The x, y and z coordinates of sorted positions, each sorted.
+    """The x, y and z coordinates of sorted positions, each a sorted
+    tuple (hashable, so it can key an axis memo).
 
     The x coordinates of sorted positions come out sorted already.
     """
     xs, ys, zs = zip(*positions)
-    return xs, sorted(ys), sorted(zs)
+    return xs, tuple(sorted(ys)), tuple(sorted(zs))
 
 
 def _axis_bound(sa, ga) -> int:
@@ -203,10 +208,24 @@ def _axis_bound(sa, ga) -> int:
     return sum(d[m + 1:]) - sum(d[:m]) + d[m] * (2 * m + 1 - len(d))
 
 
-def _translation_bound(a_axes: tuple, b_axes: tuple) -> int:
-    """The translation-minimized per-axis bound between two axis profiles
-    (see _axes)."""
-    bx, by, bz = map(_axis_bound, a_axes, b_axes)
+def _translation_bound(a_axes: tuple, goal_profile: tuple) -> int:
+    """The translation-minimized per-axis bound between a state's axis
+    profile (see _axes) and a goal profile (see _goal_profile).
+
+    Each axis's bound is looked up in that axis's memo, which belongs to
+    the goal profile, and computed only on a miss: it depends on nothing
+    but the state's and the goal's sorted coordinates on the axis.
+    """
+    (sx, sy, sz), ((gx, mx), (gy, my), (gz, mz)) = a_axes, goal_profile
+    bx = mx.get(sx)
+    if bx is None:
+        bx = mx[sx] = _axis_bound(sx, gx)
+    by = my.get(sy)
+    if by is None:
+        by = my[sy] = _axis_bound(sy, gy)
+    bz = mz.get(sz)
+    if bz is None:
+        bz = mz[sz] = _axis_bound(sz, gz)
     return max(bx, by, bz, -((bx + by + bz) // -2))
 
 
@@ -235,9 +254,14 @@ def heuristic(
 
 
 def _goal_profile(goal: tuple[Pos, ...], translate: bool) -> tuple:
-    """What _bound compares a state with: the goal's axis profile with
-    translate, else its positions. Computed once per plan."""
-    return _axes(goal) if translate else goal
+    """What _bound compares a state with: with translate, the goal's
+    sorted coordinates per axis, each paired with an empty memo of state
+    bounds on that axis; else the goal's positions. Computed once per
+    plan() call, so the memos last that call and hold one goal's values.
+    """
+    if not translate:
+        return goal
+    return tuple((g, {}) for g in _axes(goal))
 
 
 def _bound(a: tuple[Pos, ...], goal_profile: tuple, translate: bool) -> int:

@@ -148,6 +148,21 @@ class TestRotationDirection:
             is RotationDirection.INDETERMINATE
         )
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, -1.0])
+    @pytest.mark.parametrize("name", ["theta_min", "min_step"])
+    def test_bad_thresholds_rejected(self, name, bad):
+        # two clockwise turns: theta_min=-inf used to label this CCW, and
+        # nan labelled every trial indeterminate
+        tr = _traj(_circle(ccw=False, turns=2.0))
+        with pytest.raises(ValidationError, match=name):
+            rotation_direction(tr, **{name: bad})
+        with pytest.raises(ValidationError, match=name):
+            trial_stats(tr, **{name: bad})
+
+    def test_zero_thresholds_accepted(self):
+        tr = _traj(_circle(ccw=False, turns=2.0))
+        assert rotation_direction(tr, theta_min=0.0, min_step=0.0) is RotationDirection.CW
+
 
 class TestTrialStats:
     def test_invariant_enforced(self):

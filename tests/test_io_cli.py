@@ -589,6 +589,30 @@ class TestCli:
         payload = json.loads(capsys.readouterr().out)
         assert len(payload["valid_assignments"]) > 0
 
+    @pytest.mark.parametrize("theta", ["nan", "-inf", "-1"])
+    def test_analyze_bad_theta_min_exit_1(self, files, capsys, theta):
+        csv_path = files["tmp"] / "t.csv"
+        csv_path.write_text(
+            "trial_id,t,x,y\nA,0,0,0\nA,30,50,0\nA,60,10,0\n", encoding="utf-8"
+        )
+        design_path = files["tmp"] / "d.json"
+        design_path.write_text(
+            json.dumps(
+                {"name": "Solo", "passive": 1, "active": 1, "body_length_cm": 7,
+                 "body_weight_g": 50, "contact": "edge"}
+            ),
+            encoding="utf-8",
+        )
+        code = cli_main(
+            ["analyze", "--csv", str(csv_path), "--design", str(design_path),
+             f"--theta-min={theta}", "--json"]
+        )
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error:") and "theta_min" in captured.err
+        assert "Traceback" not in captured.err
+        assert captured.out == ""
+
     def test_analyze_csv_format_and_json(self, files, capsys):
         csv_path = files["tmp"] / "t.csv"
         csv_path.write_text(

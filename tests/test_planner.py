@@ -11,8 +11,13 @@ from rhombikit.errors import IllegalMove, ValidationError
 from rhombikit.io import PlanDoc, StructureDoc, dumps_plan
 from rhombikit.kinematics import PivotMove, apply_move, legal_moves
 from rhombikit.lattice import Cell, CellKind, Configuration, lattice_distance
+import rhombikit.planner
 from rhombikit.planner import (
     _assignment_bound,
+    _axes,
+    _axis_bound,
+    _goal_profile,
+    _translation_bound,
     Algorithm,
     Plan,
     Planner,
@@ -66,6 +71,43 @@ def _equal_size_sets(draw, max_n=7):
     n = draw(st.integers(1, max_n))
     side = st.lists(_lattice_pos, min_size=n, max_size=n, unique=True).map(tuple)
     return draw(side), draw(side)
+
+
+@st.composite
+def _states_against_goal(draw):
+    """A goal of 1-7 distinct lattice positions and 1-40 sorted states of
+    the same size, some drawn twice."""
+    n = draw(st.integers(1, 7))
+    side = st.lists(_lattice_pos, min_size=n, max_size=n, unique=True).map(
+        lambda ps: tuple(sorted(ps))
+    )
+    goal = draw(side)
+    states = draw(st.lists(side, min_size=1, max_size=40))
+    return goal, states + states[::3]
+
+
+def _memo_free_bound(positions, goal):
+    """The translation bound straight from _axis_bound on freshly sorted
+    coordinates, with no memo and no _axes."""
+    b = [
+        _axis_bound(sorted(p[i] for p in positions), sorted(q[i] for q in goal))
+        for i in range(3)
+    ]
+    return max(*b, math.ceil(sum(b) / 2))
+
+
+LINE4 = [(0, 0, 0), (1, 1, 0), (2, 2, 0), (3, 3, 0)]
+TETRA4 = [(0, 0, 0), (1, 1, 0), (1, 0, 1), (0, 1, 1)]
+
+# compact shapes, far apart, that strict stability can plan between too
+C4 = [(2, -2, -4), (3, -3, -4), (3, -2, -3), (4, -3, -5)]
+D4 = [(-6, -3, -3), (-5, -4, -3), (-5, -3, -2), (-4, -3, -3)]
+E4 = [(-5, -1, -6), (-4, 0, -6), (-3, -1, -6), (-3, 0, -7)]
+F4 = [(0, 1, 5), (1, 1, 4), (1, 1, 6), (1, 2, 5)]
+A5 = [(-1, 3, 6), (0, 2, 6), (1, 1, 6), (2, 0, 6), (2, 2, 6)]
+B5 = [(0, -6, -2), (0, -5, -3), (0, -5, -1), (1, -6, -1), (1, -5, -2)]
+G5 = [(-6, -1, 5), (-6, 2, 4), (-5, -1, 4), (-5, 0, 5), (-5, 1, 4)]
+H5 = [(-6, 2, 4), (-6, 3, 5), (-5, 0, 5), (-5, 1, 4), (-4, 1, 5)]
 
 
 def _with_actives(positions, active):
@@ -170,6 +212,26 @@ class TestHeuristic:
         want = max(bx, by, bz, math.ceil((bx + by + bz) / 2))
         ca, cb = Configuration.from_positions(a), Configuration.from_positions(b)
         assert heuristic(ca, cb, True) == want
+
+    @settings(derandomize=True, deadline=None, max_examples=150)
+    @given(_states_against_goal())
+    @example(
+        # the same sorted coordinates on x and y, bound 1 against the
+        # goal's x and 2 against its y: a memo shared across axes gives 1
+        pair=(
+            ((0, 0, 0), (0, 2, 0), (2, 4, 0)),
+            [((0, 0, 0), (1, 1, 0), (2, 2, 0))],
+        )
+    )
+    def test_axis_memo_matches_memo_free_bound(self, pair):
+        # one goal profile, so one set of axis memos, serves every draw;
+        # each lookup must give what a fresh computation gives
+        goal, states = pair
+        profile = _goal_profile(goal, True)
+        for state in states:
+            assert _translation_bound(_axes(state), profile) == _memo_free_bound(
+                state, goal
+            ), (state, goal)
 
     def test_admissible_on_all_3cell_box_instances(self, shape_graphs):
         shapes, graph, dists = shape_graphs[3]
@@ -370,6 +432,47 @@ class TestPlan:
         res = Planner(opts).plan(start, goal)
         assert res.ok and len(res.plan.moves) == (6 if kind_sensitive else 4)
         assert built == {"moves": len(res.plan.moves), "configs": 0}
+
+    @pytest.mark.parametrize(
+        "opts",
+        [
+            PlannerOptions(),
+            PlannerOptions(strict_stability=True),
+            PlannerOptions(kind_sensitive=True),
+        ],
+        ids=["translation", "strict", "kinds"],
+    )
+    def test_reused_planner_matches_fresh_across_goals(self, opts):
+        # per-goal state (the bound's axis memos) must not leak from one
+        # query into the next through a reused planner
+        queries = [(C4, D4), (E4, F4), (A5, B5), (G5, H5), (C4, F4), (E4, D4)]
+        reused = Planner(opts)
+        for a, b in queries:
+            start, goal = _with_actives(a, {0}), _with_actives(b, {1})
+            assert not goal_matches(start, goal, True, opts.kind_sensitive)
+            got, want = reused.plan(start, goal), Planner(opts).plan(start, goal)
+            assert got.status is want.status, (a, b)
+            assert (got.plan and got.plan.moves) == (want.plan and want.plan.moves)
+            assert got.stats.states_expanded == want.stats.states_expanded, (a, b)
+            assert got.stats.frontier_peak == want.stats.frontier_peak, (a, b)
+
+    def test_bound_called_once_per_evaluation(self, monkeypatch):
+        # the benchmark's tracer wraps _translation_bound and reports its
+        # calls as bound evaluations, so memo hits must still be calls:
+        # one for the start and one per push (115 here)
+        calls = [0]
+        original = rhombikit.planner._translation_bound
+
+        def counted(*args):
+            calls[0] += 1
+            return original(*args)
+
+        monkeypatch.setattr(rhombikit.planner, "_translation_bound", counted)
+        start = Configuration.from_positions(LINE4)
+        res = Planner().plan(start, Configuration.from_positions(TETRA4))
+        assert res.ok and len(res.plan.moves) == 4
+        assert (res.stats.states_expanded, res.stats.frontier_peak) == (23, 94)
+        assert calls[0] == 116
 
     def test_strict_stability_option(self):
         res = plan(LINE3, TRI3, PlannerOptions(strict_stability=True))
