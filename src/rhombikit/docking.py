@@ -8,12 +8,12 @@ partner directly opposite and every such pair is north-to-south.
 A cell layout is *genderless* when that holds for every face pair, every
 pair of cell orientations, and every face-to-face alignment the lattice
 can realize, so that any cell can grab any other cell in any legal pose.
-``validate_genderless`` checks that exhaustively (12 contact directions x
-24 x 24 orientations); ``enumerate_valid_layouts`` searches polarity
-assignments for it. The same search generalizes to a single k-fold
-symmetric face of an arbitrary polyhedron for k >= 2; below two-fold
-symmetry no assignment can survive a flipped alignment and the scheme
-does not apply.
+``validate_genderless`` checks that exhaustively (24 x 24 orientations
+across one contact direction, which stands for all 12 by lattice
+symmetry); ``enumerate_valid_layouts`` searches polarity assignments for
+it. The same search generalizes to a single k-fold symmetric face of an
+arbitrary polyhedron for k >= 2; below two-fold symmetry no assignment
+can survive a flipped alignment and the scheme does not apply.
 """
 
 from __future__ import annotations
@@ -71,14 +71,45 @@ def _inside_rhombus(pos: tuple[float, float]) -> bool:
     return abs(pos[0]) / _SQRT2 + abs(pos[1]) < 1.0 - 1e-12
 
 
+def _rot2(angle: float) -> np.ndarray:
+    """2D rotation matrix by angle (radians)."""
+    c, s = math.cos(angle), math.sin(angle)
+    return np.array([[c, -s], [s, c]])
+
+
+def _check_symmetry(k) -> None:
+    """A symmetry order is a plain int (not a bool) of at least two."""
+    if not isinstance(k, int) or isinstance(k, bool):
+        raise ValidationError(f"symmetry order must be an int, got {k!r}")
+    if k < 2:
+        raise UnsupportedSymmetry(
+            f"genderless docking needs at least two-fold symmetry, got k={k}"
+        )
+
+
+def _partners(pa: np.ndarray, pb: np.ndarray, eps: float) -> list[int]:
+    """Index into pb of the point coincident with each point of pa.
+
+    Raises PairingError when some point of pa has no partner within eps
+    or two points share one partner, and ValidationError unless eps is
+    finite and positive.
+    """
+    if not 0 < eps < math.inf:
+        raise ValidationError(f"pairing tolerance must be finite and > 0, got {eps!r}")
+    d2 = ((pa[:, None, :] - pb[None, :, :]) ** 2).sum(axis=2)
+    partner = np.argmin(d2, axis=1).tolist()
+    for i, j in enumerate(partner):
+        if d2[i, j] > eps * eps:
+            raise PairingError(f"magnet {i} of face A has no partner within {eps}")
+    if len(set(partner)) != len(partner):
+        raise PairingError("magnet pairing is not one-to-one")
+    return partner
+
+
 def _k_symmetric(points: np.ndarray, k: int, tol: float) -> bool:
     """Is the position multiset invariant under rotation by 2*pi/k?"""
-    ang = 2.0 * math.pi / k
-    rot = np.array(
-        [[math.cos(ang), -math.sin(ang)], [math.sin(ang), math.cos(ang)]]
-    )
     used = np.zeros(len(points), dtype=bool)
-    for p in points @ rot.T:
+    for p in points @ _rot2(2.0 * math.pi / k).T:
         d = np.linalg.norm(points - p, axis=1)
         d[used] = np.inf
         j = int(np.argmin(d))
@@ -106,10 +137,7 @@ class FaceLayout:
         object.__setattr__(self, "magnets", mags)
         if not mags:
             raise ValidationError("face layout has no magnets")
-        if self.symmetry < 2:
-            raise UnsupportedSymmetry(
-                f"face symmetry must be at least 2, got {self.symmetry}"
-            )
+        _check_symmetry(self.symmetry)
         pts = self.positions()
         for i in range(len(mags)):
             for j in range(i + 1, len(mags)):
@@ -178,11 +206,7 @@ def _face_local_magnets(layout: FaceLayout, face_idx: int, turn: int) -> np.ndar
     fr = face_frame(face_idx)
     uv = layout.positions()
     if turn % layout.symmetry:
-        ang = 2.0 * math.pi * turn / layout.symmetry
-        rot = np.array(
-            [[math.cos(ang), -math.sin(ang)], [math.sin(ang), math.cos(ang)]]
-        )
-        uv = uv @ rot.T
+        uv = uv @ _rot2(2.0 * math.pi * turn / layout.symmetry).T
     return fr.center + uv[:, 0:1] * fr.long_axis + uv[:, 1:2] * fr.short_axis
 
 
@@ -198,7 +222,8 @@ def contact_map(
     orientations (cell A at the origin, cell B across the shared face) and
     matches magnets whose positions coincide within eps. Returns index
     pairs (i_a, i_b); raises PairingError when any magnet lacks a partner
-    or the faces cannot coincide at all.
+    or the faces cannot coincide at all, and ValidationError unless eps is
+    finite and positive.
     """
     if not align.is_coincident():
         raise PairingError(
@@ -215,18 +240,7 @@ def contact_map(
         raise PairingError(
             f"magnet counts differ: {len(a.magnets)} vs {len(b.magnets)}"
         )
-    d2 = ((pa[:, None, :] - pb[None, :, :]) ** 2).sum(axis=2)
-    partner = np.argmin(d2, axis=1)
-    pairs = []
-    for i, j in enumerate(partner):
-        if d2[i, j] > eps * eps:
-            raise PairingError(
-                f"magnet {i} of face A has no partner within {eps}"
-            )
-        pairs.append((i, int(j)))
-    if len({j for _, j in pairs}) != len(pairs):
-        raise PairingError("magnet pairing is not one-to-one")
-    return pairs
+    return list(enumerate(_partners(pa, pb, eps)))
 
 
 def is_attractive_contact(
@@ -247,46 +261,35 @@ def validate_genderless(
 ) -> tuple[bool, ContactAlignment | None]:
     """Exhaustively check attachment over every realizable alignment.
 
-    Sweeps all 12 world contact directions and all 24 x 24 orientation
-    pairs; the local faces in contact follow from the orientations. In-
-    plane turns need no separate sweep here because the lattice's own
-    rotation group already realizes every click of the two-fold faces.
+    Sweeps all 24 x 24 orientation pairs across contact direction
+    FACE_DIRS[0]; the local faces in contact follow from the orientations.
+    That one direction stands for all 12: a lattice rotation g maps the
+    alignment (d, ra, rb) to (g.d, g.ra, g.rb) with the same local faces
+    in contact and congruent world magnet sets, and since the rotations
+    are signed permutations the world coordinates stay exact (squared
+    distances differ at most in the rounding order of three terms). So a
+    direction has a violation exactly when FACE_DIRS[0] has one, and a
+    sweep of all 12 directions in order, FACE_DIRS[0] first and (ra, rb)
+    in the same order, returns the same first counterexample. In-plane
+    turns need no separate sweep because the lattice's own rotation group
+    already realizes every click of the two-fold faces.
     Returns (True, None) or (False, first violating alignment).
     """
-    # cell-local magnet coordinates per face, then per orientation
     counts = {len(f.magnets) for f in layout.faces}
     if len(counts) != 1:
         raise ValidationError("all faces must carry the same magnet count")
-    local = np.array(
-        [_face_local_magnets(layout.faces[f], f, 0) for f in range(12)]
-    )  # (12, m, 3)
-    rots = np.array(ROTATIONS, dtype=float)  # (24, 3, 3)
-    world = np.einsum("rij,fmj->rfmi", rots, local)  # (24, 12, m, 3)
-    pols = [f.polarities() for f in layout.faces]
-
-    eps2 = eps * eps
-    for d_idx, d in enumerate(FACE_DIRS):
-        shift = 2.0 * np.array(d, dtype=float)
-        neg_idx = OPPOSITE_DIR[d_idx]
-        for ra in range(24):
-            fa = DIR_PERM[ROT_INV[ra]][d_idx]
-            pa = world[ra, fa]
-            pol_a = pols[fa]
-            for rb in range(24):
-                fb = DIR_PERM[ROT_INV[rb]][neg_idx]
-                pb = world[rb, fb] + shift
-                d2 = ((pa[:, None, :] - pb[None, :, :]) ** 2).sum(axis=2)
-                partner = np.argmin(d2, axis=1)
-                align = ContactAlignment(fa, ra, fb, rb, 0)
-                if (
-                    d2[np.arange(len(partner)), partner].max() > eps2
-                    or len(set(partner.tolist())) != len(partner)
+    for ra in range(24):
+        fa = DIR_PERM[ROT_INV[ra]][0]
+        for rb in range(24):
+            fb = DIR_PERM[ROT_INV[rb]][OPPOSITE_DIR[0]]
+            align = ContactAlignment(fa, ra, fb, rb, 0)
+            try:
+                if not is_attractive_contact(
+                    layout.faces[fa], layout.faces[fb], align, eps
                 ):
                     return False, align
-                pol_b = pols[fb]
-                for i, j in enumerate(partner):
-                    if pol_a[i] is pol_b[j]:
-                        return False, align
+            except PairingError:
+                return False, align
     return True, None
 
 
@@ -328,17 +331,11 @@ def _single_face_genderless(
     """
     mirrored = positions * np.array([1.0, -1.0])
     for j in range(k):
-        ang = 2.0 * math.pi * j / k
-        rot = np.array(
-            [[math.cos(ang), -math.sin(ang)], [math.sin(ang), math.cos(ang)]]
-        )
-        mapped = mirrored @ rot.T
-        d2 = ((positions[:, None, :] - mapped[None, :, :]) ** 2).sum(axis=2)
-        partner = np.argmin(d2, axis=1)
-        if d2[np.arange(len(partner)), partner].max() > eps * eps:
+        mapped = mirrored @ _rot2(2.0 * math.pi * j / k).T
+        try:
+            partner = _partners(positions, mapped, eps)
+        except PairingError:
             return False  # positions cannot pair under this alignment
-        if len(set(partner.tolist())) != len(partner):
-            return False
         if any(pols[i] is pols[j2] for i, j2 in enumerate(partner)):
             return False
     return True
@@ -359,10 +356,7 @@ def enumerate_valid_layouts(
     arbitrary polyhedron is checked. For the four-magnet cell profile the
     two modes provably agree; the test suite keeps them honest.
     """
-    if k < 2:
-        raise UnsupportedSymmetry(
-            f"genderless docking needs at least two-fold symmetry, got k={k}"
-        )
+    _check_symmetry(k)
     pts = np.array([(float(u), float(v)) for u, v in face_positions])
     if pts.ndim != 2 or pts.shape[1] != 2 or len(pts) == 0:
         raise ValidationError("face positions must be a nonempty list of 2D points")

@@ -272,9 +272,12 @@ def classify_ground_contact(
     contact, a segment is edge contact, a coplanar patch is face contact.
     Because all cells are translates of the same solid, every touching
     cell lands in the same class, which is returned as the overall type.
+    eps_z must be finite and >= 0.
     """
     if len(c) == 0:
         raise ValidationError("configuration is empty")
+    if not 0 <= eps_z < math.inf:
+        raise ValidationError(f"eps_z must be finite and >= 0, got {eps_z!r}")
     rot = check_world_rotation(world_rot)
 
     base = np.array(CANONICAL_VERTICES, dtype=float)

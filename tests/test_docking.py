@@ -4,7 +4,9 @@ import math
 import numpy as np
 import pytest
 
+from rhombikit import docking
 from rhombikit.docking import (
+    EPS_MATCH,
     CellLayout,
     ContactAlignment,
     FaceLayout,
@@ -22,6 +24,7 @@ from rhombikit.geometry import face_frame
 from rhombikit.lattice import (
     DIR_PERM,
     FACE_DIR_INDEX,
+    FACE_DIRS,
     OPPOSITE_DIR,
     ROTATIONS,
     ROT_INV,
@@ -38,6 +41,13 @@ GOLDEN_VALID = ((N, S, S, N), (S, N, N, S))
 def _face(polarities, positions=None):
     positions = positions or default_face_positions()
     return FaceLayout(tuple(MagnetSpec(p, pol) for p, pol in zip(positions, polarities)))
+
+
+def _shifted_positions(delta):
+    """Default positions with magnets 0 and 3 moved delta outward along the
+    long axis: still two-fold symmetric, but off their mirror partners."""
+    (u0, v0), p1, p2, (u3, v3) = default_face_positions()
+    return [(u0 - delta, v0), p1, p2, (u3 + delta, v3)]
 
 
 def _mirror_alignment(d=(1, 1, 0)):
@@ -70,6 +80,12 @@ class TestLayoutValidation:
         with pytest.raises(UnsupportedSymmetry):
             FaceLayout((MagnetSpec((0.3, 0.1), N),), symmetry=1)
 
+    @pytest.mark.parametrize("symmetry", [2.0, "2", True, None])
+    def test_symmetry_must_be_int(self, symmetry):
+        pts = default_face_positions()
+        with pytest.raises(ValidationError, match="must be an int"):
+            FaceLayout(tuple(MagnetSpec(p, N) for p in pts), symmetry=symmetry)
+
     def test_cell_layout_needs_12_faces(self):
         f = _face(GOLDEN_VALID[0])
         with pytest.raises(ValidationError):
@@ -88,10 +104,7 @@ class TestContactMap:
     def test_perturbed_magnet_pairing_error(self):
         # shift one magnet and its 180-degree partner together: the layout
         # stays two-fold symmetric but no longer matches mirror-aligned copies
-        delta = 10 * 1e-6
-        a, b = 0.5 * math.sqrt(2), 0.35
-        pts = [(-a - delta, -b), (-a, b), (a, -b), (a + delta, b)]
-        f = _face((N, S, S, N), pts)
+        f = _face((N, S, S, N), _shifted_positions(10 * 1e-6))
         with pytest.raises(PairingError):
             contact_map(f, f, _mirror_alignment())
 
@@ -306,3 +319,139 @@ class TestEnumeration:
                 pts.append((0.5 * math.cos(a), 0.5 * math.sin(a)))
         valid = enumerate_valid_layouts(pts, k=4, share_one_pattern_across_faces=False)
         assert len(valid) > 0
+    @pytest.mark.parametrize("k", [4.0, "4", True])
+    def test_non_int_k_rejected(self, k):
+        with pytest.raises(ValidationError, match="must be an int"):
+            enumerate_valid_layouts(
+                [(0.5, 0.2), (-0.5, -0.2)], k=k, share_one_pattern_across_faces=False
+            )
+
+    def test_validates_through_module_global_once_per_assignment(self, monkeypatch):
+        # the benchmark tracer counts calls by patching this module global
+        calls = []
+        real = docking.validate_genderless
+
+        def counting(layout, *args, **kwargs):
+            calls.append(layout)
+            return real(layout, *args, **kwargs)
+
+        monkeypatch.setattr(docking, "validate_genderless", counting)
+        assert enumerate_valid_layouts(default_face_positions()) == GOLDEN_VALID
+        assert len(calls) == 16
+
+
+# -0.3 once paired as if it were 0.3
+BAD_EPS = [float("nan"), float("inf"), 0.0, -1e-6, -0.3]
+
+
+class TestPairingTolerance:
+    @pytest.mark.parametrize("eps", BAD_EPS)
+    def test_contact_map_rejects(self, eps):
+        f = _face(GOLDEN_VALID[0])
+        with pytest.raises(ValidationError, match="tolerance"):
+            contact_map(f, f, _mirror_alignment(), eps=eps)
+
+    @pytest.mark.parametrize("eps", BAD_EPS)
+    def test_is_attractive_contact_rejects(self, eps):
+        f = _face(GOLDEN_VALID[0])
+        with pytest.raises(ValidationError, match="tolerance"):
+            is_attractive_contact(f, f, _mirror_alignment(), eps=eps)
+
+    @pytest.mark.parametrize("eps", BAD_EPS)
+    def test_validate_genderless_rejects(self, eps):
+        # magnets 0.2 off their mirror partners: not genderless at the
+        # default tolerance, and a nan tolerance must not turn that around
+        layout = CellLayout.uniform(_face(GOLDEN_VALID[0], _shifted_positions(0.2)))
+        assert validate_genderless(layout)[0] is False
+        with pytest.raises(ValidationError, match="tolerance"):
+            validate_genderless(layout, eps=eps)
+
+
+def _full_sweep_oracle(layout, eps=EPS_MATCH):
+    """Reference check: every one of the 12 contact directions x 24 x 24
+    orientation pairs, in that order, with its own pairing and polarity
+    test. validate_genderless must agree on the verdict and on the first
+    counterexample."""
+    if len({len(f.magnets) for f in layout.faces}) != 1:
+        raise ValidationError("all faces must carry the same magnet count")
+    local = []
+    for f in range(12):
+        fr = face_frame(f)
+        uv = layout.faces[f].positions()
+        local.append(fr.center + uv[:, 0:1] * fr.long_axis + uv[:, 1:2] * fr.short_axis)
+    rots = np.array(ROTATIONS, dtype=float)
+    world = np.einsum("rij,fmj->rfmi", rots, np.array(local))  # (24, 12, m, 3)
+    pols = [f.polarities() for f in layout.faces]
+    for d_idx, d in enumerate(FACE_DIRS):
+        shift = 2.0 * np.array(d, dtype=float)
+        for ra in range(24):
+            fa = DIR_PERM[ROT_INV[ra]][d_idx]
+            for rb in range(24):
+                fb = DIR_PERM[ROT_INV[rb]][OPPOSITE_DIR[d_idx]]
+                pa, pb = world[ra, fa], world[rb, fb] + shift
+                d2 = ((pa[:, None, :] - pb[None, :, :]) ** 2).sum(axis=2)
+                partner = np.argmin(d2, axis=1)
+                align = ContactAlignment(fa, ra, fb, rb, 0)
+                if (
+                    d2[np.arange(len(partner)), partner].max() > eps * eps
+                    or len(set(partner.tolist())) != len(partner)
+                    or any(pols[fa][i] is pols[fb][j] for i, j in enumerate(partner))
+                ):
+                    return False, align
+    return True, None
+
+
+def _mixed_layouts(count, seed):
+    """Cells whose faces each carry NSSN or SNNS, with one face random."""
+    rng = np.random.default_rng(seed)
+    assignments = list(itertools.product((N, S), repeat=4))
+    out = []
+    for _ in range(count):
+        faces = [_face(GOLDEN_VALID[int(rng.integers(2))]) for _ in range(12)]
+        faces[int(rng.integers(12))] = _face(assignments[int(rng.integers(16))])
+        out.append(CellLayout(tuple(faces)))
+    return out
+
+
+def _agree(layout, eps=EPS_MATCH):
+    want = _full_sweep_oracle(layout, eps)
+    assert validate_genderless(layout, eps) == want
+    return want
+
+
+class TestOneDirectionMatchesFullSweep:
+    def test_uniform_layouts(self):
+        verdicts = [
+            _agree(CellLayout.uniform(_face(bits)))[0]
+            for bits in itertools.product((N, S), repeat=4)
+        ]
+        assert sum(verdicts) == len(GOLDEN_VALID)
+
+    def test_relabelled_layouts(self):
+        golden = default_cell_layout()
+        mixed = _mixed_layouts(3, seed=5)
+        for r in (0, 3, 7, 11, 17, 23):
+            assert _agree(_relabeled(golden, r)) == (True, None)
+            for layout in mixed:
+                _agree(_relabeled(layout, r))
+
+    def test_seeded_mixed_layouts(self):
+        results = [_agree(layout) for layout in _mixed_layouts(240, seed=2024)]
+        # the corpus must exercise more than one counterexample, or a sweep
+        # over the wrong direction could pass unnoticed
+        assert len({cex for ok, cex in results if not ok}) >= 5
+
+    @pytest.mark.parametrize("delta", [1e-7, 4e-7, 1e-5, 0.2])
+    @pytest.mark.parametrize("eps", [EPS_MATCH, 0.3])
+    def test_perturbed_positions(self, delta, eps):
+        # shifts below eps still pair; above it they break the golden pattern
+        positions = _shifted_positions(delta)
+        for bits in (GOLDEN_VALID[0], GOLDEN_VALID[1], (N, N, S, S)):
+            layout = CellLayout.uniform(_face(bits, positions))
+            ok, _ = _agree(layout, eps)
+            assert ok == (bits in GOLDEN_VALID and delta < eps)
+            _agree(_relabeled(layout, 7), eps)
+        # one perturbed face among unperturbed ones
+        faces = [_face(GOLDEN_VALID[0])] * 12
+        faces[4] = _face(GOLDEN_VALID[0], positions)
+        _agree(CellLayout(tuple(faces)), eps)

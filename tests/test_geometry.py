@@ -301,6 +301,17 @@ class TestGroundContact:
         with pytest.raises(ValidationError):
             classify_ground_contact(Configuration([]), np.eye(3))
 
+    @pytest.mark.parametrize("eps_z", [float("nan"), -1.0, float("inf")])
+    def test_bad_eps_z_rejected(self, eps_z):
+        c = Configuration.from_positions([(0, 0, 0), (1, 1, 0), (2, 2, 0)])
+        with pytest.raises(ValidationError, match="eps_z"):
+            classify_ground_contact(c, _align_to_minus_z((0, 0, 2)), eps_z=eps_z)
+
+    def test_zero_eps_z_accepted(self):
+        c = Configuration.from_positions([(0, 0, 0), (1, 1, 0)])
+        res = classify_ground_contact(c, np.eye(3), eps_z=0.0)
+        assert res.contact_type is classify_ground_contact(c, np.eye(3)).contact_type
+
 
 class TestStructureMesh:
     def test_single_cell(self):

@@ -12,7 +12,14 @@ import pytest
 import rhombikit
 from rhombikit import io as rio
 from rhombikit.cli import cli_main
-from rhombikit.docking import default_cell_layout
+from rhombikit.docking import (
+    CellLayout,
+    FaceLayout,
+    MagnetSpec,
+    Polarity,
+    default_cell_layout,
+    default_face_positions,
+)
 from rhombikit.errors import ParseError, ValidationError
 from rhombikit.geometry import canonical_cell_mesh, structure_mesh
 from rhombikit.lattice import Cell, CellKind, Configuration
@@ -447,6 +454,28 @@ class TestCli:
         assert cli_main(["dock-check", "--enumerate", "--json"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["valid_assignments"] == ["NSSN", "SNNS"]
+
+    def test_dock_check_mixed_layout_counterexample(self, files, capsys):
+        # NSSN on every face but face 5, which carries the inverse SNNS: the
+        # first violation pins both the sweep direction and the sweep order
+        def face(pols):
+            return FaceLayout(
+                tuple(
+                    MagnetSpec(p, Polarity(c))
+                    for p, c in zip(default_face_positions(), pols)
+                )
+            )
+
+        faces = [face("NSSN")] * 12
+        faces[5] = face("SNNS")
+        layout_path = str(files["tmp"] / "mixed.json")
+        rio.save_layout(CellLayout(tuple(faces)), layout_path)
+        assert cli_main(["dock-check", "--layout", layout_path, "--json"]) == 1
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["genderless"] is False
+        assert payload["counterexample"] == {
+            "face_a": 0, "orient_a": 0, "face_b": 5, "orient_b": 10, "turn": 0
+        }
 
     def test_dock_check_requires_mode(self, capsys):
         assert cli_main(["dock-check"]) == 1
