@@ -3,7 +3,8 @@
 Every face carries a handful of axially poled disc magnets, described by
 their outward pole (N or S) and their position in the face frame (long
 axis, short axis). Two aligned faces dock when every magnet finds a
-partner directly opposite and every such pair is north-to-south.
+partner directly opposite and every such pair is north-to-south. Faces
+pair in 2-D face coordinates, through one in-plane map, ``_mate``.
 
 A cell layout is *genderless* when that holds for every face pair, every
 pair of cell orientations, and every face-to-face alignment the lattice
@@ -20,6 +21,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 from dataclasses import dataclass
 from enum import Enum
 from typing import Sequence
@@ -30,13 +32,16 @@ from .errors import PairingError, UnsupportedSymmetry, ValidationError
 from .geometry import face_frame
 from .lattice import (
     DIR_PERM,
-    FACE_DIRS,
     OPPOSITE_DIR,
     ROTATIONS,
     ROT_INV,
+    _as_int,
+    _check_dir,
+    _check_rot,
+    _mat_apply,
 )
 
-EPS_MATCH = 1e-6  # world-space coincidence tolerance for magnet pairing
+EPS_MATCH = 1e-6  # in-plane coincidence tolerance for magnet pairing
 
 _SQRT2 = math.sqrt(2.0)
 
@@ -61,6 +66,13 @@ class MagnetSpec:
     def __post_init__(self) -> None:
         if len(self.pos) != 2:
             raise ValidationError("magnet position must be a 2D point")
+        for x in self.pos:  # bool subclasses int; io rejects it too
+            if isinstance(x, bool) or not (
+                isinstance(x, numbers.Real) and math.isfinite(x)
+            ):
+                raise ValidationError(
+                    f"magnet position must be finite numbers, got {self.pos!r}"
+                )
         object.__setattr__(self, "pos", (float(self.pos[0]), float(self.pos[1])))
         if not isinstance(self.polarity, Polarity):
             raise ValidationError(f"bad polarity {self.polarity!r}")
@@ -192,6 +204,13 @@ class ContactAlignment:
     orient_b: int
     turn: int = 0
 
+    def __post_init__(self) -> None:
+        for name in ("face_a", "face_b"):
+            object.__setattr__(self, name, _check_dir(getattr(self, name)))
+        for name in ("orient_a", "orient_b"):
+            object.__setattr__(self, name, _check_rot(getattr(self, name)))
+        object.__setattr__(self, "turn", _as_int(self.turn))
+
     def world_dir(self) -> int:
         """Index of the world direction from cell A toward cell B."""
         return DIR_PERM[self.orient_a][self.face_a]
@@ -201,13 +220,16 @@ class ContactAlignment:
         return db == OPPOSITE_DIR[self.world_dir()]
 
 
-def _face_local_magnets(layout: FaceLayout, face_idx: int, turn: int) -> np.ndarray:
-    """Cell-local 3D magnet positions of one face, with in-plane turn."""
-    fr = face_frame(face_idx)
-    uv = layout.positions()
-    if turn % layout.symmetry:
-        uv = uv @ _rot2(2.0 * math.pi * turn / layout.symmetry).T
-    return fr.center + uv[:, 0:1] * fr.long_axis + uv[:, 1:2] * fr.short_axis
+def _mate(uv: np.ndarray, s: int, turn: int, k: int) -> np.ndarray:
+    """Partner magnet positions (n, 2) in our face frame.
+
+    The partner's pattern turns by turn clicks of its k-fold symmetry,
+    then (u, v) maps to (s*u, -s*v): s = +1 when the two long axes are
+    parallel, and the short axes oppose because the normals do.
+    """
+    if turn % k:
+        uv = uv @ _rot2(2.0 * math.pi * turn / k).T
+    return uv * np.array([s, -s])
 
 
 def contact_map(
@@ -218,29 +240,26 @@ def contact_map(
 ) -> list[tuple[int, int]]:
     """Pair up magnets of two faces brought into contact.
 
-    Embeds both layouts in world space via their face frames and cell
-    orientations (cell A at the origin, cell B across the shared face) and
-    matches magnets whose positions coincide within eps. Returns index
-    pairs (i_a, i_b); raises PairingError when any magnet lacks a partner
-    or the faces cannot coincide at all, and ValidationError unless eps is
-    finite and positive.
+    Maps B's magnets into A's face frame with _mate, s being the sign of
+    the two long axes turned by their cells' orientations (exact: the
+    rotations are signed permutations), and matches magnets whose
+    positions coincide within eps. Returns index pairs (i_a, i_b); raises
+    PairingError when any magnet lacks a partner or the faces cannot
+    coincide at all, and ValidationError unless eps is finite and positive.
     """
     if not align.is_coincident():
         raise PairingError(
             f"faces are not geometrically coincident under {align}"
         )
-    ra = np.array(ROTATIONS[align.orient_a], dtype=float)
-    rb = np.array(ROTATIONS[align.orient_b], dtype=float)
-    d_world = np.array(FACE_DIRS[align.world_dir()], dtype=float)
-
-    pa = _face_local_magnets(a, align.face_a, 0) @ ra.T
-    pb = _face_local_magnets(b, align.face_b, align.turn) @ rb.T + 2.0 * d_world
-
     if len(a.magnets) != len(b.magnets):
         raise PairingError(
             f"magnet counts differ: {len(a.magnets)} vs {len(b.magnets)}"
         )
-    return list(enumerate(_partners(pa, pb, eps)))
+    la = _mat_apply(ROTATIONS[align.orient_a], face_frame(align.face_a).long_axis)
+    lb = _mat_apply(ROTATIONS[align.orient_b], face_frame(align.face_b).long_axis)
+    s = 1 if la[0] * lb[0] + la[1] * lb[1] + la[2] * lb[2] > 0 else -1
+    pb = _mate(b.positions(), s, align.turn, b.symmetry)
+    return list(enumerate(_partners(a.positions(), pb, eps)))
 
 
 def is_attractive_contact(
@@ -265,9 +284,8 @@ def validate_genderless(
     FACE_DIRS[0]; the local faces in contact follow from the orientations.
     That one direction stands for all 12: a lattice rotation g maps the
     alignment (d, ra, rb) to (g.d, g.ra, g.rb) with the same local faces
-    in contact and congruent world magnet sets, and since the rotations
-    are signed permutations the world coordinates stay exact (squared
-    distances differ at most in the rounding order of three terms). So a
+    in contact and the same long-axis sign (g turns both long axes), so
+    contact_map computes the very same pairing. So a
     direction has a violation exactly when FACE_DIRS[0] has one, and a
     sweep of all 12 directions in order, FACE_DIRS[0] first and (ra, rb)
     in the same order, returns the same first counterexample. In-plane
@@ -325,15 +343,14 @@ def _single_face_genderless(
     """Generalized check for one k-fold symmetric face in isolation.
 
     When two copies of the face meet, one is flipped over, so the map
-    from partner coordinates into our frame is the mirror across the
-    first symmetry axis composed with any of the k in-plane clicks. All k
-    alignments must pair every magnet with an unlike pole.
+    from partner coordinates into our frame is any of the k in-plane
+    clicks followed by the mirror across the first symmetry axis, _mate
+    with s = 1 (the same k maps as mirroring first). All k alignments
+    must pair every magnet with an unlike pole.
     """
-    mirrored = positions * np.array([1.0, -1.0])
     for j in range(k):
-        mapped = mirrored @ _rot2(2.0 * math.pi * j / k).T
         try:
-            partner = _partners(positions, mapped, eps)
+            partner = _partners(positions, _mate(positions, 1, j, k), eps)
         except PairingError:
             return False  # positions cannot pair under this alignment
         if any(pols[i] is pols[j2] for i, j2 in enumerate(partner)):

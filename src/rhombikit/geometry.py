@@ -31,6 +31,7 @@ from .lattice import (
     FACE_DIR_INDEX,
     Configuration,
     Pos,
+    _check_dir,
     add,
     apply_rotation,
 )
@@ -91,14 +92,14 @@ _FRAMES = _build_frames()
 
 
 def face_frame(d: Pos | int) -> FaceFrame:
-    """Frame of the face whose outward normal points along d."""
-    if isinstance(d, int):
-        if not 0 <= d < 12:
-            raise ValidationError(f"face direction index out of range: {d}")
-        return _FRAMES[d]
-    if tuple(d) not in FACE_DIR_INDEX:
+    """Frame of the face whose outward normal points along d, given as a
+    direction vector or as an index into FACE_DIRS."""
+    if not isinstance(d, (tuple, list, np.ndarray)):
+        return _FRAMES[_check_dir(d)]
+    key = tuple(d)
+    if key not in FACE_DIR_INDEX:
         raise ValidationError(f"not a face direction: {d!r}")
-    return _FRAMES[FACE_DIR_INDEX[tuple(d)]]
+    return _FRAMES[FACE_DIR_INDEX[key]]
 
 
 def _face_vertex_cycle(d: Pos) -> tuple[int, ...]:
@@ -394,12 +395,8 @@ def roll_transform(from_dir: Pos, to_dir: Pos, theta: float):
     a0 = np.array(e0, dtype=float)
     start = 2.0 * np.array(from_dir, dtype=float)
     target = 2.0 * np.array(to_dir, dtype=float)
-    for sgn in (1.0, -1.0):
-        r = _rodrigues(axis, sgn * 2.0 * math.pi / 3.0)
-        if np.allclose(a0 + r @ (start - a0), target, atol=1e-9):
-            break
-    else:  # pragma: no cover - the geometry guarantees one sign works
-        raise AssertionError("no roll direction reaches the destination")
+    # a positive turn about axis carries start toward target (exact: integers)
+    sgn = 1.0 if axis @ np.cross(start - a0, target - a0) > 0 else -1.0
     r = _rodrigues(axis, sgn * theta)
     return r, a0 - r @ a0
 

@@ -23,15 +23,16 @@ from enum import Enum
 from functools import cache
 
 from .errors import IllegalMove, ValidationError
-from .geometry import blocker_table, shared_face_edge
+from .geometry import blocker_table
 from .lattice import (
+    DIR_PERM,
     FACE_DIRS,
     FACE_DIR_INDEX,
+    OPPOSITE_DIR,
     ROTATIONS,
     Cell,
     Configuration,
     Pos,
-    _mat_apply,
     add,
     check_pos,
     compose,
@@ -99,25 +100,21 @@ def pivot_destinations(d: Pos) -> list[Pos]:
 def _solve_pivot_rotations() -> dict[tuple[int, int], int]:
     """For each (from, to) pair, the unique 120-degree body rotation.
 
-    The rotation axis is the shared edge of the two substrate faces, so
-    candidates are the order-3 group elements fixing the edge direction;
-    the one whose roll about the edge line carries the mover's cell onto
-    the destination cell wins. Solved exactly in integers once at import.
+    The pivot axis is the body diagonal orthogonal to from-face f and
+    to-face t. The six face directions orthogonal to it form a hexagon
+    with 60-degree steps: f, t, ..., -f. A 120-degree turn (trace 0) in
+    the sense from f to t moves each two steps, so it carries t onto -f;
+    exactly one such turn does. Read off the integer tables at import.
     """
     table: dict[tuple[int, int], int] = {}
     for fi, f in enumerate(FACE_DIRS):
         for t in pivot_destinations(f):
             ti = FACE_DIR_INDEX[t]
-            e0, e1 = shared_face_edge(f, t)
-            axis = sub(e1, e0)
-            start = (2 * f[0] - e0[0], 2 * f[1] - e0[1], 2 * f[2] - e0[2])
-            target = (2 * t[0], 2 * t[1], 2 * t[2])
             sols = [
                 ri
                 for ri, m in enumerate(ROTATIONS)
                 if m[0][0] + m[1][1] + m[2][2] == 0  # trace 0: a 120-degree turn
-                and _mat_apply(m, axis) == axis
-                and add(_mat_apply(m, start), e0) == target
+                and DIR_PERM[ri][ti] == OPPOSITE_DIR[fi]
             ]
             if len(sols) != 1:  # pragma: no cover - geometric impossibility
                 raise AssertionError(f"pivot rotation not unique for {f}->{t}")

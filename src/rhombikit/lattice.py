@@ -53,6 +53,8 @@ OPPOSITE_DIR: tuple[int, ...] = tuple(
 
 def _as_int(v) -> int:
     try:
+        if isinstance(v, bool):  # bool subclasses int
+            raise TypeError
         return operator.index(v)  # ints and numpy integers, not floats
     except TypeError:
         raise ValidationError(f"expected an integer, got {v!r}") from None
@@ -160,6 +162,13 @@ def _check_rot(r: int) -> int:
     return r
 
 
+def _check_dir(d: int) -> int:
+    d = _as_int(d)
+    if not 0 <= d < 12:
+        raise ValidationError(f"face direction index must be in 0..11, got {d!r}")
+    return d
+
+
 # composition and inverse tables, plus the induced permutation of FACE_DIRS
 ROT_MUL: tuple[tuple[int, ...], ...] = tuple(
     tuple(ROTATION_INDEX[_mat_mul(a, b)] for b in ROTATIONS) for a in ROTATIONS
@@ -194,9 +203,7 @@ def apply_rotation(r: int, p: Sequence[int]) -> Pos:
 
 def apply_rotation_dir(r: int, d: int) -> int:
     """Rotate a face direction (both given and returned as indices)."""
-    if not 0 <= d < 12:
-        raise ValidationError(f"face direction index must be in 0..11, got {d!r}")
-    return DIR_PERM[_check_rot(r)][d]
+    return DIR_PERM[_check_rot(r)][_check_dir(d)]
 
 
 # --------------------------------------------------------------------------

@@ -86,6 +86,18 @@ class TestLayoutValidation:
         with pytest.raises(ValidationError, match="must be an int"):
             FaceLayout(tuple(MagnetSpec(p, N) for p in pts), symmetry=symmetry)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, "a", None])
+    @pytest.mark.parametrize("coord", [0, 1])
+    def test_magnet_position_must_be_finite_number(self, bad, coord):
+        pos = [0.3, 0.2]
+        pos[coord] = bad
+        with pytest.raises(ValidationError, match="finite numbers"):
+            MagnetSpec(tuple(pos), N)
+
+    def test_magnet_position_accepts_numpy_scalars(self):
+        m = MagnetSpec((np.float64(0.3), np.int64(1)), N)
+        assert m.pos == (0.3, 1.0) and type(m.pos[1]) is float
+
     def test_cell_layout_needs_12_faces(self):
         f = _face(GOLDEN_VALID[0])
         with pytest.raises(ValidationError):
@@ -140,6 +152,35 @@ class TestContactMap:
         f = _face(GOLDEN_VALID[0])
         with pytest.raises(PairingError):
             contact_map(f, f, ContactAlignment(0, 0, 0, 0, 0))
+
+
+class TestAlignmentValidation:
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            (-1, 0, 0, 0),
+            (0, -1, 0, 0),  # once paired like orientation 23
+            (-12, 0, 0, 0),  # once gave world_dir() 0
+            (12, 0, 0, 0),
+            (0, 0, 0, 24),
+            (0, 1.0, 0, 0),
+            (True, 0, 0, 0),
+            (0, 0, None, 0),
+        ],
+    )
+    def test_bad_index_rejected(self, fields):
+        with pytest.raises(ValidationError):
+            ContactAlignment(*fields)
+
+    @pytest.mark.parametrize("turn", [0.5, 1.0, True, "1", None])
+    def test_turn_must_be_int(self, turn):
+        with pytest.raises(ValidationError):
+            ContactAlignment(0, 0, 11, 0, turn)
+
+    def test_numpy_indices_normalized(self):
+        al = ContactAlignment(*(np.int64(v) for v in (0, 3, 11, 3, -1)))
+        assert al == ContactAlignment(0, 3, 11, 3, -1)
+        assert all(type(v) is int for v in vars(al).values())
 
 
 class TestAttraction:
@@ -455,3 +496,79 @@ class TestOneDirectionMatchesFullSweep:
         faces = [_face(GOLDEN_VALID[0])] * 12
         faces[4] = _face(GOLDEN_VALID[0], positions)
         _agree(CellLayout(tuple(faces)), eps)
+
+
+def _embedded_contact_map(a, b, align, eps=EPS_MATCH):
+    """Reference pairing in world space: both layouts embedded through their
+    3-D face frames and cell orientations, cell A at the origin and cell B
+    one lattice step across the shared face."""
+    if not align.is_coincident():
+        raise PairingError("faces are not geometrically coincident")
+
+    def local(layout, face, turn):
+        fr = face_frame(face)
+        uv = layout.positions()
+        if turn % layout.symmetry:
+            ang = 2.0 * math.pi * turn / layout.symmetry
+            c, s = math.cos(ang), math.sin(ang)
+            uv = uv @ np.array([[c, -s], [s, c]]).T
+        return fr.center + uv[:, 0:1] * fr.long_axis + uv[:, 1:2] * fr.short_axis
+
+    ra = np.array(ROTATIONS[align.orient_a], dtype=float)
+    rb = np.array(ROTATIONS[align.orient_b], dtype=float)
+    shift = 2.0 * np.array(FACE_DIRS[align.world_dir()], dtype=float)
+    pa = local(a, align.face_a, 0) @ ra.T
+    pb = local(b, align.face_b, align.turn) @ rb.T + shift
+    if len(a.magnets) != len(b.magnets):
+        raise PairingError("magnet counts differ")
+    return list(enumerate(docking._partners(pa, pb, eps)))
+
+
+def _oracle_face_pairs(k, count, seed):
+    """Seeded (A, B) face pairs: one or two k-fold orbits, mirror-closed or
+    not, B being A, A mirrored or A turned by 90 degrees, in shuffled
+    magnet order. Mixes pairings with PairingErrors under every s."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for _ in range(count):
+        base = rng.uniform(-0.4, 0.4, size=(int(rng.integers(1, 3)), 2))
+        if rng.integers(2):
+            base = np.vstack([base, base * (1.0, -1.0)])
+        orbit = np.vstack(
+            [
+                base @ np.array([[math.cos(a), -math.sin(a)], [math.sin(a), math.cos(a)]]).T
+                for a in 2.0 * math.pi * np.arange(k) / k
+            ]
+        )
+        pols = [(N, S)[int(x)] for x in rng.integers(0, 2, len(orbit))]
+        a = FaceLayout(tuple(MagnetSpec(tuple(p), q) for p, q in zip(orbit, pols)), k)
+        pb = (orbit, orbit * (1.0, -1.0), orbit[:, ::-1] * (-1.0, 1.0))[int(rng.integers(3))]
+        perm = rng.permutation(len(pb))
+        b = FaceLayout(tuple(MagnetSpec(tuple(pb[i]), pols[i]) for i in perm), k)
+        out.append((a, b))
+    return out
+
+
+def _outcome(fn, a, b, align):
+    try:
+        return fn(a, b, align)
+    except PairingError:
+        return "PairingError"
+
+
+class TestContactMapMatchesEmbedding:
+    @pytest.mark.parametrize("k,count,seed", [(2, 6, 11), (4, 3, 12)])
+    def test_seeded_layouts(self, k, count, seed):
+        outcomes = set()
+        for a, b in _oracle_face_pairs(k, count, seed):
+            for di in (0, 5, 10):
+                for ra in range(0, 24, 3):
+                    fa = DIR_PERM[ROT_INV[ra]][di]
+                    for rb in range(24):
+                        fb = DIR_PERM[ROT_INV[rb]][OPPOSITE_DIR[di]]
+                        for turn in range(k):
+                            al = ContactAlignment(fa, ra, fb, rb, turn)
+                            got = _outcome(contact_map, a, b, al)
+                            assert got == _outcome(_embedded_contact_map, a, b, al), al
+                            outcomes.add(got == "PairingError")
+        assert outcomes == {True, False}  # both pairings and errors compared

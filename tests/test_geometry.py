@@ -19,6 +19,7 @@ from rhombikit.geometry import (
     mesh_surface_area,
     mesh_volume,
     packing_density,
+    roll_transform,
     rotation_from_axis_angle,
     shared_face_edge,
     structure_mesh,
@@ -26,9 +27,11 @@ from rhombikit.geometry import (
     blocker_table,
     _swept_cells_uncached,
 )
+from rhombikit.kinematics import PivotMove, pivot_destinations, pivot_rotation
 from rhombikit.lattice import (
     FACE_DIRS,
     FACE_DIR_INDEX,
+    ROTATIONS,
     Configuration,
     apply_rotation,
     lattice_distance,
@@ -164,6 +167,14 @@ class TestFaceFrames:
         with pytest.raises(ValidationError):
             face_frame((1, 0, 0))
 
+    def test_index_forms(self):
+        assert face_frame(np.int64(3)) is face_frame(3) is face_frame(FACE_DIRS[3])
+
+    @pytest.mark.parametrize("d", [-1, 12, 1.5, 3.0, True, None, "3"])
+    def test_bad_index_rejected(self, d):
+        with pytest.raises(ValidationError):
+            face_frame(d)
+
 
 class TestScalars:
     def test_dihedral_angle(self):
@@ -218,6 +229,29 @@ class TestRotationFromAxisAngle:
     def test_bad_axis_rejected(self, axis):
         with pytest.raises(ValidationError, match="axis"):
             rotation_from_axis_angle(axis, 90.0)
+
+
+ROLLS = [(f, t) for f in FACE_DIRS for t in pivot_destinations(f)]
+
+
+class TestRollTransform:
+    @pytest.mark.parametrize("f,t", ROLLS)
+    def test_rest_pose_is_identity(self, f, t):
+        rot, trans = roll_transform(f, t, 0.0)
+        assert np.allclose(rot, np.eye(3), atol=1e-12)
+        assert np.allclose(trans, 0.0, atol=1e-12)
+
+    @pytest.mark.parametrize("f,t", ROLLS)
+    def test_full_roll_lands_on_destination(self, f, t):
+        rot, trans = roll_transform(f, t, 2.0 * math.pi / 3.0)
+        verts = np.array(CANONICAL_VERTICES, dtype=float)
+        moved = (verts + 2.0 * np.array(f)) @ rot.T + trans
+        want = {tuple(v + 2 * np.array(t)) for v in CANONICAL_VERTICES}
+        assert {tuple(np.rint(v).astype(int)) for v in moved} == want
+        assert np.allclose(moved, np.rint(moved), atol=1e-9)
+        # the float roll ends at the integer pivot rotation of the move
+        r = pivot_rotation(PivotMove(f, (0, 0, 0), f, t))
+        assert np.allclose(rot, ROTATIONS[r], atol=1e-12)
 
 
 class TestGroundContact:

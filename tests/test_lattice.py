@@ -84,6 +84,8 @@ class TestNeighbors:
             neighbors((1, 0, 0))
         with pytest.raises(ValidationError):
             neighbors((1.0, 1.0, 0.0))  # type: ignore[arg-type]
+        with pytest.raises(ValidationError):
+            neighbors((True, True, 0))  # bool subclasses int
 
     def test_is_valid_pos(self):
         from rhombikit.lattice import is_valid_pos
@@ -177,6 +179,21 @@ class TestRotationGroup:
             assert sorted(images) == list(range(12))
             for d in range(12):
                 assert apply_rotation(r, FACE_DIRS[d]) == FACE_DIRS[DIR_PERM[r][d]]
+
+    def test_rotate_dir_accepts_numpy_ints(self):
+        assert apply_rotation_dir(np.int64(5), np.int64(3)) == DIR_PERM[5][3]
+
+    @pytest.mark.parametrize("d", [-1, 12, 1.5, True, False, None, "1"])
+    def test_rotate_dir_bad_direction_rejected(self, d):
+        with pytest.raises(ValidationError, match="expected an integer|0..11"):
+            apply_rotation_dir(0, d)
+
+    @pytest.mark.parametrize("r", [-1, 24, 1.5, True, None])
+    def test_bad_rotation_index_rejected(self, r):
+        with pytest.raises(ValidationError):
+            apply_rotation_dir(r, 0)
+        with pytest.raises(ValidationError):
+            compose(r, 0)
 
     def test_inverse_table(self):
         for r in range(24):
