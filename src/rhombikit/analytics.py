@@ -86,10 +86,11 @@ def _wrap_angle(d: np.ndarray) -> np.ndarray:
     return w
 
 
+_MIN_STEP = 0.05  # cm: shorter velocity steps give no usable heading
+
+
 def rotation_direction(
-    tr: Trajectory,
-    theta_min: float = math.pi,
-    min_step: float = 0.05,
+    tr: Trajectory, theta_min: float = math.pi
 ) -> RotationDirection:
     """Net turning sense of the trial.
 
@@ -99,17 +100,16 @@ def rotation_direction(
     per-trial turn label depends on a threshold like this one, so it is
     exposed rather than baked in. Marker headings are used verbatim when
     present; otherwise headings come from velocity directions, skipping
-    steps shorter than min_step (cm) where the direction estimate would
-    be noise. Both thresholds must be finite and nonnegative.
+    steps shorter than 0.05 cm where the direction estimate would be
+    noise. theta_min must be finite and nonnegative.
     """
-    for name, value in (("theta_min", theta_min), ("min_step", min_step)):
-        if not (math.isfinite(value) and value >= 0.0):
-            raise ValidationError(f"{name} must be finite and >= 0, got {value!r}")
+    if not (math.isfinite(theta_min) and theta_min >= 0.0):
+        raise ValidationError(f"theta_min must be finite and >= 0, got {theta_min!r}")
     if tr.heading is not None:
         headings = tr.heading
     else:
         steps = np.diff(tr.xy, axis=0)
-        keep = np.linalg.norm(steps, axis=1) >= min_step
+        keep = np.linalg.norm(steps, axis=1) >= _MIN_STEP
         steps = steps[keep]
         if len(steps) < 2:
             return RotationDirection.INDETERMINATE
@@ -138,13 +138,11 @@ class TrialStats:
             )
 
 
-def trial_stats(
-    tr: Trajectory, theta_min: float = math.pi, min_step: float = 0.05
-) -> TrialStats:
+def trial_stats(tr: Trajectory, theta_min: float = math.pi) -> TrialStats:
     return TrialStats(
         distance=path_length(tr),
         net_displacement=net_displacement(tr),
-        rotation=rotation_direction(tr, theta_min, min_step),
+        rotation=rotation_direction(tr, theta_min),
         duration=tr.duration,
     )
 

@@ -99,11 +99,7 @@ def _cmd_dock_check(args) -> int:
             if args.positions
             else list(default_face_positions())
         )
-        valid = enumerate_valid_layouts(
-            positions,
-            k=args.symmetry,
-            share_one_pattern_across_faces=not args.single_face,
-        )
+        valid = enumerate_valid_layouts(positions, k=args.symmetry)
         payload = {
             "positions": [list(p) for p in positions],
             "symmetry": args.symmetry,
@@ -329,11 +325,6 @@ def build_parser() -> _Parser:
     p.add_argument("--enumerate", action="store_true", help="search assignments")
     p.add_argument("--positions", help="2D magnet positions JSON")
     p.add_argument("--symmetry", type=int, default=2, help="face symmetry order k")
-    p.add_argument(
-        "--single-face",
-        action="store_true",
-        help="check the single-face condition instead of the full cell",
-    )
 
     p = add("plan", _cmd_plan, "plan a reconfiguration")
     p.add_argument("--from", required=True, help="start structure JSON")

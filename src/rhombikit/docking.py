@@ -11,10 +11,13 @@ pair of cell orientations, and every face-to-face alignment the lattice
 can realize, so that any cell can grab any other cell in any legal pose.
 ``validate_genderless`` checks that exhaustively (24 x 24 orientations
 across one contact direction, which stands for all 12 by lattice
-symmetry); ``enumerate_valid_layouts`` searches polarity assignments for
-it. The same search generalizes to a single k-fold symmetric face of an
-arbitrary polyhedron for k >= 2; below two-fold symmetry no assignment
-can survive a flipped alignment and the scheme does not apply.
+symmetry). ``enumerate_valid_layouts`` searches the polarity
+assignments of one face pattern with a single in-plane check of a k-fold
+symmetric face, which covers any polyhedron with such faces for k >= 2;
+for the cell's two-fold faces it gives exactly validate_genderless's
+verdict on the pattern stamped onto all 12 faces. Below two-fold
+symmetry no assignment can survive a flipped alignment and the scheme
+does not apply. Pairing tolerance is the constant EPS_MATCH.
 """
 
 from __future__ import annotations
@@ -78,11 +81,6 @@ class MagnetSpec:
             raise ValidationError(f"bad polarity {self.polarity!r}")
 
 
-def _inside_rhombus(pos: tuple[float, float]) -> bool:
-    # face polygon in frame coordinates: |u|/sqrt(2) + |v| < 1
-    return abs(pos[0]) / _SQRT2 + abs(pos[1]) < 1.0 - 1e-12
-
-
 def _rot2(angle: float) -> np.ndarray:
     """2D rotation matrix by angle (radians)."""
     c, s = math.cos(angle), math.sin(angle)
@@ -99,20 +97,19 @@ def _check_symmetry(k) -> None:
         )
 
 
-def _partners(pa: np.ndarray, pb: np.ndarray, eps: float) -> list[int]:
+def _partners(pa: np.ndarray, pb: np.ndarray) -> list[int]:
     """Index into pb of the point coincident with each point of pa.
 
-    Raises PairingError when some point of pa has no partner within eps
-    or two points share one partner, and ValidationError unless eps is
-    finite and positive.
+    Raises PairingError when some point of pa has no partner within
+    EPS_MATCH or two points share one partner.
     """
-    if not 0 < eps < math.inf:
-        raise ValidationError(f"pairing tolerance must be finite and > 0, got {eps!r}")
     d2 = ((pa[:, None, :] - pb[None, :, :]) ** 2).sum(axis=2)
     partner = np.argmin(d2, axis=1).tolist()
     for i, j in enumerate(partner):
-        if d2[i, j] > eps * eps:
-            raise PairingError(f"magnet {i} of face A has no partner within {eps}")
+        if d2[i, j] > EPS_MATCH * EPS_MATCH:
+            raise PairingError(
+                f"magnet {i} of face A has no partner within {EPS_MATCH}"
+            )
     if len(set(partner)) != len(partner):
         raise PairingError("magnet pairing is not one-to-one")
     return partner
@@ -129,6 +126,22 @@ def _k_symmetric(points: np.ndarray, k: int, tol: float) -> bool:
             return False
         used[j] = True
     return True
+
+
+def _check_face(points: np.ndarray, k: int) -> None:
+    """The rules for the magnet positions of one k-fold face, shared by
+    FaceLayout and the layout search: k is an int >= 2, the positions are
+    pairwise separated by more than twice the pairing tolerance, and as a
+    multiset they are invariant under rotation by 2*pi/k."""
+    _check_symmetry(k)
+    for i in range(len(points)):
+        for j in range(i + 1, len(points)):
+            if np.linalg.norm(points[i] - points[j]) <= 2 * EPS_MATCH:
+                raise ValidationError(
+                    f"magnets {i} and {j} are closer than the pairing tolerance"
+                )
+    if not _k_symmetric(points, k, 1e-9):
+        raise ValidationError(f"magnet positions are not {k}-fold symmetric")
 
 
 @dataclass(frozen=True)
@@ -149,18 +162,7 @@ class FaceLayout:
         object.__setattr__(self, "magnets", mags)
         if not mags:
             raise ValidationError("face layout has no magnets")
-        _check_symmetry(self.symmetry)
-        pts = self.positions()
-        for i in range(len(mags)):
-            for j in range(i + 1, len(mags)):
-                if np.linalg.norm(pts[i] - pts[j]) <= 2 * EPS_MATCH:
-                    raise ValidationError(
-                        f"magnets {i} and {j} are closer than the pairing tolerance"
-                    )
-        if not _k_symmetric(pts, self.symmetry, 1e-9):
-            raise ValidationError(
-                f"magnet positions are not {self.symmetry}-fold symmetric"
-            )
+        _check_face(self.positions(), self.symmetry)
 
     def positions(self) -> np.ndarray:
         return np.array([m.pos for m in self.magnets], dtype=float)
@@ -233,19 +235,16 @@ def _mate(uv: np.ndarray, s: int, turn: int, k: int) -> np.ndarray:
 
 
 def contact_map(
-    a: FaceLayout,
-    b: FaceLayout,
-    align: ContactAlignment,
-    eps: float = EPS_MATCH,
+    a: FaceLayout, b: FaceLayout, align: ContactAlignment
 ) -> list[tuple[int, int]]:
     """Pair up magnets of two faces brought into contact.
 
     Maps B's magnets into A's face frame with _mate, s being the sign of
     the two long axes turned by their cells' orientations (exact: the
     rotations are signed permutations), and matches magnets whose
-    positions coincide within eps. Returns index pairs (i_a, i_b); raises
-    PairingError when any magnet lacks a partner or the faces cannot
-    coincide at all, and ValidationError unless eps is finite and positive.
+    positions coincide within EPS_MATCH. Returns index pairs (i_a, i_b);
+    raises PairingError when any magnet lacks a partner or the faces
+    cannot coincide at all.
     """
     if not align.is_coincident():
         raise PairingError(
@@ -259,25 +258,20 @@ def contact_map(
     lb = _mat_apply(ROTATIONS[align.orient_b], face_frame(align.face_b).long_axis)
     s = 1 if la[0] * lb[0] + la[1] * lb[1] + la[2] * lb[2] > 0 else -1
     pb = _mate(b.positions(), s, align.turn, b.symmetry)
-    return list(enumerate(_partners(a.positions(), pb, eps)))
+    return list(enumerate(_partners(a.positions(), pb)))
 
 
 def is_attractive_contact(
-    a: FaceLayout,
-    b: FaceLayout,
-    align: ContactAlignment,
-    eps: float = EPS_MATCH,
+    a: FaceLayout, b: FaceLayout, align: ContactAlignment
 ) -> bool:
     """True when every paired magnet couple is north-to-south."""
-    pairs = contact_map(a, b, align, eps)
+    pairs = contact_map(a, b, align)
     pol_a = a.polarities()
     pol_b = b.polarities()
     return all(pol_a[i] is not pol_b[j] for i, j in pairs)
 
 
-def validate_genderless(
-    layout: CellLayout, eps: float = EPS_MATCH
-) -> tuple[bool, ContactAlignment | None]:
+def validate_genderless(layout: CellLayout) -> tuple[bool, ContactAlignment | None]:
     """Exhaustively check attachment over every realizable alignment.
 
     Sweeps all 24 x 24 orientation pairs across contact direction
@@ -302,9 +296,7 @@ def validate_genderless(
             fb = DIR_PERM[ROT_INV[rb]][OPPOSITE_DIR[0]]
             align = ContactAlignment(fa, ra, fb, rb, 0)
             try:
-                if not is_attractive_contact(
-                    layout.faces[fa], layout.faces[fb], align, eps
-                ):
+                if not is_attractive_contact(layout.faces[fa], layout.faces[fb], align):
                     return False, align
             except PairingError:
                 return False, align
@@ -316,29 +308,22 @@ def validate_genderless(
 # --------------------------------------------------------------------------
 
 
-def default_face_positions(
-    a: float = 0.5, b: float = 0.35
-) -> tuple[tuple[float, float], ...]:
+def default_face_positions() -> tuple[tuple[float, float], ...]:
     """Four magnet positions, mirror-symmetric about both face diagonals.
 
-    a and b are fractions of the long and short half-diagonals (sqrt(2)
-    and 1 in canonical units). Four magnets per face in a doubly
-    mirror-symmetric arrangement is the hardware profile this models;
-    the exact radii are a manufacturing choice, so they stay parameters.
+    Four magnets per face in a doubly mirror-symmetric arrangement is the
+    hardware profile this models. They sit at half the long
+    half-diagonal (sqrt(2) in canonical units) and 0.35 of the short one
+    (1), inside the face; other radii go to enumerate_valid_layouts as
+    explicit positions.
     """
-    if not (0.0 < a < 1.0 and 0.0 < b < 1.0):
-        raise ValidationError("diagonal fractions must be in (0, 1)")
-    u = a * _SQRT2
-    v = b
-    pts = sorted({(-u, -v), (-u, v), (u, -v), (u, v)})
-    for p in pts:
-        if not _inside_rhombus(p):
-            raise ValidationError(f"magnet position {p} is outside the face")
-    return tuple(pts)
+    u = 0.5 * _SQRT2
+    v = 0.35
+    return tuple(sorted({(-u, -v), (-u, v), (u, -v), (u, v)}))
 
 
 def _single_face_genderless(
-    positions: np.ndarray, pols: Sequence[Polarity], k: int, eps: float
+    positions: np.ndarray, pols: Sequence[Polarity], k: int
 ) -> bool:
     """Generalized check for one k-fold symmetric face in isolation.
 
@@ -350,7 +335,7 @@ def _single_face_genderless(
     """
     for j in range(k):
         try:
-            partner = _partners(positions, _mate(positions, 1, j, k), eps)
+            partner = _partners(positions, _mate(positions, 1, j, k))
         except PairingError:
             return False  # positions cannot pair under this alignment
         if any(pols[i] is pols[j2] for i, j2 in enumerate(partner)):
@@ -359,45 +344,33 @@ def _single_face_genderless(
 
 
 def enumerate_valid_layouts(
-    face_positions: Sequence[tuple[float, float]],
-    k: int = 2,
-    share_one_pattern_across_faces: bool = True,
+    face_positions: Sequence[tuple[float, float]], k: int = 2
 ) -> tuple[tuple[Polarity, ...], ...]:
-    """All polarity assignments that make the magnet pattern genderless.
+    """All polarity assignments that make one face pattern genderless.
 
     Tries every one of the 2^m assignments over the given positions, in
-    binary order with N before S. With share_one_pattern_across_faces the
-    pattern is stamped onto all 12 faces of a cell and validated over the
-    whole lattice (requires k = 2, the rhombic face symmetry); otherwise
-    only the single-face condition for a k-fold symmetric face of an
-    arbitrary polyhedron is checked. For the four-magnet cell profile the
-    two modes provably agree; the test suite keeps them honest.
+    binary order with N before S, and keeps those that pass the in-plane
+    check of a k-fold symmetric face (_single_face_genderless), the
+    condition for any polyhedron with such faces. For the rhombic cell
+    (k = 2) this is exactly validate_genderless of the pattern stamped on
+    all 12 faces: with the same pattern on every face, contact_map of
+    each of the 576 alignments maps the partner by _mate(uv, s, 0, 2)
+    with s = +1 or -1, which are the in-plane check's clicks j = 0 and
+    j = 1, and both signs occur among the alignments. The positions
+    follow FaceLayout's rules (finite, separated, k-fold symmetric).
     """
-    _check_symmetry(k)
-    pts = np.array([(float(u), float(v)) for u, v in face_positions])
-    if pts.ndim != 2 or pts.shape[1] != 2 or len(pts) == 0:
+    # each position obeys MagnetSpec's rule (two finite real numbers)
+    pts = np.array(
+        [MagnetSpec(tuple(p), Polarity.N).pos for p in face_positions], dtype=float
+    )
+    if len(pts) == 0:
         raise ValidationError("face positions must be a nonempty list of 2D points")
-    if not _k_symmetric(pts, k, 1e-9):
-        raise ValidationError(f"positions are not invariant under {k}-fold rotation")
-    if share_one_pattern_across_faces and k != 2:
-        raise ValidationError(
-            "the rhombic cell faces are two-fold symmetric; use k=2 or the"
-            " single-face mode"
-        )
-
-    out = []
-    for bits in itertools.product((Polarity.N, Polarity.S), repeat=len(pts)):
-        if share_one_pattern_across_faces:
-            face = FaceLayout(
-                tuple(MagnetSpec(tuple(p), pol) for p, pol in zip(pts, bits)),
-                symmetry=k,
-            )
-            ok, _ = validate_genderless(CellLayout.uniform(face))
-        else:
-            ok = _single_face_genderless(pts, bits, k, EPS_MATCH)
-        if ok:
-            out.append(bits)
-    return tuple(out)
+    _check_face(pts, k)
+    return tuple(
+        bits
+        for bits in itertools.product((Polarity.N, Polarity.S), repeat=len(pts))
+        if _single_face_genderless(pts, bits, k)
+    )
 
 
 def default_cell_layout() -> CellLayout:

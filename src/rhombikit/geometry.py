@@ -17,9 +17,9 @@ from __future__ import annotations
 
 import itertools
 import math
-import threading
 from dataclasses import dataclass
 from enum import Enum
+from functools import cache
 
 import numpy as np
 
@@ -28,10 +28,10 @@ from .errors import ValidationError
 from .lattice import (
     DIR_PERM,
     FACE_DIRS,
-    FACE_DIR_INDEX,
     Configuration,
     Pos,
     _check_dir,
+    _dir_index,
     add,
     apply_rotation,
 )
@@ -96,10 +96,7 @@ def face_frame(d: Pos | int) -> FaceFrame:
     direction vector or as an index into FACE_DIRS."""
     if not isinstance(d, (tuple, list, np.ndarray)):
         return _FRAMES[_check_dir(d)]
-    key = tuple(d)
-    if key not in FACE_DIR_INDEX:
-        raise ValidationError(f"not a face direction: {d!r}")
-    return _FRAMES[FACE_DIR_INDEX[key]]
+    return _FRAMES[_dir_index(d)]
 
 
 def _face_vertex_cycle(d: Pos) -> tuple[int, ...]:
@@ -261,24 +258,23 @@ def check_world_rotation(world_rot) -> np.ndarray:
     return rot
 
 
-def classify_ground_contact(
-    c: Configuration, world_rot, eps_z: float = 1e-6
-) -> GroundContact:
+_EPS_Z = 1e-6  # height tolerance of the support set, canonical units
+
+
+def classify_ground_contact(c: Configuration, world_rot) -> GroundContact:
     """Rest the rotated structure on the ground and classify the contact.
 
     The structure is rotated rigidly by world_rot, the ground is the
     horizontal plane through the lowest vertex, and the support set is
-    every vertex within eps_z of it. Each touching cell is classified by
-    the affine dimension of its own support vertices: one vertex is point
-    contact, a segment is edge contact, a coplanar patch is face contact.
+    every vertex within 1e-6 canonical units (_EPS_Z, fixed) of it. Each
+    touching cell is classified by the affine dimension of its own
+    support vertices: one vertex is point contact, a segment is edge
+    contact, a coplanar patch is face contact.
     Because all cells are translates of the same solid, every touching
     cell lands in the same class, which is returned as the overall type.
-    eps_z must be finite and >= 0.
     """
     if len(c) == 0:
         raise ValidationError("configuration is empty")
-    if not 0 <= eps_z < math.inf:
-        raise ValidationError(f"eps_z must be finite and >= 0, got {eps_z!r}")
     rot = check_world_rotation(world_rot)
 
     base = np.array(CANONICAL_VERTICES, dtype=float)
@@ -286,7 +282,7 @@ def classify_ground_contact(
     world = (centers[:, None, :] + base[None, :, :]) @ rot.T
     z = world[:, :, 2]
     zmin = float(z.min())
-    mask = z <= zmin + eps_z
+    mask = z <= zmin + _EPS_Z
 
     per_cell: dict[Pos, ContactType] = {}
     support = []
@@ -352,9 +348,7 @@ def structure_mesh(c: Configuration) -> Mesh:
 
 def shared_face_edge(d1: Pos, d2: Pos) -> tuple[Pos, Pos]:
     """Endpoints of the edge shared by faces d1 and d2, sorted."""
-    i1, i2 = FACE_DIR_INDEX.get(tuple(d1)), FACE_DIR_INDEX.get(tuple(d2))
-    if i1 is None or i2 is None:
-        raise ValidationError(f"not face directions: {d1!r}, {d2!r}")
+    i1, i2 = _dir_index(d1), _dir_index(d2)
     common = set(FACE_VERTICES[i1]) & set(FACE_VERTICES[i2])
     if len(common) != 2:
         raise ValidationError(f"faces {d1} and {d2} do not share an edge")
@@ -407,14 +401,14 @@ _BASE_POLYS = np.array(
     [[CANONICAL_VERTICES[i] for i in loop] for loop in FACE_VERTICES], dtype=float
 )
 _POLY_LENS = np.full(12, 4, dtype=np.int64)
-
-_blocker_lock = threading.Lock()
-_blocker_table: dict[tuple[int, int], frozenset[Pos]] | None = None
+_VOL_EPS = 1e-9  # overlap volume that blocks, canonical units^3
 
 
 def _swept_cells_uncached(
-    from_dir: Pos, to_dir: Pos, step_deg: float, vol_eps: float
+    from_dir: Pos, to_dir: Pos, step_deg: float = 1.0
 ) -> frozenset[Pos]:
+    """Sweep one roll directly (blocker_table's builder; the tests also
+    run it at a finer step_deg to check convergence)."""
     fd = np.array(from_dir, dtype=float)
     n_steps = int(math.ceil(120.0 / step_deg))
     thetas = np.linspace(0.0, 2.0 * math.pi / 3.0, n_steps + 1)
@@ -473,62 +467,44 @@ def _swept_cells_uncached(
                 movers[k], _POLY_LENS, planes_a[k],
                 polys_b, _POLY_LENS, planes_b, 1e-9,
             )
-            if vol > vol_eps:
+            if vol > _VOL_EPS:
                 blockers.add(q)
                 break
     return frozenset(blockers)
 
 
-def swept_cells(
-    from_dir: Pos,
-    to_dir: Pos,
-    step_deg: float = 1.0,
-    vol_eps: float = 1e-9,
-) -> frozenset[Pos]:
+def swept_cells(from_dir: Pos, to_dir: Pos) -> frozenset[Pos]:
     """Lattice offsets (relative to the substrate) crossed by a roll.
 
     An offset is returned when the canonical cell there overlaps the
-    mover with volume above vol_eps at any sampled angle of the
-    120-degree roll from from_dir to to_dir. Grazing face or edge contact
-    carries no volume and so never blocks. The substrate itself and the
-    start/destination offsets are excluded. step_deg must lie in
-    [0.1, 1] (a 0.1-degree sweep costs about ten default ones) and
-    vol_eps must be finite and non-negative. The default parameters
-    read blocker_table(), which sweeps one roll and maps it to all 48 by
-    lattice symmetry; any other parameters sweep this roll directly.
+    mover with volume above 1e-9 canonical units^3 at any 1-degree step
+    of the 120-degree roll from from_dir to to_dir. Grazing face or edge
+    contact carries no volume and so never blocks. The substrate itself
+    and the start/destination offsets are excluded. Both directions must
+    be integer face-direction vectors sharing an edge; the answer is
+    read from blocker_table().
     """
-    f = tuple(from_dir)
-    t = tuple(to_dir)
-    if f not in FACE_DIR_INDEX or t not in FACE_DIR_INDEX:
-        raise ValidationError(f"not face directions: {from_dir!r}, {to_dir!r}")
+    fi, ti = _dir_index(from_dir), _dir_index(to_dir)
+    f, t = FACE_DIRS[fi], FACE_DIRS[ti]
     if sum(a * b for a, b in zip(f, t)) != 1:
         raise ValidationError(f"faces {f} and {t} are not edge-adjacent")
-    if not 0.1 <= step_deg <= 1.0:  # also rejects nan
-        raise ValidationError("step_deg must be in [0.1, 1]")
-    if not (math.isfinite(vol_eps) and vol_eps >= 0):
-        raise ValidationError("vol_eps must be finite and non-negative")
-    if step_deg == 1.0 and vol_eps == 1e-9:
-        return blocker_table()[(FACE_DIR_INDEX[f], FACE_DIR_INDEX[t])]
-    return _swept_cells_uncached(f, t, step_deg, vol_eps)
+    return blocker_table()[(fi, ti)]
 
 
+@cache
 def blocker_table() -> dict[tuple[int, int], frozenset[Pos]]:
-    """The full 48-entry blocker table, built once and then read-only.
+    """The full 48-entry blocker table, built on first call and cached.
 
     Keys are (from_index, to_index) pairs into FACE_DIRS. Only the roll
-    FACE_DIRS[0] -> FACE_DIRS[1] is swept (1-degree steps, vol_eps 1e-9);
-    each of the 24 lattice rotations maps it onto one roll and, reversed,
-    onto that roll's reverse, which fills all 48 keys.
+    FACE_DIRS[0] -> FACE_DIRS[1] is swept (1-degree steps); each of the
+    24 lattice rotations maps it onto one roll and, reversed, onto that
+    roll's reverse, which fills all 48 keys. Callers share the returned
+    dict and must not mutate it.
     """
-    global _blocker_table
-    if _blocker_table is None:
-        with _blocker_lock:
-            if _blocker_table is None:
-                base = _swept_cells_uncached(FACE_DIRS[0], FACE_DIRS[1], 1.0, 1e-9)
-                # each roll rotates this one or its reverse (same swept volume)
-                table = {}
-                for r, perm in enumerate(DIR_PERM):
-                    cells = frozenset(apply_rotation(r, q) for q in base)
-                    table[(perm[0], perm[1])] = table[(perm[1], perm[0])] = cells
-                _blocker_table = table
-    return _blocker_table
+    base = _swept_cells_uncached(FACE_DIRS[0], FACE_DIRS[1])
+    # each roll rotates this one or its reverse (same swept volume)
+    table = {}
+    for r, perm in enumerate(DIR_PERM):
+        cells = frozenset(apply_rotation(r, q) for q in base)
+        table[(perm[0], perm[1])] = table[(perm[1], perm[0])] = cells
+    return table

@@ -78,8 +78,10 @@ def _field(obj: dict, key: str, types, where: str, source, required=True, defaul
 
 
 def _check_version(obj: dict, source) -> None:
+    """format_version is optional; when present it must be the int 1
+    (not true, not 1.0)."""
     v = obj.get("format_version", FORMAT_VERSION)
-    if v != FORMAT_VERSION:
+    if type(v) is not int or v != FORMAT_VERSION:
         raise ParseError(f"unsupported format_version {v!r}", source)
 
 
@@ -325,6 +327,7 @@ def parse_positions(data: object, source: str | None = None) -> list[tuple[float
     """2D magnet positions for the layout search: {"positions": [[u, v], ...]}."""
     if not isinstance(data, dict):
         raise ParseError("positions document must be a JSON object", source)
+    _check_version(data, source)
     raw = _field(data, "positions", list, "", source)
     out = []
     for i, rp in enumerate(raw):
@@ -423,12 +426,13 @@ class DesignSpec:
 
 
 def parse_designs(data: object, source: str | None = None) -> list[DesignSpec]:
-    if isinstance(data, dict) and "designs" in data:
-        raw_list = _field(data, "designs", list, "", source)
-    elif isinstance(data, dict):
-        raw_list = [data]
-    else:
+    if not isinstance(data, dict):
         raise ParseError("design document must be a JSON object", source)
+    _check_version(data, source)
+    if "designs" in data:
+        raw_list = _field(data, "designs", list, "", source)
+    else:
+        raw_list = [data]
     out = []
     for i, rd in enumerate(raw_list):
         where = f"designs[{i}]"

@@ -33,6 +33,7 @@ from .lattice import (
     Cell,
     Configuration,
     Pos,
+    _dir_index,
     add,
     check_pos,
     compose,
@@ -63,10 +64,8 @@ class PivotMove:
     def __post_init__(self) -> None:
         object.__setattr__(self, "mover", check_pos(self.mover))
         object.__setattr__(self, "substrate", check_pos(self.substrate))
-        f = tuple(self.from_dir)
-        t = tuple(self.to_dir)
-        if f not in FACE_DIR_INDEX or t not in FACE_DIR_INDEX:
-            raise ValidationError(f"bad face directions {f!r}, {t!r}")
+        f = FACE_DIRS[_dir_index(self.from_dir)]
+        t = FACE_DIRS[_dir_index(self.to_dir)]
         object.__setattr__(self, "from_dir", f)
         object.__setattr__(self, "to_dir", t)
         if sum(a * b for a, b in zip(f, t)) != 1:
@@ -91,9 +90,7 @@ def pivot_destinations(d: Pos) -> list[Pos]:
     Exactly the face directions at 60 degrees to d (dot product 1), in
     FACE_DIRS order; these are the faces sharing an edge with face d.
     """
-    t = tuple(d)
-    if t not in FACE_DIR_INDEX:
-        raise ValidationError(f"not a face direction: {d!r}")
+    t = FACE_DIRS[_dir_index(d)]
     return [e for e in FACE_DIRS if sum(a * b for a, b in zip(t, e)) == 1]
 
 

@@ -169,6 +169,18 @@ def _check_dir(d: int) -> int:
     return d
 
 
+def _dir_index(d) -> int:
+    """FACE_DIRS index of a direction vector of ints (numpy ints too;
+    bools and floats are rejected like everywhere else)."""
+    try:
+        i = FACE_DIR_INDEX.get(tuple(_as_int(x) for x in d))
+    except (TypeError, ValidationError):
+        i = None
+    if i is None:
+        raise ValidationError(f"not a face direction: {d!r}")
+    return i
+
+
 # composition and inverse tables, plus the induced permutation of FACE_DIRS
 ROT_MUL: tuple[tuple[int, ...], ...] = tuple(
     tuple(ROTATION_INDEX[_mat_mul(a, b)] for b in ROTATIONS) for a in ROTATIONS

@@ -149,7 +149,7 @@ class TestRotationDirection:
         )
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, -1.0])
-    @pytest.mark.parametrize("name", ["theta_min", "min_step"])
+    @pytest.mark.parametrize("name", ["theta_min"])
     def test_bad_thresholds_rejected(self, name, bad):
         # two clockwise turns: theta_min=-inf used to label this CCW, and
         # nan labelled every trial indeterminate
@@ -161,7 +161,7 @@ class TestRotationDirection:
 
     def test_zero_thresholds_accepted(self):
         tr = _traj(_circle(ccw=False, turns=2.0))
-        assert rotation_direction(tr, theta_min=0.0, min_step=0.0) is RotationDirection.CW
+        assert rotation_direction(tr, theta_min=0.0) is RotationDirection.CW
 
 
 class TestTrialStats:

@@ -50,6 +50,26 @@ def _shifted_positions(delta):
     return [(u0 - delta, v0), p1, p2, (u3 + delta, v3)]
 
 
+def _mirror_position_sets(count, seed):
+    """Seeded doubly mirror-symmetric position sets of 2-8 magnets: one
+    or two orbits of (+-u, +-v), each generic (four magnets), on one
+    diagonal (two) or at the centre (one). A set has genderless
+    assignments exactly when every orbit is generic, as a magnet on a
+    mirror axis faces itself."""
+    rng = np.random.default_rng(seed)
+    out = []
+    while len(out) < count:
+        pts = set()
+        for _ in range(int(rng.choice((1, 2), p=(0.6, 0.4)))):
+            u, v = np.round(rng.uniform(0.05, 0.6, size=2), 3)
+            kind = int(rng.choice(4, p=(0.2, 0.35, 0.35, 0.1)))
+            u, v = ((u, v), (u, 0.0), (0.0, v), (0.0, 0.0))[kind]
+            pts |= {(a * u, b * v) for a in (1, -1) for b in (1, -1)}
+        if len(pts) >= 2:
+            out.append(sorted(pts))
+    return out
+
+
 def _mirror_alignment(d=(1, 1, 0)):
     """Identity-orientation contact across world direction d."""
     di = FACE_DIR_INDEX[d]
@@ -312,11 +332,48 @@ class TestEnumeration:
         flipped = {tuple(p.flipped() for p in v) for v in valid}
         assert flipped == valid
 
-    def test_single_face_mode_agrees_for_cell_faces(self):
-        positions = default_face_positions()
-        assert enumerate_valid_layouts(
-            positions, k=2, share_one_pattern_across_faces=False
-        ) == enumerate_valid_layouts(positions)
+    def test_matches_uniform_cell_validation(self):
+        # the in-plane check against the full 576-alignment sweep of the
+        # pattern stamped on all 12 faces
+        sets = _mirror_position_sets(300, seed=12)
+        nonempty = 0
+        for pts in sets:
+            want = tuple(
+                bits
+                for bits in itertools.product((N, S), repeat=len(pts))
+                if validate_genderless(CellLayout.uniform(_face(bits, pts)))[0]
+            )
+            assert enumerate_valid_layouts(pts) == want, pts
+            nonempty += bool(want)
+        assert nonempty >= 30
+
+    def test_both_long_axis_signs_occur(self):
+        # contact_map of a uniform layout uses _mate(uv, s, 0, 2); the
+        # in-plane check covers both s only if both occur
+        signs = set()
+        for ra in range(24):
+            fa = DIR_PERM[ROT_INV[ra]][0]
+            la = np.array(ROTATIONS[ra]) @ face_frame(fa).long_axis
+            for rb in range(24):
+                fb = DIR_PERM[ROT_INV[rb]][OPPOSITE_DIR[0]]
+                lb = np.array(ROTATIONS[rb]) @ face_frame(fb).long_axis
+                signs.add(round(float(la @ lb)))
+        assert signs == {1, -1}
+
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_near_coincident_positions_rejected(self, k):
+        pts = []
+        for j in range(k):
+            a = 2 * math.pi * j / k
+            for r in (0.3, 0.3 + 1e-7):
+                pts.append((r * math.cos(a), r * math.sin(a)))
+        with pytest.raises(ValidationError, match="closer"):
+            enumerate_valid_layouts(pts, k=k)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, True])
+    def test_bad_positions_rejected(self, bad):
+        with pytest.raises(ValidationError, match="finite numbers"):
+            enumerate_valid_layouts([(0.3, bad), (-0.3, -0.2)], k=2)
 
     def test_k1_unsupported(self):
         with pytest.raises(UnsupportedSymmetry):
@@ -333,7 +390,7 @@ class TestEnumeration:
             (math.cos(a), math.sin(a))
             for a in (math.pi / 2, math.pi / 2 + 2 * math.pi / 3, math.pi / 2 + 4 * math.pi / 3)
         ]
-        assert enumerate_valid_layouts(tri, k=3, share_one_pattern_across_faces=False) == ()
+        assert enumerate_valid_layouts(tri, k=3) == ()
 
     def test_triangular_face_six_magnets_nonempty(self):
         # two mirror-paired three-fold orbits admit genderless assignments,
@@ -344,7 +401,7 @@ class TestEnumeration:
             for s in (1, -1):
                 a = base + s * math.pi / 7
                 pts.append((math.cos(a), math.sin(a)))
-        valid = enumerate_valid_layouts(pts, k=3, share_one_pattern_across_faces=False)
+        valid = enumerate_valid_layouts(pts, k=3)
         assert len(valid) > 0
         flipped = {tuple(p.flipped() for p in v) for v in valid}
         assert flipped == set(valid)
@@ -358,57 +415,15 @@ class TestEnumeration:
             for s in (1, -1):
                 a = base + s * math.pi / 9
                 pts.append((0.5 * math.cos(a), 0.5 * math.sin(a)))
-        valid = enumerate_valid_layouts(pts, k=4, share_one_pattern_across_faces=False)
+        valid = enumerate_valid_layouts(pts, k=4)
         assert len(valid) > 0
     @pytest.mark.parametrize("k", [4.0, "4", True])
     def test_non_int_k_rejected(self, k):
         with pytest.raises(ValidationError, match="must be an int"):
-            enumerate_valid_layouts(
-                [(0.5, 0.2), (-0.5, -0.2)], k=k, share_one_pattern_across_faces=False
-            )
-
-    def test_validates_through_module_global_once_per_assignment(self, monkeypatch):
-        # the benchmark tracer counts calls by patching this module global
-        calls = []
-        real = docking.validate_genderless
-
-        def counting(layout, *args, **kwargs):
-            calls.append(layout)
-            return real(layout, *args, **kwargs)
-
-        monkeypatch.setattr(docking, "validate_genderless", counting)
-        assert enumerate_valid_layouts(default_face_positions()) == GOLDEN_VALID
-        assert len(calls) == 16
+            enumerate_valid_layouts([(0.5, 0.2), (-0.5, -0.2)], k=k)
 
 
-# -0.3 once paired as if it were 0.3
-BAD_EPS = [float("nan"), float("inf"), 0.0, -1e-6, -0.3]
-
-
-class TestPairingTolerance:
-    @pytest.mark.parametrize("eps", BAD_EPS)
-    def test_contact_map_rejects(self, eps):
-        f = _face(GOLDEN_VALID[0])
-        with pytest.raises(ValidationError, match="tolerance"):
-            contact_map(f, f, _mirror_alignment(), eps=eps)
-
-    @pytest.mark.parametrize("eps", BAD_EPS)
-    def test_is_attractive_contact_rejects(self, eps):
-        f = _face(GOLDEN_VALID[0])
-        with pytest.raises(ValidationError, match="tolerance"):
-            is_attractive_contact(f, f, _mirror_alignment(), eps=eps)
-
-    @pytest.mark.parametrize("eps", BAD_EPS)
-    def test_validate_genderless_rejects(self, eps):
-        # magnets 0.2 off their mirror partners: not genderless at the
-        # default tolerance, and a nan tolerance must not turn that around
-        layout = CellLayout.uniform(_face(GOLDEN_VALID[0], _shifted_positions(0.2)))
-        assert validate_genderless(layout)[0] is False
-        with pytest.raises(ValidationError, match="tolerance"):
-            validate_genderless(layout, eps=eps)
-
-
-def _full_sweep_oracle(layout, eps=EPS_MATCH):
+def _full_sweep_oracle(layout):
     """Reference check: every one of the 12 contact directions x 24 x 24
     orientation pairs, in that order, with its own pairing and polarity
     test. validate_genderless must agree on the verdict and on the first
@@ -434,7 +449,7 @@ def _full_sweep_oracle(layout, eps=EPS_MATCH):
                 partner = np.argmin(d2, axis=1)
                 align = ContactAlignment(fa, ra, fb, rb, 0)
                 if (
-                    d2[np.arange(len(partner)), partner].max() > eps * eps
+                    d2[np.arange(len(partner)), partner].max() > EPS_MATCH**2
                     or len(set(partner.tolist())) != len(partner)
                     or any(pols[fa][i] is pols[fb][j] for i, j in enumerate(partner))
                 ):
@@ -454,9 +469,9 @@ def _mixed_layouts(count, seed):
     return out
 
 
-def _agree(layout, eps=EPS_MATCH):
-    want = _full_sweep_oracle(layout, eps)
-    assert validate_genderless(layout, eps) == want
+def _agree(layout):
+    want = _full_sweep_oracle(layout)
+    assert validate_genderless(layout) == want
     return want
 
 
@@ -483,22 +498,23 @@ class TestOneDirectionMatchesFullSweep:
         assert len({cex for ok, cex in results if not ok}) >= 5
 
     @pytest.mark.parametrize("delta", [1e-7, 4e-7, 1e-5, 0.2])
-    @pytest.mark.parametrize("eps", [EPS_MATCH, 0.3])
+    @pytest.mark.parametrize("eps", [EPS_MATCH])
     def test_perturbed_positions(self, delta, eps):
-        # shifts below eps still pair; above it they break the golden pattern
+        # shifts below the pairing tolerance still pair; above it they
+        # break the golden pattern
         positions = _shifted_positions(delta)
         for bits in (GOLDEN_VALID[0], GOLDEN_VALID[1], (N, N, S, S)):
             layout = CellLayout.uniform(_face(bits, positions))
-            ok, _ = _agree(layout, eps)
+            ok, _ = _agree(layout)
             assert ok == (bits in GOLDEN_VALID and delta < eps)
-            _agree(_relabeled(layout, 7), eps)
+            _agree(_relabeled(layout, 7))
         # one perturbed face among unperturbed ones
         faces = [_face(GOLDEN_VALID[0])] * 12
         faces[4] = _face(GOLDEN_VALID[0], positions)
-        _agree(CellLayout(tuple(faces)), eps)
+        _agree(CellLayout(tuple(faces)))
 
 
-def _embedded_contact_map(a, b, align, eps=EPS_MATCH):
+def _embedded_contact_map(a, b, align):
     """Reference pairing in world space: both layouts embedded through their
     3-D face frames and cell orientations, cell A at the origin and cell B
     one lattice step across the shared face."""
@@ -521,7 +537,7 @@ def _embedded_contact_map(a, b, align, eps=EPS_MATCH):
     pb = local(b, align.face_b, align.turn) @ rb.T + shift
     if len(a.magnets) != len(b.magnets):
         raise PairingError("magnet counts differ")
-    return list(enumerate(docking._partners(pa, pb, eps)))
+    return list(enumerate(docking._partners(pa, pb)))
 
 
 def _oracle_face_pairs(k, count, seed):

@@ -335,17 +335,6 @@ class TestGroundContact:
         with pytest.raises(ValidationError):
             classify_ground_contact(Configuration([]), np.eye(3))
 
-    @pytest.mark.parametrize("eps_z", [float("nan"), -1.0, float("inf")])
-    def test_bad_eps_z_rejected(self, eps_z):
-        c = Configuration.from_positions([(0, 0, 0), (1, 1, 0), (2, 2, 0)])
-        with pytest.raises(ValidationError, match="eps_z"):
-            classify_ground_contact(c, _align_to_minus_z((0, 0, 2)), eps_z=eps_z)
-
-    def test_zero_eps_z_accepted(self):
-        c = Configuration.from_positions([(0, 0, 0), (1, 1, 0)])
-        res = classify_ground_contact(c, np.eye(3), eps_z=0.0)
-        assert res.contact_type is classify_ground_contact(c, np.eye(3)).contact_type
-
 
 class TestStructureMesh:
     def test_single_cell(self):
@@ -444,20 +433,40 @@ class TestSweptCells:
         # reversal, the second through a non-identity rotation
         for f, t in [((1, 1, 0), (1, 0, 1)), ((1, 0, 1), (1, 1, 0))]:
             key = (FACE_DIR_INDEX[f], FACE_DIR_INDEX[t])
-            assert blocker_table_ready[key] == _swept_cells_uncached(f, t, 1.0, 1e-9)
+            assert blocker_table_ready[key] == _swept_cells_uncached(f, t)
 
     def test_convergence_half_step(self):
         # halving the angular step must not change the result
         for f, t in [((1, 1, 0), (1, 0, 1)), ((0, -1, 1), (-1, 0, 1))]:
-            assert swept_cells(f, t, step_deg=0.5) == swept_cells(f, t)
+            assert _swept_cells_uncached(f, t, 0.5) == swept_cells(f, t)
 
-    def test_step_validation(self):
+
+# (1, 1, 0) spelled with bools or floats, or not as a triple of ints
+BAD_DIRS = [(True, True, False), (1.0, 1.0, 0.0), (1.0, 1, 0), (1, 1), "110"]
+
+
+class TestDirectionVectors:
+    @pytest.mark.parametrize("bad", BAD_DIRS)
+    def test_face_frame_rejects(self, bad):
         with pytest.raises(ValidationError):
-            swept_cells((1, 1, 0), (1, 0, 1), step_deg=2.0)
-        # too fine a step would ask for billions of angles; only the
-        # validation runs here
-        for bad in ({"step_deg": math.nan}, {"step_deg": 1e-7},
-                    {"step_deg": 0.05}, {"vol_eps": math.nan},
-                    {"vol_eps": math.inf}, {"vol_eps": -1.0}):
-            with pytest.raises(ValidationError):
-                swept_cells((1, 1, 0), (1, 0, 1), **bad)
+            face_frame(bad)
+
+    @pytest.mark.parametrize("bad", BAD_DIRS)
+    def test_shared_face_edge_rejects(self, bad):
+        with pytest.raises(ValidationError, match="face direction"):
+            shared_face_edge(bad, (1, 0, 1))
+        with pytest.raises(ValidationError, match="face direction"):
+            shared_face_edge((1, 0, 1), bad)
+
+    @pytest.mark.parametrize("bad", BAD_DIRS)
+    def test_swept_cells_rejects(self, bad):
+        with pytest.raises(ValidationError, match="face direction"):
+            swept_cells(bad, (1, 0, 1))
+        with pytest.raises(ValidationError, match="face direction"):
+            swept_cells((1, 0, 1), bad)
+
+    def test_numpy_ints_accepted(self, blocker_table_ready):
+        f, t = np.array((1, 1, 0)), (np.int64(1), np.int64(0), np.int64(1))
+        assert face_frame(f) is face_frame((1, 1, 0))
+        assert shared_face_edge(f, t) == shared_face_edge((1, 1, 0), (1, 0, 1))
+        assert swept_cells(f, t) == swept_cells((1, 1, 0), (1, 0, 1))

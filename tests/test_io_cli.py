@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 import os
@@ -11,7 +12,7 @@ import pytest
 
 import rhombikit
 from rhombikit import io as rio
-from rhombikit.cli import cli_main
+from rhombikit.cli import build_parser, cli_main
 from rhombikit.docking import (
     CellLayout,
     FaceLayout,
@@ -207,6 +208,34 @@ class TestDesignFiles:
         data = {"designs": [dict(self.DESIGN), dict(self.DESIGN, **{key: value})]}
         with pytest.raises(ParseError, match=re.escape(f"designs[1]: field {key!r}")):
             rio.parse_designs(data)
+
+
+def _version_docs():
+    design = dict(TestDesignFiles.DESIGN)
+    structure = {"cells": [{"pos": [0, 0, 0], "kind": "passive"}]}
+    return {
+        "structure": (rio.parse_structure, structure),
+        "plan": (rio.parse_plan, {"start": structure, "moves": []}),
+        "layout": (rio.parse_layout, rio.layout_to_dict(default_cell_layout())),
+        "positions": (rio.parse_positions, {"positions": [[0.5, 0.2], [-0.5, -0.2]]}),
+        "designs": (rio.parse_designs, {"designs": [design]}),
+        "design": (rio.parse_designs, design),
+    }
+
+
+class TestFormatVersion:
+    @pytest.mark.parametrize("kind", sorted(_version_docs()))
+    @pytest.mark.parametrize("version", [True, 1.0, 2, 0, "1", None])
+    def test_only_int_one_accepted(self, kind, version):
+        parse, doc = _version_docs()[kind]
+        with pytest.raises(ParseError, match="format_version"):
+            parse(dict(doc, format_version=version))
+
+    @pytest.mark.parametrize("kind", sorted(_version_docs()))
+    def test_one_or_missing_accepted(self, kind):
+        parse, doc = _version_docs()[kind]
+        doc = {k: v for k, v in doc.items() if k != "format_version"}
+        assert parse(dict(doc, format_version=1)) == parse(doc)
 
 
 class TestTrajectoryFiles:
@@ -504,7 +533,8 @@ class TestCli:
             "from rhombikit import cli, geometry\n"
             "codes = [cli.cli_main(a) for a in json.loads(sys.argv[1])]\n"
             "loaded = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
-            "print(json.dumps([codes, loaded, geometry._blocker_table is not None]))\n"
+            "built = geometry.blocker_table.cache_info().currsize == 1\n"
+            "print(json.dumps([codes, loaded, built]))\n"
         )
         package_root = str(Path(rhombikit.__file__).resolve().parents[1])
         pythonpath = os.pathsep.join(
@@ -612,11 +642,54 @@ class TestCli:
         pos_path.write_text(json.dumps({"positions": pts}), encoding="utf-8")
         code = cli_main(
             ["dock-check", "--enumerate", "--positions", str(pos_path),
-             "--symmetry", "3", "--single-face", "--json"]
+             "--symmetry", "3", "--json"]
         )
         assert code == 0
         payload = json.loads(capsys.readouterr().out)
         assert len(payload["valid_assignments"]) > 0
+
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_dock_check_near_coincident_positions_exit_1(self, files, capsys, k):
+        pts = []
+        for j in range(k):
+            a = 2 * math.pi * j / k
+            for r in (0.3, 0.3 + 1e-7):
+                pts.append([r * math.cos(a), r * math.sin(a)])
+        pos_path = files["tmp"] / "close_pos.json"
+        pos_path.write_text(json.dumps({"positions": pts}), encoding="utf-8")
+        code = cli_main(
+            ["dock-check", "--enumerate", "--positions", str(pos_path),
+             "--symmetry", str(k)]
+        )
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "closer than the pairing tolerance" in captured.err
+
+    def test_readme_cli_block_matches_parser(self):
+        # every flag of every subcommand, as the README CLI block names it
+        text = (Path(__file__).resolve().parents[1] / "README.md").read_text(
+            encoding="utf-8"
+        )
+        block = text.split("\n## CLI\n", 1)[1].split("```bash\n", 1)[1]
+        block = block.split("```", 1)[0].replace("\\\n", " ")
+        documented: dict[str, set[str]] = {}
+        for line in block.splitlines():
+            words = line.split()
+            if words[:1] == ["rhombikit"]:
+                documented.setdefault(words[1], set()).update(
+                    re.findall(r"--[a-z][a-z-]*", line)
+                )
+        sub = next(
+            a for a in build_parser()._actions
+            if isinstance(a, argparse._SubParsersAction)
+        )
+        parsed = {
+            name: {o for a in p._actions for o in a.option_strings}
+            - {"-h", "--help", "--json"}
+            for name, p in sub.choices.items()
+        }
+        assert documented == parsed
 
     @pytest.mark.parametrize("theta", ["nan", "-inf", "-1"])
     def test_analyze_bad_theta_min_exit_1(self, files, capsys, theta):

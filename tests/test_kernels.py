@@ -215,5 +215,5 @@ class TestBlockerTable:
         # kernel's place; the table itself was built by the kernel
         table = blocker_table()
         monkeypatch.setattr(_kernels, "intersection_volume", _hull_volume)
-        swept = _swept_cells_uncached(FACE_DIRS[0], FACE_DIRS[1], 1.0, 1e-9)
+        swept = _swept_cells_uncached(FACE_DIRS[0], FACE_DIRS[1])
         assert swept == table[(0, 1)]

@@ -105,6 +105,14 @@ class TestPivotDestinations:
         with pytest.raises(ValidationError):
             pivot_destinations((2, 0, 0))
 
+    @pytest.mark.parametrize("bad", [(True, True, False), (1.0, 1.0, 0.0), (1.0, 1, 0)])
+    def test_bool_and_float_dirs_rejected(self, bad):
+        with pytest.raises(ValidationError, match="face direction"):
+            pivot_destinations(bad)
+
+    def test_numpy_int_dir_accepted(self):
+        assert pivot_destinations(np.array((1, 1, 0))) == pivot_destinations((1, 1, 0))
+
 
 class TestPivotRotation:
     def test_all_48_order_three_trace_zero(self):
@@ -174,6 +182,19 @@ class TestPivotMoveValidation:
     def test_destination(self):
         m = PivotMove((1, 1, 0), (0, 0, 0), (1, 1, 0), (1, 0, 1))
         assert m.destination == (1, 0, 1)
+
+    @pytest.mark.parametrize("bad", [(True, True, False), (1.0, 1.0, 0.0), (1.0, 1, 0)])
+    def test_bool_and_float_dirs_rejected(self, bad):
+        with pytest.raises(ValidationError, match="face direction"):
+            PivotMove((1, 1, 0), (0, 0, 0), bad, (1, 0, 1))
+        with pytest.raises(ValidationError, match="face direction"):
+            PivotMove((1, 1, 0), (0, 0, 0), (1, 1, 0), bad)
+
+    def test_numpy_int_dirs_stored_as_face_dirs(self):
+        m = PivotMove((1, 1, 0), (0, 0, 0), np.array((1, 1, 0)), [1, 0, 1])
+        assert m == PivotMove((1, 1, 0), (0, 0, 0), (1, 1, 0), (1, 0, 1))
+        assert m.from_dir is FACE_DIRS[FACE_DIR_INDEX[(1, 1, 0)]]
+        assert all(type(x) is int for x in m.from_dir + m.to_dir)
 
 
 class TestCheckMove:
