@@ -155,6 +155,8 @@ def _cmd_plan(args) -> int:
         "reason": result.reason,
         "states_expanded": result.stats.states_expanded,
         "frontier_peak": result.stats.frontier_peak,
+        "generated": result.stats.generated,
+        "memo_size": result.stats.memo_size,
     }
     lines = [f"status: {result.status.value}"]
     if result.reason:

@@ -322,25 +322,24 @@ def default_face_positions() -> tuple[tuple[float, float], ...]:
     return tuple(sorted({(-u, -v), (-u, v), (u, -v), (u, v)}))
 
 
-def _single_face_genderless(
-    positions: np.ndarray, pols: Sequence[Polarity], k: int
-) -> bool:
-    """Generalized check for one k-fold symmetric face in isolation.
+def _partner_maps(positions: np.ndarray, k: int) -> list[list[int]] | None:
+    """The partner index of each magnet under each in-plane alignment of
+    two copies of one k-fold symmetric face, or None when some alignment
+    leaves a magnet without a partner.
 
     When two copies of the face meet, one is flipped over, so the map
     from partner coordinates into our frame is any of the k in-plane
     clicks followed by the mirror across the first symmetry axis, _mate
-    with s = 1 (the same k maps as mirroring first). All k alignments
-    must pair every magnet with an unlike pole.
+    with s = 1 (the same k maps as mirroring first). The maps depend on
+    the positions only, not on the polarities.
     """
+    maps = []
     for j in range(k):
         try:
-            partner = _partners(positions, _mate(positions, 1, j, k))
+            maps.append(_partners(positions, _mate(positions, 1, j, k)))
         except PairingError:
-            return False  # positions cannot pair under this alignment
-        if any(pols[i] is pols[j2] for i, j2 in enumerate(partner)):
-            return False
-    return True
+            return None  # positions cannot pair under this alignment
+    return maps
 
 
 def enumerate_valid_layouts(
@@ -350,14 +349,16 @@ def enumerate_valid_layouts(
 
     Tries every one of the 2^m assignments over the given positions, in
     binary order with N before S, and keeps those that pass the in-plane
-    check of a k-fold symmetric face (_single_face_genderless), the
-    condition for any polyhedron with such faces. For the rhombic cell
-    (k = 2) this is exactly validate_genderless of the pattern stamped on
-    all 12 faces: with the same pattern on every face, contact_map of
-    each of the 576 alignments maps the partner by _mate(uv, s, 0, 2)
-    with s = +1 or -1, which are the in-plane check's clicks j = 0 and
-    j = 1, and both signs occur among the alignments. The positions
-    follow FaceLayout's rules (finite, separated, k-fold symmetric).
+    check of a k-fold symmetric face, the condition for any polyhedron
+    with such faces: under every one of the k alignments (_partner_maps,
+    computed once per call) each magnet meets an unlike pole. For the
+    rhombic cell (k = 2) this is exactly validate_genderless of the
+    pattern stamped on all 12 faces: with the same pattern on every
+    face, contact_map of each of the 576 alignments maps the partner by
+    _mate(uv, s, 0, 2) with s = +1 or -1, which are the in-plane check's
+    clicks j = 0 and j = 1, and both signs occur among the alignments.
+    The positions follow FaceLayout's rules (finite, separated, k-fold
+    symmetric).
     """
     # each position obeys MagnetSpec's rule (two finite real numbers)
     pts = np.array(
@@ -366,10 +367,14 @@ def enumerate_valid_layouts(
     if len(pts) == 0:
         raise ValidationError("face positions must be a nonempty list of 2D points")
     _check_face(pts, k)
+    maps = _partner_maps(pts, k)
+    if maps is None:
+        return ()
+    pairs = [(i, j) for partner in maps for i, j in enumerate(partner)]
     return tuple(
         bits
         for bits in itertools.product((Polarity.N, Polarity.S), repeat=len(pts))
-        if _single_face_genderless(pts, bits, k)
+        if all(bits[i] is not bits[j] for i, j in pairs)
     )
 
 

@@ -8,12 +8,16 @@ the substrate faces it leaves and lands on; legality additionally demands
 that the destination is free, the structure stays connected without the
 mover (lattice.removable_cells, the one articulation pass both check_move
 and the move generator use), and nothing occupies the volume the mover
-sweeps through. The one generator, _legal_rolls, takes sorted occupied
-positions and returns plain (mover, substrate, from_dir, to_dir) tuples:
-legal_moves validates them into PivotMoves, the planner uses them as is.
-It tests a candidate's destination and swept volume together, as one
-set test of the occupied positions relative to the substrate against the
-roll's shadow (destination plus blocker offsets).
+sweeps through. The one generator, _legal_rolls, takes the sorted
+occupied positions packed as ints (lattice.pack) and returns plain
+(mover, substrate, from_index, to_index) tuples, the positions packed and
+the faces as FACE_DIRS indices: legal_moves and check_move pack a
+configuration relative to its own smallest position (lattice.pack_frame)
+and unpack the result, so they take and return ordinary coordinates of
+any size; the planner uses the tuples as they are. The generator tests a
+candidate's destination and swept volume together, as one set test of
+the occupied positions relative to the substrate against the roll's
+shadow (destination plus blocker offsets, a frozenset of packed ints).
 """
 
 from __future__ import annotations
@@ -29,6 +33,7 @@ from .lattice import (
     FACE_DIRS,
     FACE_DIR_INDEX,
     OPPOSITE_DIR,
+    PACKED_DIRS,
     ROTATIONS,
     Cell,
     Configuration,
@@ -37,8 +42,11 @@ from .lattice import (
     add,
     check_pos,
     compose,
+    pack,
+    pack_frame,
     removable_cells,
     sub,
+    unpack,
 )
 
 
@@ -150,26 +158,37 @@ def check_move(
         return MoveLegality.MOVER_ABSENT
     if move.substrate not in c:
         return MoveLegality.SUBSTRATE_ABSENT
-    dest = move.destination
-    if dest in c:
+    if move.destination in c:
         return MoveLegality.DESTINATION_OCCUPIED
-    if move.mover not in removable_cells(set(c.positions)):
+    origin, packed = _frame(c)
+    occupied = set(packed)
+    mover = pack(sub(move.mover, origin))
+    if mover not in removable_cells(occupied):
         return MoveLegality.DISCONNECTS_STRUCTURE
+    s = pack(sub(move.substrate, origin))
     fi = FACE_DIR_INDEX[move.from_dir]
     ti = FACE_DIR_INDEX[move.to_dir]
     for offset in blocker_table()[(fi, ti)]:
-        if add(move.substrate, offset) in c:
+        if s + pack(offset) in occupied:
             return MoveLegality.SWEPT_VOLUME_BLOCKED
-    if strict_stability and not _supported(c, dest, move.substrate, move.mover):
+    if strict_stability and not _supported(occupied, s + PACKED_DIRS[ti], s, mover):
         return MoveLegality.UNSTABLE
     return MoveLegality.LEGAL
 
 
-def _supported(occupied, dest: Pos, substrate: Pos, mover: Pos) -> bool:
+def _frame(c: Configuration) -> tuple[Pos, tuple[int, ...]]:
+    """c's smallest position and its positions packed relative to it,
+    sorted (pack keeps the order). The margin covers the two steps a
+    roll's shadow reaches beyond the cells."""
+    origin = c.cells[0].pos
+    return origin, pack_frame(c.positions, origin, margin=2)
+
+
+def _supported(occupied, dest: int, substrate: int, mover: int) -> bool:
     """Does dest touch an occupied cell other than the substrate and the mover?"""
     return any(
-        (n := add(dest, d)) in occupied and n != substrate and n != mover
-        for d in FACE_DIRS
+        (n := dest + d) in occupied and n != substrate and n != mover
+        for d in PACKED_DIRS
     )
 
 
@@ -199,29 +218,38 @@ def legal_moves(
 
     Equivalent to filtering every candidate through check_move.
     """
-    return [PivotMove(*r) for r in _legal_rolls(c.positions, strict_stability)]
+    if len(c) == 0:
+        return []
+    origin, packed = _frame(c)
+    return [
+        PivotMove(
+            add(unpack(mover), origin), add(unpack(s), origin), FACE_DIRS[fi], FACE_DIRS[ti]
+        )
+        for mover, s, fi, ti in _legal_rolls(packed, strict_stability)
+    ]
 
 
-Roll = tuple[Pos, Pos, Pos, Pos]  # (mover, substrate, from_dir, to_dir)
+Roll = tuple[int, int, int, int]  # (mover, substrate, from index, to index)
 
 
 @cache
-def _roll_table() -> list[tuple[Pos, list[tuple[Pos, frozenset[Pos]]]]]:
-    """[(from_dir, [(to_dir, shadow), ...]), ...] in FACE_DIRS order.
+def _roll_table() -> list[tuple[int, int, list[tuple[int, frozenset[int]]]]]:
+    """[(from index, from step, [(to index, shadow), ...]), ...] in
+    FACE_DIRS order, the steps and shadows packed.
 
     A roll's shadow is its destination offset plus its blocker offsets,
     all relative to the substrate: the roll is free exactly when no
     occupied cell lies in it.
     """
-    rolls = [(f, []) for f in FACE_DIRS]
+    rolls = [(fi, PACKED_DIRS[fi], []) for fi in range(len(FACE_DIRS))]
     for (fi, ti), blockers in sorted(blocker_table().items()):
-        t = FACE_DIRS[ti]
-        rolls[fi][1].append((t, frozenset((t, *blockers))))
+        shadow = frozenset((PACKED_DIRS[ti], *map(pack, blockers)))
+        rolls[fi][2].append((ti, shadow))
     return rolls
 
 
-def _legal_rolls(positions: tuple[Pos, ...], strict: bool) -> list[Roll]:
-    """The legal moves of sorted occupied positions, in legal_moves' order.
+def _legal_rolls(positions: tuple[int, ...], strict: bool) -> list[Roll]:
+    """The legal moves of sorted packed positions, in legal_moves' order.
 
     The connectivity analysis (removable_cells, the expensive part) runs
     once per call. Per substrate, the occupied positions are taken
@@ -230,23 +258,22 @@ def _legal_rolls(positions: tuple[Pos, ...], strict: bool) -> list[Roll]:
     """
     occupied = set(positions)
     removable = removable_cells(occupied)
-    around: dict[Pos, set[Pos]] = {}  # substrate -> occupied offsets from it
+    around: dict[int, set[int]] = {}  # substrate -> occupied offsets from it
     out = []
     for mover in positions:
         if mover not in removable:
             continue
-        for f, rolls in _roll_table():
-            s = sub(mover, f)
+        for fi, f, rolls in _roll_table():
+            s = mover - f
             if s not in occupied:
                 continue
             rel = around.get(s)
             if rel is None:
-                sx, sy, sz = s
-                rel = around[s] = {(x - sx, y - sy, z - sz) for x, y, z in positions}
-            for t, shadow in rolls:
+                rel = around[s] = {p - s for p in positions}
+            for ti, shadow in rolls:
                 if not rel.isdisjoint(shadow):
                     continue
-                if strict and not _supported(occupied, add(s, t), s, mover):
+                if strict and not _supported(occupied, s + PACKED_DIRS[ti], s, mover):
                     continue
-                out.append((mover, s, f, t))
+                out.append((mover, s, fi, ti))
     return out

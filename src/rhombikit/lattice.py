@@ -9,6 +9,15 @@ here too: is_connected for a configuration, and removable_cells for the
 positions that can leave a set of occupied ones without splitting the
 rest (the legality test a roll needs; no Configuration is required).
 
+The move generator and the planner hold a position as one int,
+``pack((x, y, z)) = x * 2**(2*PACK_BITS) + y * 2**PACK_BITS + z``. The
+encoding is exact while y and z lie in ``[-PACK_LIMIT, PACK_LIMIT)``
+(x is unbounded), and there it keeps the lexicographic order of the
+triples and is linear: a neighbor step, a roll's shadow offset or a
+translation is one int addition (``PACKED_DIRS`` are the packed face
+directions). Callers pack positions relative to an origin of their own
+choosing with pack_frame, which checks that range.
+
 Enumeration conventions (fixed, relied on by file formats and tests):
 
 * ``FACE_DIRS`` lists the 12 neighbor directions in ascending
@@ -85,6 +94,51 @@ def add(p: Pos, d: Pos) -> Pos:
 
 def sub(p: Pos, q: Pos) -> Pos:
     return (p[0] - q[0], p[1] - q[1], p[2] - q[2])
+
+
+# --------------------------------------------------------------------------
+# packed positions
+# --------------------------------------------------------------------------
+
+PACK_BITS = 32
+PACK_LIMIT = 1 << (PACK_BITS - 1)  # y and z lie in [-PACK_LIMIT, PACK_LIMIT)
+_MASK = (1 << PACK_BITS) - 1
+
+
+def pack(p: Pos) -> int:
+    """One int for a position whose y and z lie in the exact range."""
+    return (p[0] << 2 * PACK_BITS) + (p[1] << PACK_BITS) + p[2]
+
+
+def unpack(v: int) -> Pos:
+    """The position pack encoded as v: z and y are read back as the
+    balanced residues of the low fields, and x is what is left."""
+    z = ((v + PACK_LIMIT) & _MASK) - PACK_LIMIT
+    v = (v - z) >> PACK_BITS
+    y = ((v + PACK_LIMIT) & _MASK) - PACK_LIMIT
+    return ((v - y) >> PACK_BITS, y, z)
+
+
+def pack_frame(
+    positions: Sequence[Pos], origin: Pos, margin: int = 0
+) -> tuple[int, ...]:
+    """pack(p - origin) for each position, in order.
+
+    Raises ValidationError unless every y and z offset from the origin
+    stays in the exact range even after moving margin more steps away.
+    """
+    oy, oz = origin[1], origin[2]
+    spread = max((max(abs(p[1] - oy), abs(p[2] - oz)) for p in positions), default=0)
+    if spread + margin >= PACK_LIMIT:
+        raise ValidationError(
+            f"positions span {spread} lattice steps in y or z from {origin}; "
+            f"with {margin} more steps that leaves the exact range of "
+            f"{PACK_LIMIT} (see lattice.PACK_BITS)"
+        )
+    return tuple(pack(sub(p, origin)) for p in positions)
+
+
+PACKED_DIRS: tuple[int, ...] = tuple(pack(d) for d in FACE_DIRS)
 
 
 def neighbors(p: Sequence[int]) -> list[Pos]:
@@ -324,15 +378,15 @@ def canonicalize(c: Configuration) -> Configuration:
     return c.translate((-m[0], -m[1], -m[2]))
 
 
-def _one_piece(occupied) -> bool:
-    """Do the positions of a nonempty set (or dict) form one face-connected piece?"""
+def _one_piece(occupied: AbstractSet[int]) -> bool:
+    """Do the packed positions of a nonempty set form one face-connected piece?"""
     start = next(iter(occupied))
     seen = {start}
     stack = [start]
     while stack:
         p = stack.pop()
-        for d in FACE_DIRS:
-            n = add(p, d)
+        for d in PACKED_DIRS:
+            n = p + d
             if n in occupied and n not in seen:
                 seen.add(n)
                 stack.append(n)
@@ -342,28 +396,35 @@ def _one_piece(occupied) -> bool:
 def is_connected(c: Configuration) -> bool:
     """True when the face-adjacency graph of the cells has one component."""
     _require_nonempty(c)
-    return _one_piece(c._by_pos)
+    try:
+        packed = pack_frame(c.positions, c.cells[0].pos)
+    except ValidationError:
+        # n connected cells span at most n - 1 steps on every axis, far
+        # inside the exact range
+        return False
+    return _one_piece(set(packed))
 
 
-def removable_cells(positions: AbstractSet[Pos]) -> set[Pos]:
-    """The occupied positions whose removal leaves the rest in one piece.
+def removable_cells(positions: AbstractSet[int]) -> set[int]:
+    """The packed positions whose removal leaves the rest in one piece.
 
     A single cell is removable. For a connected set these are the
     non-articulation cells, found in one iterative lowlink pass; in a
     disconnected one, only an isolated cell can be, and only when the
-    cells without it are connected.
+    cells without it are connected. Neighbors are found by adding the
+    PACKED_DIRS, so the set must come from one pack_frame frame.
     """
     if len(positions) <= 1:
         return set(positions)
     adj = {
-        p: [q for d in FACE_DIRS if (q := add(p, d)) in positions]
+        p: [q for d in PACKED_DIRS if (q := p + d) in positions]
         for p in positions
     }
     root = next(iter(positions))
-    disc: dict[Pos, int] = {root: 0}
-    low: dict[Pos, int] = {root: 0}
+    disc: dict[int, int] = {root: 0}
+    low: dict[int, int] = {root: 0}
     counter = 1
-    artic: set[Pos] = set()
+    artic: set[int] = set()
     root_children = 0
     stack = [(root, None, iter(adj[root]))]
     while stack:

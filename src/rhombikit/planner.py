@@ -10,13 +10,27 @@ states in (depth, discovery) order just as a FIFO queue would. Both
 return minimal plans; A* expands fewer states. Because every bound used
 is consistent (one move changes it by at most 1), the first expansion of
 a state is at its optimal depth, so a single parent table holding each
-state's best depth also serves as the closed set. States are sorted
-position tuples (with kinds when kind-sensitive), the input of the move
-generator kinematics._legal_rolls, whose raw move tuples are memoized per
-Planner so that repeated queries over one state space (parameter sweeps,
-test batteries) stay cheap; a successor is its parent's sorted tuple with
-the mover removed and the destination inserted in order, and PivotMoves
-are built only for the returned plan.
+state's best depth also serves as the closed set.
+
+A state is a sorted tuple of ints, one per cell: the cell's position
+packed by lattice.pack (x * 2**64 + y * 2**32 + z), which keeps the
+(x, y, z) order, so tie-breaks and plans are those of position tuples.
+In kind-sensitive mode each element is 2 * packed + kind bit (active 0,
+passive 1), which sorts the same way. The search runs in the start's
+frame: positions are taken relative to the start's smallest one, and
+with translation matching every state is shifted to its own smallest
+position (_canonical, one int subtraction per cell); _emit adds the
+shifts and the start's position back. A packed position is exact while
+its y and z lie within lattice.PACK_LIMIT (2**31) of the frame's origin;
+as no cell drifts more than one step per expansion, plan() checks once
+that every y and z of the start and the goal stays inside that range
+with max_states steps to spare, and raises ValidationError otherwise.
+The move generator kinematics._legal_rolls takes the packed positions,
+and its raw move tuples are memoized per Planner so that repeated
+queries over one state space (parameter sweeps, test batteries) stay
+cheap; a successor is its parent's tuple with the mover's element
+removed and the destination's (same kind bit) inserted in order, and
+PivotMoves are built only for the returned plan.
 
 The exact-position heuristic is an optimal assignment between cell
 positions under the lattice step metric (each move relocates one cell by
@@ -27,12 +41,14 @@ distance, so the heuristic instead uses a translation-minimized per-axis
 relaxation, which is admissible and consistent on the quotient; see the
 test suite for the counterexample that rules out the aligned-assignment
 variant. That relaxation compares axis profiles (the sorted coordinates
-per axis). The goal's profile is computed once per plan() call and
-carries one memo per axis, which maps a state's sorted coordinates on
-that axis to its bound against the goal's; since one move changes at most
-one coordinate per axis, most evaluations find all three axes there. The
-memos live in the goal profile, so they last one plan() call and are
-never shared between goals.
+per axis). Both bounds take position tuples: each Planner decodes a
+state element once, on first sight, into a table it keeps (_Positions),
+and looks the elements up from then on. The goal's profile is computed
+once per plan() call and carries one memo per axis, which maps a state's
+sorted coordinates on that axis to its bound against the goal's; since
+one move changes at most one coordinate per axis, most evaluations find
+all three axes there. The memos live in the goal profile, so they last
+one plan() call and are never shared between goals.
 """
 
 from __future__ import annotations
@@ -48,11 +64,15 @@ from .errors import IllegalMove, ValidationError
 from .kinematics import PivotMove, Roll, _legal_rolls, apply_move
 from .kinematics import legal_moves  # noqa: F401 - perfbench's tracer patches it here
 from .lattice import (
+    FACE_DIRS,
+    PACKED_DIRS,
+    CellKind,
     Configuration,
     Pos,
     add,
     is_connected,
-    sub,
+    pack_frame,
+    unpack,
 )
 
 
@@ -89,9 +109,15 @@ class PlannerOptions:
 
 @dataclass(frozen=True)
 class SearchStats:
+    """Counters of one plan() call. generated counts the successors
+    pushed onto the frontier (the start not included); memo_size is the
+    number of states whose successors the Planner holds at return."""
+
     states_expanded: int
     frontier_peak: int
     wall_time: float
+    generated: int = 0
+    memo_size: int = 0
 
 
 @dataclass(frozen=True)
@@ -274,37 +300,51 @@ def _bound(a: tuple[Pos, ...], goal_profile: tuple, translate: bool) -> int:
 # search
 # --------------------------------------------------------------------------
 
-_State = tuple  # sorted tuple of positions, or of (position, kind value)
+# a sorted tuple of packed positions; when kind-sensitive, each element is
+# 2 * packed + kind bit (active 0, passive 1), which sorts the same way
+_State = tuple
 
 
-def _state(c: Configuration, kind_sensitive: bool) -> _State:
-    if kind_sensitive:
-        return tuple((cell.pos, cell.kind.value) for cell in c.cells)
-    return c.positions  # cells are kept sorted by position
+def _state(c: Configuration, origin: Pos, kind_bits: int, margin: int = 0) -> _State:
+    """c as a state in the frame of origin (see lattice.pack_frame)."""
+    packed = pack_frame(c.positions, origin, margin)
+    if kind_bits:
+        return tuple(
+            (p << 1) + (cell.kind is CellKind.PASSIVE)
+            for p, cell in zip(packed, c.cells)
+        )
+    return packed
 
 
-def _positions(state: _State, kind_sensitive: bool) -> tuple[Pos, ...]:
-    if kind_sensitive:
-        return tuple(p for p, _ in state)
-    return state
-
-
-def _canonical(
-    state: _State, kind_sensitive: bool, translate: bool
-) -> tuple[_State, Pos]:
+def _canonical(state: _State, kind_bits: int, translate: bool) -> tuple[_State, int]:
     """The goal key of a state: with translate, shifted so its smallest
-    position is the origin. Returns the key and the shift subtracted.
+    position is the origin. Returns the key and the packed shift
+    subtracted.
 
-    Subtracting the minimum keeps a sorted state sorted.
+    Subtracting the minimum keeps a sorted state sorted and leaves each
+    kind bit where it is.
     """
     if not translate:
-        return state, (0, 0, 0)
-    m = state[0][0] if kind_sensitive else state[0]
-    if m == (0, 0, 0):
-        return state, m
-    if kind_sensitive:
-        return tuple((sub(p, m), k) for p, k in state), m
-    return tuple(sub(p, m) for p in state), m
+        return state, 0
+    m = state[0] >> kind_bits
+    if m == 0:
+        return state, 0
+    d = m << kind_bits
+    return tuple(e - d for e in state), m
+
+
+class _Positions(dict):
+    """State element -> position, decoded on first sight: the bounds take
+    Pos tuples, and looking an element up is cheaper than unpacking it."""
+
+    __slots__ = ("kind_bits",)
+
+    def __init__(self, kind_bits: int):
+        self.kind_bits = kind_bits
+
+    def __missing__(self, e: int) -> Pos:
+        p = self[e] = unpack(e >> self.kind_bits)
+        return p
 
 
 class Planner:
@@ -313,35 +353,35 @@ class Planner:
     The memo's states are canonical under the instance's options, so
     strict_stability, kind sensitivity and the translation quotient are
     all fixed by the options it is built with; queries that differ in any
-    of them need separate instances.
+    of them need separate instances. The memo and the position table hold
+    frame-relative values only, so they serve every query of the instance.
     """
 
     def __init__(self, opts: PlannerOptions | None = None):
         self.opts = opts or PlannerOptions()
-        self._succ: dict[_State, list[tuple[Roll, _State, Pos]]] = {}
+        self._kind_bits = int(self.opts.kind_sensitive)
+        self._succ: dict[_State, list[tuple[Roll, _State, int]]] = {}
+        self._pos = _Positions(self._kind_bits)
 
     # -- successor generation ----------------------------------------------
 
-    def _successors(self, state: _State) -> list[tuple[Roll, _State, Pos]]:
+    def _successors(self, state: _State) -> list[tuple[Roll, _State, int]]:
         """Successors of a canonical state: (roll tuple in this frame,
-        successor canonical state, canonicalization shift)."""
+        successor canonical state, packed canonicalization shift)."""
         cached = self._succ.get(state)
         if cached is not None:
             return cached
-        ks = self.opts.kind_sensitive
+        k = self._kind_bits
+        positions = tuple(e >> k for e in state) if k else state
         out = []
-        for move in _legal_rolls(_positions(state, ks), self.opts.strict_stability):
-            mover, dest = move[0], add(move[1], move[3])
+        for roll in _legal_rolls(positions, self.opts.strict_stability):
+            mover, substrate, _, ti = roll
             nxt = list(state)
-            if ks:  # (mover,) sorts just before (mover, kind)
-                _, kind = nxt.pop(bisect_left(state, (mover,)))
-                insort(nxt, (dest, kind))
-            else:
-                nxt.remove(mover)
-                insort(nxt, dest)
-            nxt = tuple(nxt)
-            canon, shift = _canonical(nxt, ks, self.opts.match_up_to_translation)
-            out.append((move, canon, shift))
+            # mover << k sorts at or just before the mover's element
+            bit = nxt.pop(bisect_left(state, mover << k)) - (mover << k)
+            insort(nxt, ((substrate + PACKED_DIRS[ti]) << k) + bit)
+            canon, shift = _canonical(tuple(nxt), k, self.opts.match_up_to_translation)
+            out.append((roll, canon, shift))
         self._succ[state] = out
         return out
 
@@ -365,17 +405,24 @@ class Planner:
                 stats=SearchStats(0, 0, time.perf_counter() - t0),
             )
 
-        start_state, start_shift = _canonical(_state(start, ks), ks, translate)
-        goal_state, _ = _canonical(_state(goal, ks), ks, translate)
-        goal_profile = _goal_profile(_positions(goal_state, ks), translate)
+        # the search runs in the start's frame (its smallest position is
+        # the origin), and with translate every state is canonical; no
+        # cell drifts further than one step per expansion from where it
+        # started, so budget steps of margin keep every state exact
+        budget = self.opts.max_states
+        k = self._kind_bits
+        origin = start.cells[0].pos
+        start_state = _state(start, origin, k, budget)
+        goal_state = _state(goal, goal.cells[0].pos if translate else origin, k, budget)
+        pos = self._pos.__getitem__
+        goal_profile = _goal_profile(tuple(map(pos, goal_state)), translate)
 
         if self.opts.algorithm is Algorithm.ASTAR:
             def h(s: _State) -> int:
-                return _bound(_positions(s, ks), goal_profile, translate)
+                return _bound(tuple(map(pos, s)), goal_profile, translate)
         else:
             def h(s: _State) -> int:
                 return 0
-        budget = self.opts.max_states
 
         # state -> (depth, parent state, move in parent frame, shift); the
         # depth is the best found so far and is optimal once the state is
@@ -406,30 +453,28 @@ class Planner:
                 heapq.heappush(heap, (g + h(nxt), -g, counter, nxt))
             peak = max(peak, len(heap))
 
+        def stats() -> SearchStats:
+            return SearchStats(
+                expanded, peak, time.perf_counter() - t0, counter, len(self._succ)
+            )
+
         # a search that runs dry ends without a break: its last state is
         # not the goal and the budget is not spent
         if state == goal_state:
-            return self._emit(
-                start, start_state, start_shift, goal, state,
-                parents, expanded, peak, t0,
-            )
-        stats = SearchStats(expanded, peak, time.perf_counter() - t0)
+            return self._emit(start, goal, state, parents, stats)
         if expanded >= budget:
             return PlanResult(
                 PlanStatus.BUDGET_EXHAUSTED,
                 reason=f"expanded {expanded} states",
-                stats=stats,
+                stats=stats(),
             )
         return PlanResult(
-            PlanStatus.NO_PATH, reason="state space exhausted", stats=stats
+            PlanStatus.NO_PATH, reason="state space exhausted", stats=stats()
         )
 
-    def _emit(
-        self, start, start_state, start_shift, goal, goal_state,
-        parents, expanded, peak, t0,
-    ) -> PlanResult:
+    def _emit(self, start, goal, goal_state, parents, stats) -> PlanResult:
         # walk back to the start, collecting moves in canonical frames
-        chain: list[tuple[Roll, Pos]] = []
+        chain: list[tuple[Roll, int]] = []
         state = goal_state
         while True:
             _, parent, move, shift = parents[state]
@@ -439,22 +484,31 @@ class Planner:
             state = parent
         chain.reverse()
 
-        # re-express each move in the original, evolving frame: the offset
-        # maps the canonical frame back onto the caller's coordinates
-        offset = start_shift
+        # re-express each move in the caller's coordinates: the packed
+        # offset maps each canonical frame back onto the start's frame,
+        # and the start's smallest position maps that frame back
+        origin = start.cells[0].pos
+        offset = 0
         moves = []
-        for (mover, substrate, f, t), shift in chain:
-            moves.append(PivotMove(add(mover, offset), add(substrate, offset), f, t))
-            offset = add(offset, shift)
-        stats = SearchStats(expanded, peak, time.perf_counter() - t0)
+        for (mover, substrate, fi, ti), shift in chain:
+            moves.append(
+                PivotMove(
+                    add(unpack(mover + offset), origin),
+                    add(unpack(substrate + offset), origin),
+                    FACE_DIRS[fi],
+                    FACE_DIRS[ti],
+                )
+            )
+            offset += shift
+        final = stats()
         plan = Plan(
             tuple(moves),
-            stats,
+            final,
             goal=goal,
             match_up_to_translation=self.opts.match_up_to_translation,
             kind_sensitive=self.opts.kind_sensitive,
         )
-        return PlanResult(PlanStatus.SUCCESS, plan=plan, stats=stats)
+        return PlanResult(PlanStatus.SUCCESS, plan=plan, stats=final)
 
 
 def plan(
@@ -478,11 +532,13 @@ def goal_matches(
         raise ValidationError("configurations must be nonempty")
     if len(c) != len(goal):
         return False
-    ks, translate = kind_sensitive, match_up_to_translation
-    return (
-        _canonical(_state(c, ks), ks, translate)[0]
-        == _canonical(_state(goal, ks), ks, translate)[0]
-    )
+    oc, og = c.cells[0].pos, goal.cells[0].pos
+    if not match_up_to_translation and oc != og:
+        return False
+    # each packed relative to its own smallest position is already in
+    # the canonical form _canonical gives the search's states
+    k = int(kind_sensitive)
+    return _state(c, oc, k) == _state(goal, og, k)
 
 
 def replay(

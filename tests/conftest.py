@@ -128,7 +128,7 @@ def enumerate_box_shapes(n: int, radius: int = 2):
     return sorted(shapes)
 
 
-def oracle_successors(state):
+def oracle_successors(state, strict=False):
     """Canonical successor states via kinematics, bypassing the planner."""
     from rhombikit.kinematics import MoveLegality, PivotMove, check_move
 
@@ -146,7 +146,7 @@ def oracle_successors(state):
                 if add(s, t) in occupied:
                     continue
                 move = PivotMove(mover, s, f, t)
-                if check_move(cfg, move) is MoveLegality.LEGAL:
+                if check_move(cfg, move, strict) is MoveLegality.LEGAL:
                     nxt = canon_positions(
                         [add(s, t) if p == mover else p for p in state]
                     )

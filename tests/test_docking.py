@@ -70,6 +70,53 @@ def _mirror_position_sets(count, seed):
     return out
 
 
+def _symmetric_position_sets(count, seed):
+    """Seeded (k, positions) pairs of 2-10 magnets, k in 2..5: orbits of
+    k points under rotation by 2*pi/k, some with their mirror orbit
+    across the first symmetry axis (so that flipped copies can pair) and
+    some without (so that they cannot), plus the centre now and then."""
+    rng = np.random.default_rng(seed)
+    out = []
+    while len(out) < count:
+        k = int(rng.integers(2, 6))
+        pts = [(0.0, 0.0)] if rng.random() < 0.15 else []
+        for _ in range(int(rng.integers(1, 10 // k + 1))):
+            r, a = rng.uniform(0.1, 0.6), rng.uniform(0.05, math.pi / k - 0.05)
+            mirrored = rng.random() < 0.7
+            for j in range(k):
+                for s in (1, -1) if mirrored else (1,):
+                    t = s * a + 2 * math.pi * j / k
+                    pts.append((r * math.cos(t), r * math.sin(t)))
+        if not 2 <= len(pts) <= 10:
+            continue
+        try:
+            docking._check_face(np.array(pts), k)
+        except ValidationError:
+            continue  # two orbits came too close
+        out.append((k, pts))
+    return out
+
+
+def _per_assignment_reference(pts, k):
+    """The in-plane check per assignment, each computing the k partner
+    maps afresh."""
+    pts = np.array(pts, dtype=float)
+
+    def genderless(pols):
+        for j in range(k):
+            try:
+                partner = docking._partners(pts, docking._mate(pts, 1, j, k))
+            except PairingError:
+                return False
+            if any(pols[i] is pols[p] for i, p in enumerate(partner)):
+                return False
+        return True
+
+    return tuple(
+        bits for bits in itertools.product((N, S), repeat=len(pts)) if genderless(bits)
+    )
+
+
 def _mirror_alignment(d=(1, 1, 0)):
     """Identity-orientation contact across world direction d."""
     di = FACE_DIR_INDEX[d]
@@ -417,6 +464,17 @@ class TestEnumeration:
                 pts.append((0.5 * math.cos(a), 0.5 * math.sin(a)))
         valid = enumerate_valid_layouts(pts, k=4)
         assert len(valid) > 0
+    def test_matches_per_assignment_path(self):
+        # the partner maps are computed once per call; the reference
+        # recomputes them for every assignment, as the check once did
+        nonempty = unpairable = 0
+        for k, pts in _symmetric_position_sets(60, seed=21):
+            want = _per_assignment_reference(pts, k)
+            assert enumerate_valid_layouts(pts, k=k) == want, (k, pts)
+            nonempty += bool(want)
+            unpairable += docking._partner_maps(np.array(pts), k) is None
+        assert nonempty >= 10 and unpairable >= 10, (nonempty, unpairable)
+
     @pytest.mark.parametrize("k", [4.0, "4", True])
     def test_non_int_k_rejected(self, k):
         with pytest.raises(ValidationError, match="must be an int"):

@@ -413,6 +413,15 @@ class TestCli:
         payload = json.loads(capsys.readouterr().out)
         assert payload["reason"] == "kind_mismatch"
         assert payload["states_expanded"] == 0
+        assert (payload["generated"], payload["memo_size"]) == (0, 0)
+
+    def test_plan_json_reports_search_counters(self, files, capsys):
+        code = cli_main(["plan", "--from", files["line"], "--to", files["tri"], "--json"])
+        assert code == 0
+        payload = json.loads(capsys.readouterr().out)
+        # a fresh Planner expands every state but the goal through its memo
+        assert payload["memo_size"] == payload["states_expanded"] - 1
+        assert payload["generated"] >= payload["frontier_peak"] > 0
 
     def test_plan_budget_exit_3(self, files):
         assert (

@@ -376,3 +376,54 @@ class TestLegalMoves:
 
             agrees()
             _assert_filters_exercised(generated)
+
+
+def _shifted(m: PivotMove, off) -> PivotMove:
+    return PivotMove(add(m.mover, off), add(m.substrate, off), m.from_dir, m.to_dir)
+
+
+class TestFarFromTheOrigin:
+    # legal_moves and check_move pack a configuration relative to its own
+    # smallest position, so coordinates of any size give the results of
+    # the same shape at the origin, shifted
+    OFF = (10**12, -(10**12), 0)
+
+    @pytest.mark.parametrize("strict", [False, True])
+    def test_legal_moves_shift_with_the_configuration(self, strict):
+        rng = np.random.default_rng(5)
+        for _ in range(30):
+            c = Configuration.from_positions(
+                random_connected_positions(rng, int(rng.integers(2, 8)))
+            )
+            far = c.translate(self.OFF)
+            assert legal_moves(far, strict) == [
+                _shifted(m, self.OFF) for m in legal_moves(c, strict)
+            ]
+
+    @pytest.mark.parametrize("strict", [False, True])
+    def test_check_move_shifts_with_the_configuration(self, strict):
+        rng = np.random.default_rng(6)
+        verdicts = Counter()
+        for _ in range(30):
+            c = Configuration.from_positions(
+                random_connected_positions(rng, int(rng.integers(2, 8)))
+            )
+            far = c.translate(self.OFF)
+            for cell in c.cells:
+                for f, t in _all_pairs():
+                    m = PivotMove(cell.pos, sub(cell.pos, f), f, t)
+                    v = check_move(c, m, strict)
+                    verdicts[v] += 1
+                    assert check_move(far, _shifted(m, self.OFF), strict) is v
+        assert len(verdicts) >= 5, verdicts
+
+    def test_span_beyond_the_exact_range_rejected(self):
+        # two cells further apart in y than a packed field holds
+        from rhombikit.lattice import PACK_LIMIT
+
+        c = Configuration.from_positions([(0, 0, 0), (1, 1, 0), (0, 2 * PACK_LIMIT, 0)])
+        with pytest.raises(ValidationError, match="exact range"):
+            legal_moves(c)
+        m = PivotMove((1, 1, 0), (0, 0, 0), (1, 1, 0), (1, 0, 1))
+        with pytest.raises(ValidationError, match="exact range"):
+            check_move(c, m)

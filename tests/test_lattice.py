@@ -12,6 +12,8 @@ from rhombikit.lattice import (
     FACE_DIR_INDEX,
     IDENTITY,
     OPPOSITE_DIR,
+    PACK_LIMIT,
+    PACKED_DIRS,
     ROTATIONS,
     ROT_INV,
     ROT_MUL,
@@ -27,8 +29,12 @@ from rhombikit.lattice import (
     is_connected,
     lattice_distance,
     neighbors,
+    pack,
+    pack_frame,
     removable_cells,
     rotation_matrix,
+    sub,
+    unpack,
 )
 
 from conftest import (
@@ -300,6 +306,8 @@ class TestRemovableCells:
     @settings(derandomize=True, deadline=None, max_examples=400)
     @given(_pieces)
     def test_matches_is_connected_without_each_cell(self, positions):
+        # removable_cells works on packed positions; the walk's steps
+        # take y and z negative too, so every field sign is exercised
         c = Configuration.from_positions(positions)
         expected = {
             p
@@ -307,4 +315,69 @@ class TestRemovableCells:
             if len(c) == 1
             or is_connected(Configuration(x for x in c.cells if x.pos != p))
         }
-        assert removable_cells(set(c.positions)) == expected
+        by_packed = {pack(p): p for p in c.positions}
+        got = {by_packed[q] for q in removable_cells(set(by_packed))}
+        assert got == expected
+
+
+# a position whose y and z lie in the exact range, x anywhere
+_packable = st.tuples(
+    st.integers(-(2**80), 2**80),
+    st.integers(-PACK_LIMIT, PACK_LIMIT - 1),
+    st.integers(-PACK_LIMIT, PACK_LIMIT - 1),
+)
+# y and z in half the range, so that two of them add up inside it
+_half = st.tuples(
+    st.integers(-(2**80), 2**80),
+    st.integers(-PACK_LIMIT // 2, PACK_LIMIT // 2 - 1),
+    st.integers(-PACK_LIMIT // 2, PACK_LIMIT // 2 - 1),
+)
+
+
+class TestPacking:
+    @settings(derandomize=True, deadline=None, max_examples=500)
+    @given(_packable)
+    def test_round_trip(self, p):
+        assert unpack(pack(p)) == p
+
+    @settings(derandomize=True, deadline=None, max_examples=500)
+    @given(_packable, _packable)
+    def test_keeps_lexicographic_order(self, a, b):
+        assert (pack(a) < pack(b)) == (a < b)
+        assert (pack(a) == pack(b)) == (a == b)
+
+    @settings(derandomize=True, deadline=None, max_examples=500)
+    @given(_half, _half)
+    def test_linear(self, a, d):
+        assert pack(a) + pack(d) == pack(add(a, d))
+        assert pack(a) - pack(d) == pack(sub(a, d))
+        assert unpack(pack(a) + pack(d)) == add(a, d)
+
+    def test_range_is_tight(self):
+        edge = (0, PACK_LIMIT - 1, -PACK_LIMIT)
+        assert unpack(pack(edge)) == edge
+        for p in [(0, PACK_LIMIT, 0), (0, 0, PACK_LIMIT), (3, -PACK_LIMIT - 1, 0)]:
+            assert unpack(pack(p)) != p
+
+    def test_packed_dirs(self):
+        assert PACKED_DIRS == tuple(map(pack, FACE_DIRS))
+        assert list(PACKED_DIRS) == sorted(PACKED_DIRS)
+
+    def test_pack_frame_guards_the_range(self):
+        origin = (10**12, -(10**12), 0)
+        inside = [origin, add(origin, (0, PACK_LIMIT - 3, 1))]
+        assert pack_frame(inside, origin, margin=2) == (
+            0,
+            pack((0, PACK_LIMIT - 3, 1)),
+        )
+        with pytest.raises(ValidationError, match="exact range"):
+            pack_frame(inside, origin, margin=3)
+        with pytest.raises(ValidationError, match="exact range"):
+            pack_frame([origin, add(origin, (1, 0, -PACK_LIMIT + 1))], origin, 1)
+
+    def test_is_connected_beyond_the_range(self):
+        # cells further apart than the range can hold are never connected
+        far = Configuration.from_positions([(0, 0, 0), (0, 2 * PACK_LIMIT, 0)])
+        assert not is_connected(far)
+        huge = Configuration.from_positions([(10**15, 10**15, 0), (10**15 + 1, 10**15 + 1, 0)])
+        assert is_connected(huge)

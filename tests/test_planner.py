@@ -10,7 +10,16 @@ from hypothesis import strategies as st
 from rhombikit.errors import IllegalMove, ValidationError
 from rhombikit.io import PlanDoc, StructureDoc, dumps_plan
 from rhombikit.kinematics import PivotMove, apply_move, legal_moves
-from rhombikit.lattice import Cell, CellKind, Configuration, lattice_distance
+from rhombikit.lattice import (
+    PACK_LIMIT,
+    Cell,
+    CellKind,
+    Configuration,
+    canonicalize,
+    lattice_distance,
+    pack,
+    unpack,
+)
 import rhombikit.planner
 from rhombikit.planner import (
     _assignment_bound,
@@ -30,14 +39,15 @@ from rhombikit.planner import (
     replay,
 )
 
-from conftest import canon_positions
+from conftest import canon_positions, oracle_successors
 
 
 def _fifo_reference(planner, start, goal):
     """The FIFO breadth-first loop over the planner's own successors:
-    (states expanded, frontier peak, plan length or None)."""
-    start_state = canon_positions(start.positions)
-    goal_state = canon_positions(goal.positions)
+    (states expanded, frontier peak, plan length or None). States are
+    canonical position tuples, packed as the planner's are."""
+    start_state = tuple(map(pack, canon_positions(start.positions)))
+    goal_state = tuple(map(pack, canon_positions(goal.positions)))
     depth = {start_state: 0}
     queue = deque([start_state])
     expanded = 0
@@ -480,6 +490,90 @@ class TestPlan:
         # satisfy the strict checker on replay
         if res.ok:
             replay(LINE3, res.plan, strict_stability=True)
+
+
+class TestPackedStates:
+    @pytest.mark.parametrize("strict", [False, True], ids=["plain", "strict"])
+    def test_successors_match_oracle_on_4cell_box_shapes(self, shape_graphs, strict):
+        shapes, _, _ = shape_graphs[4]
+        planner = Planner(PlannerOptions(strict_stability=strict))
+        for s in shapes:
+            got = [
+                tuple(map(unpack, nxt))
+                for _, nxt, _ in planner._successors(tuple(map(pack, s)))
+            ]
+            assert got == oracle_successors(s, strict), s
+
+    def test_kind_sensitive_successors_keep_each_kind(self, shape_graphs):
+        # the oracle here is legal_moves plus apply_move on Configurations:
+        # each successor is the moved configuration, canonicalized, with
+        # every cell's kind where apply_move put it
+        shapes, _, _ = shape_graphs[4]
+        planner = Planner(PlannerOptions(kind_sensitive=True))
+        for i, s in enumerate(shapes):
+            c = _with_actives(s, {i % 4, (i // 4) % 4})
+            state = tuple(
+                2 * pack(cell.pos) + (cell.kind is CellKind.PASSIVE) for cell in c
+            )
+            got = [
+                tuple((unpack(e >> 1), e & 1) for e in nxt)
+                for _, nxt, _ in planner._successors(state)
+            ]
+            want = [
+                tuple(
+                    (cell.pos, int(cell.kind is CellKind.PASSIVE))
+                    for cell in canonicalize(apply_move(c, m))
+                )
+                for m in legal_moves(c)
+            ]
+            assert got == want, s
+
+    @pytest.mark.parametrize("translate", [True, False])
+    def test_exact_range_guarded(self, translate):
+        # the goal's y and z reach D + 1 from the start's smallest
+        # position; with max_states steps of drift that is the range's edge
+        far = PACK_LIMIT - 11
+        goal = TRI3.translate((0, far, far))
+        opts = PlannerOptions(max_states=9, match_up_to_translation=translate)
+        res = plan(LINE3, goal, opts)
+        assert res.ok if translate else res.status is PlanStatus.BUDGET_EXHAUSTED
+        opts = PlannerOptions(max_states=10, match_up_to_translation=translate)
+        if translate:  # each shape is packed in its own frame
+            assert plan(LINE3, goal, opts).ok
+        else:
+            with pytest.raises(ValidationError, match="exact range"):
+                plan(LINE3, goal, opts)
+
+    def test_far_from_origin_plans_shift_with_the_input(self):
+        off = (10**12, -(10**12), 2)
+        for translate in (True, False):
+            opts = PlannerOptions(match_up_to_translation=translate)
+            goal = TRI3.translate((2, 0, 0))
+            near = plan(LINE3, goal, opts)
+            far = plan(LINE3.translate(off), goal.translate(off), opts)
+            assert near.ok and far.ok
+            assert far.plan.moves == tuple(
+                PivotMove(
+                    tuple(a + b for a, b in zip(m.mover, off)),
+                    tuple(a + b for a, b in zip(m.substrate, off)),
+                    m.from_dir,
+                    m.to_dir,
+                )
+                for m in near.plan.moves
+            )
+            replay(LINE3.translate(off), far.plan)
+
+    def test_search_counters(self):
+        assert SearchStats(0, 0, 0.0) == SearchStats(0, 0, 0.0, 0, 0)
+        planner = Planner()
+        start, goal = Configuration.from_positions(LINE4), Configuration.from_positions(TETRA4)
+        first = planner.plan(start, goal).stats
+        # 115 pushes after the start (see test_bound_called_once_per_evaluation);
+        # every expanded state but the goal went through the memo
+        assert (first.states_expanded, first.generated, first.memo_size) == (23, 115, 22)
+        again = planner.plan(start, goal).stats
+        assert (again.generated, again.memo_size) == (115, 22)
+        assert len(planner._succ) == 22
 
 
 class TestReplay:
