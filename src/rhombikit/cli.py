@@ -157,6 +157,8 @@ def _cmd_plan(args) -> int:
         "frontier_peak": result.stats.frontier_peak,
         "generated": result.stats.generated,
         "memo_size": result.stats.memo_size,
+        "evaluations": result.stats.evaluations,
+        "memo_hits": result.stats.memo_hits,
     }
     lines = [f"status: {result.status.value}"]
     if result.reason:

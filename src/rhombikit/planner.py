@@ -21,15 +21,26 @@ frame: positions are taken relative to the start's smallest one, and
 with translation matching every state is shifted to its own smallest
 position (_canonical, one int subtraction per cell); _emit adds the
 shifts and the start's position back. A packed position is exact while
-its y and z lie within lattice.PACK_LIMIT (2**31) of the frame's origin;
-as no cell drifts more than one step per expansion, plan() checks once
-that every y and z of the start and the goal stays inside that range
-with max_states steps to spare, and raises ValidationError otherwise.
-The move generator kinematics._legal_rolls takes the packed positions,
-and its raw move tuples are memoized per Planner so that repeated
-queries over one state space (parameter sweeps, test batteries) stay
-cheap; a successor is its parent's tuple with the mover's element
-removed and the destination's (same kind bit) inserted in order, and
+its y and z lie within lattice.PACK_LIMIT (2**31) of the frame's origin.
+A canonical connected state of n cells stays within n - 1 steps of its
+origin per axis, and a move reaches three steps further (one for the
+mover, two for a roll's shadow), so with translation matching plan()
+checks the start and the goal with n + 2 steps of margin, which any
+connected shape passes. Without it no cell drifts more than one step per
+expansion, so plan() checks that every y and z of the start and the goal
+stays inside the range with max_states steps to spare, and raises
+ValidationError naming max_states otherwise.
+
+Each Planner numbers the states it meets: a state gets a small int id
+the first time it is generated (_ids maps the tuple to its id, _states
+maps it back), and from then on the search handles ids only. The move
+generator kinematics._legal_rolls takes the packed positions, and its
+raw move tuples are memoized per Planner as id -> [(roll, successor id,
+shift), ...], so that repeated queries over one state space (parameter
+sweeps, test batteries) stay cheap; a successor is its parent's tuple
+with the mover's element removed and the destination's (same kind bit)
+inserted in order, kept once in the registry however many parents reach
+it. The parent table, the heap entries and the goal test key on ids, and
 PivotMoves are built only for the returned plan.
 
 The exact-position heuristic is an optimal assignment between cell
@@ -41,14 +52,20 @@ distance, so the heuristic instead uses a translation-minimized per-axis
 relaxation, which is admissible and consistent on the quotient; see the
 test suite for the counterexample that rules out the aligned-assignment
 variant. That relaxation compares axis profiles (the sorted coordinates
-per axis). Both bounds take position tuples: each Planner decodes a
-state element once, on first sight, into a table it keeps (_Positions),
-and looks the elements up from then on. The goal's profile is computed
-once per plan() call and carries one memo per axis, which maps a state's
-sorted coordinates on that axis to its bound against the goal's; since
-one move changes at most one coordinate per axis, most evaluations find
-all three axes there. The memos live in the goal profile, so they last
-one plan() call and are never shared between goals.
+per axis). What a bound reads of a state, its bound input, does not
+depend on the goal, so each Planner computes it once per id, on the id's
+first evaluation, and keeps it for later plan() calls: the axis profile
+with translation matching (each axis tuple shared with every equal one
+the Planner has seen), else the positions. Positions come from a table
+that decodes each state element once, on first sight (_Positions). The
+bound itself depends on the goal, so it is evaluated once per state per
+plan() call and kept in the state's parent-table entry, where a re-push
+at a shorter depth finds it. The goal's profile is computed once per
+plan() call and carries one memo per axis, which maps a state's sorted
+coordinates on that axis to its bound against the goal's; since one move
+changes at most one coordinate per axis, most evaluations find all three
+axes there. The memos live in the goal profile, so they last one plan()
+call and are never shared between goals.
 """
 
 from __future__ import annotations
@@ -111,13 +128,19 @@ class PlannerOptions:
 class SearchStats:
     """Counters of one plan() call. generated counts the successors
     pushed onto the frontier (the start not included); memo_size is the
-    number of states whose successors the Planner holds at return."""
+    number of states whose successors the Planner holds at return;
+    evaluations counts bound evaluations, one per distinct state in the
+    parent table under A* and 0 under BFS; memo_hits counts the
+    expansions whose successors the memo already held. Those two are
+    derived at return, not counted per state."""
 
     states_expanded: int
     frontier_peak: int
     wall_time: float
     generated: int = 0
     memo_size: int = 0
+    evaluations: int = 0
+    memo_hits: int = 0
 
 
 @dataclass(frozen=True)
@@ -276,7 +299,8 @@ def heuristic(
             f"configurations differ in size: {len(c)} vs {len(goal)}"
         )
     translate = match_up_to_translation
-    return _bound(c.positions, _goal_profile(goal.positions, translate), translate)
+    a = _axes(c.positions) if translate else c.positions
+    return _bound(translate)(a, _goal_profile(goal.positions, translate))
 
 
 def _goal_profile(goal: tuple[Pos, ...], translate: bool) -> tuple:
@@ -290,10 +314,13 @@ def _goal_profile(goal: tuple[Pos, ...], translate: bool) -> tuple:
     return tuple((g, {}) for g in _axes(goal))
 
 
-def _bound(a: tuple[Pos, ...], goal_profile: tuple, translate: bool) -> int:
-    if translate:
-        return _translation_bound(_axes(a), goal_profile)
-    return _assignment_bound(a, goal_profile)
+def _bound(translate: bool):
+    """The bound of a matching mode, called as bound(a, goal_profile)
+    with a state's bound input a: its axis profile (see _axes) with
+    translate, else its positions. plan() looks it up once per call, so
+    a wrapper installed on the module's name before then sees every
+    evaluation."""
+    return _translation_bound if translate else _assignment_bound
 
 
 # --------------------------------------------------------------------------
@@ -334,8 +361,9 @@ def _canonical(state: _State, kind_bits: int, translate: bool) -> tuple[_State, 
 
 
 class _Positions(dict):
-    """State element -> position, decoded on first sight: the bounds take
-    Pos tuples, and looking an element up is cheaper than unpacking it."""
+    """State element -> position, decoded on first sight: bound inputs are
+    built from Pos tuples, and looking an element up is cheaper than
+    unpacking it."""
 
     __slots__ = ("kind_bits",)
 
@@ -350,28 +378,48 @@ class _Positions(dict):
 class Planner:
     """Reusable search engine; memoizes successor expansion per state.
 
-    The memo's states are canonical under the instance's options, so
-    strict_stability, kind sensitivity and the translation quotient are
-    all fixed by the options it is built with; queries that differ in any
-    of them need separate instances. The memo and the position table hold
-    frame-relative values only, so they serve every query of the instance.
+    Each instance numbers the canonical states it meets (_ids, _states)
+    and keeps per id the successors (_succ) and, once first evaluated,
+    the bound input (_inputs, see _bound_input). None of these depends
+    on a goal, so they serve every query of the instance. The states are
+    canonical under the instance's options, so strict_stability, kind
+    sensitivity and the translation quotient are all fixed by the
+    options it is built with; queries that differ in any of them need
+    separate instances. The registry, the memo and the position table
+    hold frame-relative values only.
     """
 
     def __init__(self, opts: PlannerOptions | None = None):
         self.opts = opts or PlannerOptions()
         self._kind_bits = int(self.opts.kind_sensitive)
-        self._succ: dict[_State, list[tuple[Roll, _State, int]]] = {}
+        self._ids: dict[_State, int] = {}
+        self._states: list[_State] = []
+        self._inputs: list = []  # id -> bound input, None until evaluated
+        self._succ: dict[int, list[tuple[Roll, int, int]]] = {}
         self._pos = _Positions(self._kind_bits)
+        self._axis: dict[tuple, tuple] = {}  # axis tuples, one object each
+
+    def _id(self, state: _State) -> int:
+        """The id of a canonical state, numbered on first sight."""
+        i = self._ids.get(state)
+        if i is None:
+            i = self._ids[state] = len(self._states)
+            self._states.append(state)
+            self._inputs.append(None)
+        return i
 
     # -- successor generation ----------------------------------------------
 
-    def _successors(self, state: _State) -> list[tuple[Roll, _State, int]]:
-        """Successors of a canonical state: (roll tuple in this frame,
-        successor canonical state, packed canonicalization shift)."""
-        cached = self._succ.get(state)
+    def _successors(self, i: int) -> list[tuple[Roll, int, int]]:
+        """Successors of state id i: (roll tuple in its frame, successor
+        id, packed canonicalization shift)."""
+        cached = self._succ.get(i)
         if cached is not None:
             return cached
+        state = self._states[i]
         k = self._kind_bits
+        translate = self.opts.match_up_to_translation
+        ids, states, inputs = self._ids, self._states, self._inputs
         positions = tuple(e >> k for e in state) if k else state
         out = []
         for roll in _legal_rolls(positions, self.opts.strict_stability):
@@ -380,10 +428,27 @@ class Planner:
             # mover << k sorts at or just before the mover's element
             bit = nxt.pop(bisect_left(state, mover << k)) - (mover << k)
             insort(nxt, ((substrate + PACKED_DIRS[ti]) << k) + bit)
-            canon, shift = _canonical(tuple(nxt), k, self.opts.match_up_to_translation)
-            out.append((roll, canon, shift))
-        self._succ[state] = out
+            canon, shift = _canonical(tuple(nxt), k, translate)
+            j = ids.get(canon)
+            if j is None:  # _id inlined: a call here costs ~4 % of a one-shot search
+                j = ids[canon] = len(states)
+                states.append(canon)
+                inputs.append(None)
+            out.append((roll, j, shift))
+        self._succ[i] = out
         return out
+
+    def _bound_input(self, i: int) -> tuple:
+        """What the bound compares with a goal profile for state id i:
+        with translation matching its axis profile (see _axes), each axis
+        tuple shared with every equal one this instance has seen; else
+        its positions."""
+        positions = tuple(map(self._pos.__getitem__, self._states[i]))
+        if not self.opts.match_up_to_translation:
+            return positions
+        xs, ys, zs = _axes(positions)
+        seen = self._axis.setdefault
+        return seen(xs, xs), seen(ys, ys), seen(zs, zs)
 
     # -- public entry -------------------------------------------------------
 
@@ -406,62 +471,99 @@ class Planner:
             )
 
         # the search runs in the start's frame (its smallest position is
-        # the origin), and with translate every state is canonical; no
-        # cell drifts further than one step per expansion from where it
-        # started, so budget steps of margin keep every state exact
+        # the origin). With translate every state is canonical: connected,
+        # its n cells lie within n - 1 steps of its origin on each axis, and
+        # a move reaches one step further for the mover and two for the
+        # roll's shadow, so n + 2 steps of margin keep every state exact.
+        # Without it no cell drifts further than one step per expansion from
+        # where it started, so the margin is the budget
         budget = self.opts.max_states
         k = self._kind_bits
         origin = start.cells[0].pos
-        start_state = _state(start, origin, k, budget)
-        goal_state = _state(goal, goal.cells[0].pos if translate else origin, k, budget)
+        if translate:
+            margin, goal_origin = len(start) + 2, goal.cells[0].pos
+        else:
+            margin, goal_origin = budget, origin
+        try:
+            start_state = _state(start, origin, k, margin)
+            goal_state = _state(goal, goal_origin, k, margin)
+        except ValidationError as exc:  # connected shapes fit n + 2 steps
+            raise ValidationError(
+                f"{exc}; an exact-position search lets a cell drift up to "
+                f"max_states ({budget}) steps"
+            ) from None
+        start_id, goal_id = self._id(start_state), self._id(goal_state)
         pos = self._pos.__getitem__
         goal_profile = _goal_profile(tuple(map(pos, goal_state)), translate)
+        astar = self.opts.algorithm is Algorithm.ASTAR
+        memo_before = len(self._succ)
 
-        if self.opts.algorithm is Algorithm.ASTAR:
-            def h(s: _State) -> int:
-                return _bound(tuple(map(pos, s)), goal_profile, translate)
+        if astar:
+            inputs, bound_input = self._inputs, self._bound_input
+            bound = _bound(translate)
+
+            def h(i: int) -> int:
+                a = inputs[i]
+                if a is None:
+                    a = inputs[i] = bound_input(i)
+                return bound(a, goal_profile)
         else:
-            def h(s: _State) -> int:
+            def h(i: int) -> int:
                 return 0
 
-        # state -> (depth, parent state, move in parent frame, shift); the
+        # id -> (depth, parent id, move in parent frame, shift, bound); the
         # depth is the best found so far and is optimal once the state is
         # expanded, because both bounds (and zero) are consistent
-        parents: dict[_State, tuple] = {start_state: (0, None, None, None)}
+        b = h(start_id)
+        parents: dict[int, tuple] = {start_id: (0, None, None, None, b)}
         # (f, -g, push counter): lower f first, then the deeper entry; a
         # zero bound makes this the (depth, discovery) order of BFS
-        heap: list = [(h(start_state), 0, 0, start_state)]
+        heap: list = [(b, 0, 0, start_id)]
         counter = 0
         expanded = 0
         peak = 1
-        state = None
+        i = None
+        pop, push, entry = heapq.heappop, heapq.heappush, parents.get
+        successors = self._successors
         while heap:
-            _, negg, _, state = heapq.heappop(heap)
+            _, negg, _, i = pop(heap)
             g = -negg
-            if g > parents[state][0]:
+            if g > parents[i][0]:
                 continue  # stale entry: a shorter path was pushed later
             expanded += 1
-            if state == goal_state or expanded >= budget:
+            if i == goal_id or expanded >= budget:
                 break
             g += 1
-            for move, nxt, shift in self._successors(state):
-                old = parents.get(nxt)
-                if old is not None and old[0] <= g:
+            for move, nxt, shift in successors(i):
+                old = entry(nxt)
+                if old is None:
+                    b = h(nxt)
+                elif old[0] <= g:
                     continue  # covers expanded states too
-                parents[nxt] = (g, state, move, shift)
+                else:
+                    b = old[4]  # a shorter path to a state already bounded
+                parents[nxt] = (g, i, move, shift, b)
                 counter += 1
-                heapq.heappush(heap, (g + h(nxt), -g, counter, nxt))
+                push(heap, (g + b, -g, counter, nxt))
             peak = max(peak, len(heap))
 
         def stats() -> SearchStats:
+            # the goal's or the budget's last expansion takes no successors
+            searched = expanded - (i == goal_id or expanded >= budget)
             return SearchStats(
-                expanded, peak, time.perf_counter() - t0, counter, len(self._succ)
+                expanded,
+                peak,
+                time.perf_counter() - t0,
+                counter,
+                len(self._succ),
+                len(parents) if astar else 0,
+                searched - (len(self._succ) - memo_before),
             )
 
         # a search that runs dry ends without a break: its last state is
         # not the goal and the budget is not spent
-        if state == goal_state:
-            return self._emit(start, goal, state, parents, stats)
+        if i == goal_id:
+            return self._emit(start, goal, i, parents, stats)
         if expanded >= budget:
             return PlanResult(
                 PlanStatus.BUDGET_EXHAUSTED,
@@ -472,16 +574,16 @@ class Planner:
             PlanStatus.NO_PATH, reason="state space exhausted", stats=stats()
         )
 
-    def _emit(self, start, goal, goal_state, parents, stats) -> PlanResult:
+    def _emit(self, start, goal, goal_id, parents, stats) -> PlanResult:
         # walk back to the start, collecting moves in canonical frames
         chain: list[tuple[Roll, int]] = []
-        state = goal_state
+        i = goal_id
         while True:
-            _, parent, move, shift = parents[state]
+            _, parent, move, shift, _ = parents[i]
             if parent is None:
                 break
             chain.append((move, shift))
-            state = parent
+            i = parent
         chain.reverse()
 
         # re-express each move in the caller's coordinates: the packed

@@ -414,6 +414,7 @@ class TestCli:
         assert payload["reason"] == "kind_mismatch"
         assert payload["states_expanded"] == 0
         assert (payload["generated"], payload["memo_size"]) == (0, 0)
+        assert (payload["evaluations"], payload["memo_hits"]) == (0, 0)
 
     def test_plan_json_reports_search_counters(self, files, capsys):
         code = cli_main(["plan", "--from", files["line"], "--to", files["tri"], "--json"])
@@ -421,7 +422,25 @@ class TestCli:
         payload = json.loads(capsys.readouterr().out)
         # a fresh Planner expands every state but the goal through its memo
         assert payload["memo_size"] == payload["states_expanded"] - 1
+        assert payload["memo_hits"] == 0
         assert payload["generated"] >= payload["frontier_peak"] > 0
+        # A* bounds the start and each state on its first push
+        assert payload["states_expanded"] <= payload["evaluations"] <= payload["generated"] + 1
+
+    @pytest.mark.parametrize("exact", [False, True])
+    def test_plan_max_states_past_2_31(self, files, capsys, exact):
+        # translation matching needs no drift margin from the budget;
+        # exact-position search does, and says that max_states set it
+        args = ["plan", "--from", files["line"], "--to", files["tri"],
+                "--max-states", "3000000000"] + ["--exact-position"] * exact
+        code = cli_main(args)
+        captured = capsys.readouterr()
+        if exact:
+            assert code == 1
+            assert "max_states" in captured.err
+        else:
+            assert code == 0
+            assert "status: success" in captured.out
 
     def test_plan_budget_exit_3(self, files):
         assert (

@@ -45,9 +45,10 @@ from conftest import canon_positions, oracle_successors
 def _fifo_reference(planner, start, goal):
     """The FIFO breadth-first loop over the planner's own successors:
     (states expanded, frontier peak, plan length or None). States are
-    canonical position tuples, packed as the planner's are."""
-    start_state = tuple(map(pack, canon_positions(start.positions)))
-    goal_state = tuple(map(pack, canon_positions(goal.positions)))
+    canonical position tuples, packed as the planner's are, and go by
+    the planner's ids."""
+    start_state = planner._id(tuple(map(pack, canon_positions(start.positions))))
+    goal_state = planner._id(tuple(map(pack, canon_positions(goal.positions))))
     depth = {start_state: 0}
     queue = deque([start_state])
     expanded = 0
@@ -447,29 +448,35 @@ class TestPlan:
         "opts",
         [
             PlannerOptions(),
+            PlannerOptions(match_up_to_translation=False),
             PlannerOptions(strict_stability=True),
             PlannerOptions(kind_sensitive=True),
         ],
-        ids=["translation", "strict", "kinds"],
+        ids=["translation", "exact", "strict", "kinds"],
     )
     def test_reused_planner_matches_fresh_across_goals(self, opts):
-        # per-goal state (the bound's axis memos) must not leak from one
-        # query into the next through a reused planner
+        # per-goal values (the bound's axis memos, the bounds kept in the
+        # parent table) must not leak from one query into the next through
+        # a reused planner, whose ids, memo and bound inputs carry over
         queries = [(C4, D4), (E4, F4), (A5, B5), (G5, H5), (C4, F4), (E4, D4)]
         reused = Planner(opts)
         for a, b in queries:
+            if not opts.match_up_to_translation:  # move the goal onto the start
+                d = tuple(p - q for p, q in zip(min(a), min(b)))
+                b = [tuple(p + e for p, e in zip(q, d)) for q in b]
             start, goal = _with_actives(a, {0}), _with_actives(b, {1})
             assert not goal_matches(start, goal, True, opts.kind_sensitive)
             got, want = reused.plan(start, goal), Planner(opts).plan(start, goal)
             assert got.status is want.status, (a, b)
             assert (got.plan and got.plan.moves) == (want.plan and want.plan.moves)
-            assert got.stats.states_expanded == want.stats.states_expanded, (a, b)
-            assert got.stats.frontier_peak == want.stats.frontier_peak, (a, b)
+            for name in ("states_expanded", "frontier_peak", "generated", "evaluations"):
+                assert getattr(got.stats, name) == getattr(want.stats, name), (name, a, b)
 
     def test_bound_called_once_per_evaluation(self, monkeypatch):
         # the benchmark's tracer wraps _translation_bound and reports its
         # calls as bound evaluations, so memo hits must still be calls:
-        # one for the start and one per push (115 here)
+        # one for the start and one per first push of a state (115 pushes,
+        # 6 of them re-pushing a state at a shorter depth)
         calls = [0]
         original = rhombikit.planner._translation_bound
 
@@ -482,7 +489,7 @@ class TestPlan:
         res = Planner().plan(start, Configuration.from_positions(TETRA4))
         assert res.ok and len(res.plan.moves) == 4
         assert (res.stats.states_expanded, res.stats.frontier_peak) == (23, 94)
-        assert calls[0] == 116
+        assert calls[0] == res.stats.evaluations == 110
 
     def test_strict_stability_option(self):
         res = plan(LINE3, TRI3, PlannerOptions(strict_stability=True))
@@ -499,8 +506,8 @@ class TestPackedStates:
         planner = Planner(PlannerOptions(strict_stability=strict))
         for s in shapes:
             got = [
-                tuple(map(unpack, nxt))
-                for _, nxt, _ in planner._successors(tuple(map(pack, s)))
+                tuple(map(unpack, planner._states[nxt]))
+                for _, nxt, _ in planner._successors(planner._id(tuple(map(pack, s))))
             ]
             assert got == oracle_successors(s, strict), s
 
@@ -516,8 +523,8 @@ class TestPackedStates:
                 2 * pack(cell.pos) + (cell.kind is CellKind.PASSIVE) for cell in c
             )
             got = [
-                tuple((unpack(e >> 1), e & 1) for e in nxt)
-                for _, nxt, _ in planner._successors(state)
+                tuple((unpack(e >> 1), e & 1) for e in planner._states[nxt])
+                for _, nxt, _ in planner._successors(planner._id(state))
             ]
             want = [
                 tuple(
@@ -571,9 +578,95 @@ class TestPackedStates:
         # 115 pushes after the start (see test_bound_called_once_per_evaluation);
         # every expanded state but the goal went through the memo
         assert (first.states_expanded, first.generated, first.memo_size) == (23, 115, 22)
+        assert (first.evaluations, first.memo_hits) == (110, 0)
         again = planner.plan(start, goal).stats
         assert (again.generated, again.memo_size) == (115, 22)
+        # the goal's expansion takes no successors; the other 22 hit
+        assert (again.evaluations, again.memo_hits) == (110, 22)
         assert len(planner._succ) == 22
+        bfs = Planner(PlannerOptions(algorithm=Algorithm.BFS)).plan(start, goal).stats
+        assert bfs.evaluations == 0
+        assert bfs.memo_hits == 0 and bfs.memo_size == bfs.states_expanded - 1
+
+    def test_budget_exit_counts_no_successors_for_the_last_expansion(self):
+        planner = Planner(PlannerOptions(max_states=5))
+        start, goal = Configuration.from_positions(LINE4), Configuration.from_positions(TETRA4)
+        first = planner.plan(start, goal)
+        assert first.status is PlanStatus.BUDGET_EXHAUSTED
+        assert (first.stats.memo_size, first.stats.memo_hits) == (4, 0)
+        assert planner.plan(start, goal).stats.memo_hits == 4
+
+    @pytest.mark.parametrize("budget", [2**31 - 2, 2**31 + 1])
+    def test_max_states_past_the_exact_range(self, budget):
+        # translation matching takes its drift margin from the cell count,
+        # so any budget plans; exact-position search takes the budget as
+        # its margin and names it when that leaves the exact range
+        goal = TRI3.translate((5, -3, 0))
+        assert plan(LINE3, goal, PlannerOptions(max_states=budget)).ok
+        exact = PlannerOptions(max_states=budget, match_up_to_translation=False)
+        with pytest.raises(ValidationError, match="exact range.*max_states"):
+            plan(LINE3, TRI3, exact)
+        below = PlannerOptions(max_states=2**31 - 3, match_up_to_translation=False)
+        assert plan(LINE3, TRI3, below).ok  # LINE3 spans 2 steps in y
+
+
+class TestStateIds:
+    START = Configuration.from_positions(LINE4)
+    GOAL = Configuration.from_positions(TETRA4)
+
+    def test_ids_round_trip_and_persist_across_queries(self):
+        planner = Planner()
+        planner.plan(self.START, self.GOAL)
+        states = list(planner._states)
+        assert [planner._ids[s] for s in states] == list(range(len(states)))
+        assert all(planner._id(s) == i for i, s in enumerate(states))
+        assert planner._states == states  # _id registers nothing known
+        # a later query over the same space keeps every id and adds on top
+        planner.plan(self.GOAL, Configuration.from_positions(C4))
+        assert planner._states[: len(states)] == states
+        assert all(planner._ids[s] == i for i, s in enumerate(states))
+        # memo entries hold ids; they name what a fresh generator builds
+        fresh = Planner()
+        for i, succ in planner._succ.items():
+            assert all(type(j) is int for _, j, _ in succ)
+            want = fresh._successors(fresh._id(planner._states[i]))
+            assert [planner._states[j] for _, j, _ in succ] == [
+                fresh._states[j] for _, j, _ in want
+            ]
+
+    def test_each_planner_numbers_its_own_states(self):
+        a, b = Planner(), Planner(PlannerOptions(kind_sensitive=True))
+        a.plan(self.START, self.GOAL)
+        before = list(a._states)
+        assert (b._ids, b._states, b._succ) == ({}, [], {})
+        b.plan(self.START, self.GOAL)
+        assert a._states == before  # b's states went to b alone
+
+    def test_repushed_state_is_bounded_once(self, monkeypatch):
+        inputs, calls = [], [0]
+        bound_input, bound = Planner._bound_input, rhombikit.planner._translation_bound
+
+        def spy_input(self, i):
+            inputs.append(i)
+            return bound_input(self, i)
+
+        def spy_bound(*args):
+            calls[0] += 1
+            return bound(*args)
+
+        monkeypatch.setattr(Planner, "_bound_input", spy_input)
+        monkeypatch.setattr(rhombikit.planner, "_translation_bound", spy_bound)
+        planner = Planner()
+        stats = planner.plan(self.START, self.GOAL).stats
+        # 6 of the 115 pushes go to a state already bounded
+        assert stats.generated - (stats.evaluations - 1) == 6
+        assert calls[0] == stats.evaluations == len(inputs) == len(set(inputs))
+        # a second query bounds against its own goal, from the same inputs
+        first, calls[0] = set(inputs), 0
+        stats = planner.plan(self.GOAL, Configuration.from_positions(LINE4)).stats
+        assert calls[0] == stats.evaluations
+        assert first.isdisjoint(inputs[len(first):])
+        assert len(inputs) - len(first) < stats.evaluations
 
 
 class TestReplay:
