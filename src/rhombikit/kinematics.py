@@ -14,10 +14,11 @@ occupied positions packed as ints (lattice.pack) and returns plain
 the faces as FACE_DIRS indices: legal_moves and check_move pack a
 configuration relative to its own smallest position (lattice.pack_frame)
 and unpack the result, so they take and return ordinary coordinates of
-any size; the planner uses the tuples as they are. The generator tests a
-candidate's destination and swept volume together, as one set test of
-the occupied positions relative to the substrate against the roll's
-shadow (destination plus blocker offsets, a frozenset of packed ints).
+any size; the planner memoizes each roll as one int, a roll code (see
+planner). The generator tests a candidate's destination and swept
+volume together, as one set test of the occupied positions relative to
+the substrate against the roll's shadow (destination plus blocker
+offsets, a frozenset of packed ints).
 """
 
 from __future__ import annotations
@@ -60,7 +61,7 @@ class MoveLegality(Enum):
     UNSTABLE = "unstable"  # strict mode only: mover would land with a single attachment
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PivotMove:
     """One roll: mover = substrate + from_dir pivots to substrate + to_dir."""
 

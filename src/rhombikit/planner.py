@@ -34,14 +34,24 @@ ValidationError naming max_states otherwise.
 Each Planner numbers the states it meets: a state gets a small int id
 the first time it is generated (_ids maps the tuple to its id, _states
 maps it back), and from then on the search handles ids only. The move
-generator kinematics._legal_rolls takes the packed positions, and its
-raw move tuples are memoized per Planner as id -> [(roll, successor id,
-shift), ...], so that repeated queries over one state space (parameter
-sweeps, test batteries) stay cheap; a successor is its parent's tuple
-with the mover's element removed and the destination's (same kind bit)
-inserted in order, kept once in the registry however many parents reach
-it. The parent table, the heap entries and the goal test key on ids, and
-PivotMoves are built only for the returned plan.
+generator kinematics._legal_rolls takes the packed positions; a
+successor is its parent's tuple with the mover's element removed and the
+destination's (same kind bit) inserted in order (_rolled), kept once in
+the registry however many parents reach it. Successors are memoized per
+Planner, so that repeated queries over one state space (parameter
+sweeps, test batteries) stay cheap, in ints only: _succ maps an id to
+the tuple of its successor ids in generator order, and _rolls to a
+parallel tuple of roll codes, (mover index * 12 + from index) * 12 + to
+index, the mover's index in the state's tuple and the faces' FACE_DIRS
+indices. A tuple of ints refers to nothing the cyclic GC must follow, so
+the collector untracks it at its first pass and later collections skip
+the memo. The parent table (id -> depth, parent id, bound), the heap
+entries and the goal test key on ids. PivotMoves are built only for the
+returned plan: _emit takes each step's roll as the first one in the
+parent's memo entry that reaches the child, which is the one the search
+recorded (a later roll to the same child is no shorter and is skipped),
+decodes it, and recomputes the canonicalization shift from the rolled
+state.
 
 The exact-position heuristic is an optimal assignment between cell
 positions under the lattice step metric (each move relocates one cell by
@@ -78,7 +88,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 from .errors import IllegalMove, ValidationError
-from .kinematics import PivotMove, Roll, _legal_rolls, apply_move
+from .kinematics import PivotMove, _legal_rolls, apply_move
 from .kinematics import legal_moves  # noqa: F401 - perfbench's tracer patches it here
 from .lattice import (
     FACE_DIRS,
@@ -124,7 +134,7 @@ class PlannerOptions:
                 raise ValidationError(f"{name} must be a bool, got {value!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SearchStats:
     """Counters of one plan() call. generated counts the successors
     pushed onto the frontier (the start not included); memo_size is the
@@ -143,7 +153,7 @@ class SearchStats:
     memo_hits: int = 0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Plan:
     """A move sequence, replayable from the start configuration it was
     planned for, plus the goal criterion it was planned against."""
@@ -158,7 +168,7 @@ class Plan:
         return len(self.moves)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PlanResult:
     status: PlanStatus
     plan: Plan | None = None
@@ -360,6 +370,14 @@ def _canonical(state: _State, kind_bits: int, translate: bool) -> tuple[_State, 
     return tuple(e - d for e in state), m
 
 
+def _rolled(state: _State, at: int, dest: int, kind_bits: int) -> _State:
+    """state with its element at index at moved to packed position dest,
+    keeping the element's kind bit; still sorted."""
+    nxt = list(state)
+    insort(nxt, (dest << kind_bits) + (nxt.pop(at) & kind_bits))
+    return tuple(nxt)
+
+
 class _Positions(dict):
     """State element -> position, decoded on first sight: bound inputs are
     built from Pos tuples, and looking an element up is cheaper than
@@ -379,9 +397,11 @@ class Planner:
     """Reusable search engine; memoizes successor expansion per state.
 
     Each instance numbers the canonical states it meets (_ids, _states)
-    and keeps per id the successors (_succ) and, once first evaluated,
-    the bound input (_inputs, see _bound_input). None of these depends
-    on a goal, so they serve every query of the instance. The states are
+    and keeps per expanded id the successor ids (_succ) and their roll
+    codes (_rolls), both tuples of ints that the cyclic GC untracks, and
+    per id, once first evaluated, the bound input (_inputs, see
+    _bound_input). None of these depends on a goal, so they serve every
+    query of the instance. The states are
     canonical under the instance's options, so strict_stability, kind
     sensitivity and the translation quotient are all fixed by the
     options it is built with; queries that differ in any of them need
@@ -395,7 +415,8 @@ class Planner:
         self._ids: dict[_State, int] = {}
         self._states: list[_State] = []
         self._inputs: list = []  # id -> bound input, None until evaluated
-        self._succ: dict[int, list[tuple[Roll, int, int]]] = {}
+        self._succ: dict[int, tuple[int, ...]] = {}  # id -> successor ids
+        self._rolls: dict[int, tuple[int, ...]] = {}  # id -> roll codes
         self._pos = _Positions(self._kind_bits)
         self._axis: dict[tuple, tuple] = {}  # axis tuples, one object each
 
@@ -410,9 +431,9 @@ class Planner:
 
     # -- successor generation ----------------------------------------------
 
-    def _successors(self, i: int) -> list[tuple[Roll, int, int]]:
-        """Successors of state id i: (roll tuple in its frame, successor
-        id, packed canonicalization shift)."""
+    def _successors(self, i: int) -> tuple[int, ...]:
+        """Successor ids of state id i, in move-generator order; the
+        roll that reaches each is kept in _rolls[i] at the same index."""
         cached = self._succ.get(i)
         if cached is not None:
             return cached
@@ -421,21 +442,21 @@ class Planner:
         translate = self.opts.match_up_to_translation
         ids, states, inputs = self._ids, self._states, self._inputs
         positions = tuple(e >> k for e in state) if k else state
-        out = []
-        for roll in _legal_rolls(positions, self.opts.strict_stability):
-            mover, substrate, _, ti = roll
-            nxt = list(state)
+        out, codes = [], []
+        for mover, substrate, fi, ti in _legal_rolls(positions, self.opts.strict_stability):
             # mover << k sorts at or just before the mover's element
-            bit = nxt.pop(bisect_left(state, mover << k)) - (mover << k)
-            insort(nxt, ((substrate + PACKED_DIRS[ti]) << k) + bit)
-            canon, shift = _canonical(tuple(nxt), k, translate)
+            at = bisect_left(state, mover << k)
+            dest = substrate + PACKED_DIRS[ti]
+            canon, _ = _canonical(_rolled(state, at, dest, k), k, translate)
             j = ids.get(canon)
             if j is None:  # _id inlined: a call here costs ~4 % of a one-shot search
                 j = ids[canon] = len(states)
                 states.append(canon)
                 inputs.append(None)
-            out.append((roll, j, shift))
-        self._succ[i] = out
+            out.append(j)
+            codes.append((at * 12 + fi) * 12 + ti)
+        out = self._succ[i] = tuple(out)
+        self._rolls[i] = tuple(codes)
         return out
 
     def _bound_input(self, i: int) -> tuple:
@@ -511,11 +532,11 @@ class Planner:
             def h(i: int) -> int:
                 return 0
 
-        # id -> (depth, parent id, move in parent frame, shift, bound); the
-        # depth is the best found so far and is optimal once the state is
-        # expanded, because both bounds (and zero) are consistent
+        # id -> (depth, parent id, bound); the depth is the best found so
+        # far and is optimal once the state is expanded, because both
+        # bounds (and zero) are consistent
         b = h(start_id)
-        parents: dict[int, tuple] = {start_id: (0, None, None, None, b)}
+        parents: dict[int, tuple] = {start_id: (0, None, b)}
         # (f, -g, push counter): lower f first, then the deeper entry; a
         # zero bound makes this the (depth, discovery) order of BFS
         heap: list = [(b, 0, 0, start_id)]
@@ -534,15 +555,15 @@ class Planner:
             if i == goal_id or expanded >= budget:
                 break
             g += 1
-            for move, nxt, shift in successors(i):
+            for nxt in successors(i):
                 old = entry(nxt)
                 if old is None:
                     b = h(nxt)
                 elif old[0] <= g:
                     continue  # covers expanded states too
                 else:
-                    b = old[4]  # a shorter path to a state already bounded
-                parents[nxt] = (g, i, move, shift, b)
+                    b = old[2]  # a shorter path to a state already bounded
+                parents[nxt] = (g, i, b)
                 counter += 1
                 push(heap, (g + b, -g, counter, nxt))
             peak = max(peak, len(heap))
@@ -575,24 +596,30 @@ class Planner:
         )
 
     def _emit(self, start, goal, goal_id, parents, stats) -> PlanResult:
-        # walk back to the start, collecting moves in canonical frames
-        chain: list[tuple[Roll, int]] = []
-        i = goal_id
-        while True:
-            _, parent, move, shift, _ = parents[i]
-            if parent is None:
-                break
-            chain.append((move, shift))
-            i = parent
-        chain.reverse()
+        # walk back to the start, collecting the ids of the path
+        path = [goal_id]
+        while (parent := parents[path[-1]][1]) is not None:
+            path.append(parent)
+        path.reverse()
 
-        # re-express each move in the caller's coordinates: the packed
-        # offset maps each canonical frame back onto the start's frame,
-        # and the start's smallest position maps that frame back
+        # decode each step from the parent's memo: the search recorded the
+        # first roll that reaches the child (a later one to the same child
+        # is no shorter), which is the first index holding the child's id.
+        # The packed offset maps each canonical frame back onto the
+        # start's frame, and the start's smallest position maps that
+        # frame back to the caller's coordinates
+        k = self._kind_bits
+        translate = self.opts.match_up_to_translation
         origin = start.cells[0].pos
         offset = 0
         moves = []
-        for (mover, substrate, fi, ti), shift in chain:
+        for parent, child in zip(path, path[1:]):
+            state = self._states[parent]
+            code = self._rolls[parent][self._succ[parent].index(child)]
+            at, ti = divmod(code, 12)
+            at, fi = divmod(at, 12)
+            mover = state[at] >> k
+            substrate = mover - PACKED_DIRS[fi]
             moves.append(
                 PivotMove(
                     add(unpack(mover + offset), origin),
@@ -601,7 +628,8 @@ class Planner:
                     FACE_DIRS[ti],
                 )
             )
-            offset += shift
+            nxt = _rolled(state, at, substrate + PACKED_DIRS[ti], k)
+            offset += _canonical(nxt, k, translate)[1]
         final = stats()
         plan = Plan(
             tuple(moves),

@@ -1,6 +1,12 @@
+import gc
 import itertools
 import math
+import os
+import subprocess
+import sys
+import textwrap
 from collections import deque
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -58,7 +64,7 @@ def _fifo_reference(planner, start, goal):
         expanded += 1
         if state == goal_state:
             return expanded, peak, depth[state]
-        for _, nxt, _ in planner._successors(state):
+        for nxt in planner._successors(state):
             if nxt not in depth:
                 depth[nxt] = depth[state] + 1
                 queue.append(nxt)
@@ -127,6 +133,29 @@ def _with_actives(positions, active):
         Cell(p, CellKind.ACTIVE if i in active else CellKind.PASSIVE)
         for i, p in enumerate(positions)
     )
+
+
+_each_mode = pytest.mark.parametrize(
+    "opts",
+    [
+        PlannerOptions(),
+        PlannerOptions(match_up_to_translation=False),
+        PlannerOptions(strict_stability=True),
+        PlannerOptions(kind_sensitive=True),
+    ],
+    ids=["translation", "exact", "strict", "kinds"],
+)
+
+
+def _mode_queries(opts):
+    """(start, goal) pairs of 4 and 5 cells that every mode of _each_mode
+    can plan: with exact positions each goal is moved onto its start."""
+    pairs = [(C4, D4), (E4, F4), (A5, B5), (G5, H5), (C4, F4), (E4, D4)]
+    for a, b in pairs:
+        if not opts.match_up_to_translation:
+            d = tuple(p - q for p, q in zip(min(a), min(b)))
+            b = [tuple(p + e for p, e in zip(q, d)) for q in b]
+        yield _with_actives(a, {0}), _with_actives(b, {1})
 
 
 class TestOptions:
@@ -444,33 +473,20 @@ class TestPlan:
         assert res.ok and len(res.plan.moves) == (6 if kind_sensitive else 4)
         assert built == {"moves": len(res.plan.moves), "configs": 0}
 
-    @pytest.mark.parametrize(
-        "opts",
-        [
-            PlannerOptions(),
-            PlannerOptions(match_up_to_translation=False),
-            PlannerOptions(strict_stability=True),
-            PlannerOptions(kind_sensitive=True),
-        ],
-        ids=["translation", "exact", "strict", "kinds"],
-    )
+    @_each_mode
     def test_reused_planner_matches_fresh_across_goals(self, opts):
         # per-goal values (the bound's axis memos, the bounds kept in the
         # parent table) must not leak from one query into the next through
         # a reused planner, whose ids, memo and bound inputs carry over
-        queries = [(C4, D4), (E4, F4), (A5, B5), (G5, H5), (C4, F4), (E4, D4)]
         reused = Planner(opts)
-        for a, b in queries:
-            if not opts.match_up_to_translation:  # move the goal onto the start
-                d = tuple(p - q for p, q in zip(min(a), min(b)))
-                b = [tuple(p + e for p, e in zip(q, d)) for q in b]
-            start, goal = _with_actives(a, {0}), _with_actives(b, {1})
+        for start, goal in _mode_queries(opts):
             assert not goal_matches(start, goal, True, opts.kind_sensitive)
             got, want = reused.plan(start, goal), Planner(opts).plan(start, goal)
-            assert got.status is want.status, (a, b)
+            where = (start.positions, goal.positions)
+            assert got.status is want.status, where
             assert (got.plan and got.plan.moves) == (want.plan and want.plan.moves)
             for name in ("states_expanded", "frontier_peak", "generated", "evaluations"):
-                assert getattr(got.stats, name) == getattr(want.stats, name), (name, a, b)
+                assert getattr(got.stats, name) == getattr(want.stats, name), (name, where)
 
     def test_bound_called_once_per_evaluation(self, monkeypatch):
         # the benchmark's tracer wraps _translation_bound and reports its
@@ -507,7 +523,7 @@ class TestPackedStates:
         for s in shapes:
             got = [
                 tuple(map(unpack, planner._states[nxt]))
-                for _, nxt, _ in planner._successors(planner._id(tuple(map(pack, s))))
+                for nxt in planner._successors(planner._id(tuple(map(pack, s))))
             ]
             assert got == oracle_successors(s, strict), s
 
@@ -524,7 +540,7 @@ class TestPackedStates:
             )
             got = [
                 tuple((unpack(e >> 1), e & 1) for e in planner._states[nxt])
-                for _, nxt, _ in planner._successors(planner._id(state))
+                for nxt in planner._successors(planner._id(state))
             ]
             want = [
                 tuple(
@@ -628,11 +644,10 @@ class TestStateIds:
         # memo entries hold ids; they name what a fresh generator builds
         fresh = Planner()
         for i, succ in planner._succ.items():
-            assert all(type(j) is int for _, j, _ in succ)
+            assert all(type(j) is int for j in succ)
             want = fresh._successors(fresh._id(planner._states[i]))
-            assert [planner._states[j] for _, j, _ in succ] == [
-                fresh._states[j] for _, j, _ in want
-            ]
+            assert [planner._states[j] for j in succ] == [fresh._states[j] for j in want]
+            assert planner._rolls[i] == fresh._rolls[fresh._id(planner._states[i])]
 
     def test_each_planner_numbers_its_own_states(self):
         a, b = Planner(), Planner(PlannerOptions(kind_sensitive=True))
@@ -667,6 +682,119 @@ class TestStateIds:
         assert calls[0] == stats.evaluations
         assert first.isdisjoint(inputs[len(first):])
         assert len(inputs) - len(first) < stats.evaluations
+
+
+def _goal_key(c: Configuration, translate: bool, kinds: bool) -> tuple:
+    """What the planner's goal test compares, from Configuration methods:
+    the cells, translated to the origin with translation matching, with
+    their kinds when kind-sensitive."""
+    if translate:
+        c = canonicalize(c)
+    return tuple((cell.pos, kinds and cell.kind) for cell in c)
+
+
+class TestMemoLayout:
+    @_each_mode
+    def test_each_emitted_move_is_the_first_roll_to_its_successor(self, opts):
+        # _emit decodes a step from the parent's memo as the first roll
+        # that reaches the child: the one the search recorded, since a
+        # later roll to the same child is no shorter. legal_moves lists
+        # the rolls in the memo's order, so that is the first legal move
+        # whose result has the next configuration's goal key
+        strict = opts.strict_stability
+        translate, kinds = opts.match_up_to_translation, opts.kind_sensitive
+        queries = list(_mode_queries(opts))
+        if not strict:  # a 2-cell move always lands on one attachment
+            two = Configuration.from_positions
+            queries += [
+                (two([(0, 0, 0), (1, 1, 0)]), two(b))
+                for b in ([(0, 0, 0), (1, 0, 1)], [(0, 0, 0), (1, -1, 0)])
+            ]
+        planner = Planner(opts)
+        ties = 0
+        for start, goal in queries:
+            res = planner.plan(start, goal)
+            assert res.ok
+            c = start
+            for move in res.plan.moves:
+                nxt = apply_move(c, move, strict)
+                key = _goal_key(nxt, translate, kinds)
+                same = [
+                    m
+                    for m in legal_moves(c, strict)
+                    if _goal_key(apply_move(c, m, strict), translate, kinds) == key
+                ]
+                assert move == same[0]
+                ties += len(same) > 1
+                c = nxt
+            assert goal_matches(c, goal, translate, kinds)
+        # up to translation, either cell of two of one kind can make a
+        # 2-cell step, so there the first and the last such roll differ
+        if translate and not strict:
+            assert ties
+
+    @pytest.mark.parametrize("algorithm", list(Algorithm))
+    def test_memo_holds_untracked_tuples_of_ints(self, algorithm):
+        # tuples of ints only: the cyclic GC untracks them at its first
+        # pass over them, so later collections skip the memo
+        planner = Planner(PlannerOptions(algorithm=algorithm, kind_sensitive=True))
+        assert planner.plan(_with_actives(LINE4, {0}), _with_actives(TETRA4, {1})).ok
+        gc.collect()
+        assert planner._succ and planner._succ.keys() == planner._rolls.keys()
+        for i, succ in planner._succ.items():
+            rolls = planner._rolls[i]
+            assert len(succ) == len(rolls)
+            for value in (succ, rolls):
+                assert type(value) is tuple and not gc.is_tracked(value)
+                assert all(type(x) is int for x in value)
+
+    @pytest.mark.skipif(
+        not Path("/proc/self/status").exists(), reason="reads the RSS from /proc"
+    )
+    def test_one_shot_bfs_peak_rss_ceiling(self):
+        # BFS line -> bent over 6 cells, with a fresh Planner as
+        # `rhombikit plan` runs it: 45,031 expansions. Measured from the
+        # RSS after the blocker-table build to the peak RSS (VmHWM: unlike
+        # ru_maxrss, it does not carry over the forking parent's peak)
+        code = textwrap.dedent(
+            """
+            from rhombikit import geometry
+            from rhombikit.lattice import Configuration
+            from rhombikit.planner import Algorithm, Planner, PlannerOptions
+
+            def status_kb(field):
+                with open("/proc/self/status") as f:
+                    for line in f:
+                        if line.startswith(field + ":"):
+                            return int(line.split()[1])
+
+            geometry.blocker_table()
+            line = [(k, k, 0) for k in range(6)]
+            bent = line[:3] + [(2 - k, 2 + k, 0) for k in (1, 2, 3)]
+            before_kb = status_kb("VmRSS")
+            opts = PlannerOptions(max_states=300_000, algorithm=Algorithm.BFS)
+            res = Planner(opts).plan(
+                Configuration.from_positions(line), Configuration.from_positions(bent)
+            )
+            print(res.status.value, len(res.plan), res.stats.states_expanded,
+                  (status_kb("VmHWM") - before_kb) / 1024)
+            """
+        )
+        package_root = str(Path(rhombikit.planner.__file__).resolve().parents[1])
+        pythonpath = os.pathsep.join(
+            p for p in (package_root, os.environ.get("PYTHONPATH")) if p
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True,
+            text=True,
+            env=dict(os.environ, PYTHONPATH=pythonpath),
+            timeout=300,
+        )
+        assert out.returncode == 0, out.stderr
+        status, length, expanded, grown_mb = out.stdout.split()
+        assert (status, length, expanded) == ("success", "12", "45031")
+        assert float(grown_mb) < 80
 
 
 class TestReplay:
