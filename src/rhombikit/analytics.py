@@ -21,6 +21,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .geometry import ContactType
+from .lattice import _as_int, _as_real
 
 
 class RotationDirection(Enum):
@@ -103,7 +104,7 @@ def rotation_direction(
     steps shorter than 0.05 cm where the direction estimate would be
     noise. theta_min must be finite and nonnegative.
     """
-    if not (math.isfinite(theta_min) and theta_min >= 0.0):
+    if _as_real(theta_min, "theta_min") < 0.0:
         raise ValidationError(f"theta_min must be finite and >= 0, got {theta_min!r}")
     if tr.heading is not None:
         headings = tr.heading
@@ -149,7 +150,9 @@ def trial_stats(tr: Trajectory, theta_min: float = math.pi) -> TrialStats:
 
 @dataclass(frozen=True)
 class DesignMeta:
-    """Morphology metadata for one design (not derivable from trials)."""
+    """Morphology metadata for one design (not derivable from trials):
+    at least one active cell, no negative passive count, and a
+    ContactType."""
 
     name: str
     passive: int
@@ -157,6 +160,17 @@ class DesignMeta:
     body_length_cm: float
     body_weight_g: float
     contact: ContactType
+
+    def __post_init__(self) -> None:
+        passive, active = _as_int(self.passive), _as_int(self.active)
+        if passive < 0 or active < 1:
+            raise ValidationError(
+                f"need passive >= 0 and active >= 1, got {passive} and {active}"
+            )
+        object.__setattr__(self, "passive", passive)
+        object.__setattr__(self, "active", active)
+        if not isinstance(self.contact, ContactType):
+            raise ValidationError(f"contact must be a ContactType, got {self.contact!r}")
 
 
 @dataclass(frozen=True)

@@ -9,6 +9,7 @@ deterministic output; pass --json for machine-readable results.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
@@ -150,16 +151,12 @@ def _cmd_plan(args) -> int:
         kind_sensitive=args.kind_sensitive,
     )
     result = Planner(opts).plan(start_doc.config, goal_doc.config)
-    payload = {
-        "status": result.status.value,
-        "reason": result.reason,
-        "states_expanded": result.stats.states_expanded,
-        "frontier_peak": result.stats.frontier_peak,
-        "generated": result.stats.generated,
-        "memo_size": result.stats.memo_size,
-        "evaluations": result.stats.evaluations,
-        "memo_hits": result.stats.memo_hits,
-    }
+    payload = {"status": result.status.value, "reason": result.reason}
+    payload.update(  # every search counter; the wall time is not deterministic
+        (f.name, getattr(result.stats, f.name))
+        for f in dataclasses.fields(SearchStats)
+        if f.name != "wall_time"
+    )
     lines = [f"status: {result.status.value}"]
     if result.reason:
         lines.append(f"reason: {result.reason}")

@@ -17,14 +17,15 @@ symmetric face, which covers any polyhedron with such faces for k >= 2;
 for the cell's two-fold faces it gives exactly validate_genderless's
 verdict on the pattern stamped onto all 12 faces. Below two-fold
 symmetry no assignment can survive a flipped alignment and the scheme
-does not apply. Pairing tolerance is the constant EPS_MATCH.
+does not apply. Pairing tolerance is the constant EPS_MATCH: _partners,
+the one point matcher, applies it both to docking and to the check that
+a face's positions are k-fold symmetric.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-import numbers
 from dataclasses import dataclass
 from enum import Enum
 from typing import Sequence
@@ -39,6 +40,7 @@ from .lattice import (
     ROTATIONS,
     ROT_INV,
     _as_int,
+    _as_real,
     _check_dir,
     _check_rot,
     _mat_apply,
@@ -69,14 +71,13 @@ class MagnetSpec:
     def __post_init__(self) -> None:
         if len(self.pos) != 2:
             raise ValidationError("magnet position must be a 2D point")
-        for x in self.pos:  # bool subclasses int; io rejects it too
-            if isinstance(x, bool) or not (
-                isinstance(x, numbers.Real) and math.isfinite(x)
-            ):
-                raise ValidationError(
-                    f"magnet position must be finite numbers, got {self.pos!r}"
-                )
-        object.__setattr__(self, "pos", (float(self.pos[0]), float(self.pos[1])))
+        try:
+            pos = tuple(_as_real(x, "magnet coordinate") for x in self.pos)
+        except ValidationError:
+            raise ValidationError(
+                f"magnet position must be finite numbers, got {self.pos!r}"
+            ) from None
+        object.__setattr__(self, "pos", pos)
         if not isinstance(self.polarity, Polarity):
             raise ValidationError(f"bad polarity {self.polarity!r}")
 
@@ -115,24 +116,13 @@ def _partners(pa: np.ndarray, pb: np.ndarray) -> list[int]:
     return partner
 
 
-def _k_symmetric(points: np.ndarray, k: int, tol: float) -> bool:
-    """Is the position multiset invariant under rotation by 2*pi/k?"""
-    used = np.zeros(len(points), dtype=bool)
-    for p in points @ _rot2(2.0 * math.pi / k).T:
-        d = np.linalg.norm(points - p, axis=1)
-        d[used] = np.inf
-        j = int(np.argmin(d))
-        if d[j] > tol:
-            return False
-        used[j] = True
-    return True
-
-
 def _check_face(points: np.ndarray, k: int) -> None:
     """The rules for the magnet positions of one k-fold face, shared by
     FaceLayout and the layout search: k is an int >= 2, the positions are
     pairwise separated by more than twice the pairing tolerance, and as a
-    multiset they are invariant under rotation by 2*pi/k."""
+    multiset they are invariant under rotation by 2*pi/k: the rotated
+    positions pair with the positions (_partners, within EPS_MATCH). The
+    separation makes that pairing unique."""
     _check_symmetry(k)
     for i in range(len(points)):
         for j in range(i + 1, len(points)):
@@ -140,8 +130,10 @@ def _check_face(points: np.ndarray, k: int) -> None:
                 raise ValidationError(
                     f"magnets {i} and {j} are closer than the pairing tolerance"
                 )
-    if not _k_symmetric(points, k, 1e-9):
-        raise ValidationError(f"magnet positions are not {k}-fold symmetric")
+    try:
+        _partners(points @ _rot2(2.0 * math.pi / k).T, points)
+    except PairingError:
+        raise ValidationError(f"magnet positions are not {k}-fold symmetric") from None
 
 
 @dataclass(frozen=True)

@@ -28,8 +28,10 @@ from .errors import ValidationError
 from .lattice import (
     DIR_PERM,
     FACE_DIRS,
+    ROLLS,
     Configuration,
     Pos,
+    _as_real,
     _check_dir,
     _dir_index,
     add,
@@ -237,14 +239,14 @@ class GroundContact:
         self.support_points.setflags(write=False)
 
 
-def _affine_dim(points: np.ndarray, tol: float = 1e-6) -> int:
-    if len(points) == 1:
-        return 0
-    rel = points[1:] - points[0]
-    return int(np.linalg.matrix_rank(rel, tol=tol))
-
-
-_DIM_TO_TYPE = {0: ContactType.POINT, 1: ContactType.EDGE, 2: ContactType.FACE}
+# a cell's contact type by its number of support vertices: no three
+# vertices of the cell are collinear, so three or four span a face
+_BY_COUNT = {
+    1: ContactType.POINT,
+    2: ContactType.EDGE,
+    3: ContactType.FACE,
+    4: ContactType.FACE,
+}
 
 
 def check_world_rotation(world_rot) -> np.ndarray:
@@ -267,9 +269,11 @@ def classify_ground_contact(c: Configuration, world_rot) -> GroundContact:
     The structure is rotated rigidly by world_rot, the ground is the
     horizontal plane through the lowest vertex, and the support set is
     every vertex within 1e-6 canonical units (_EPS_Z, fixed) of it. Each
-    touching cell is classified by the affine dimension of its own
-    support vertices: one vertex is point contact, a segment is edge
-    contact, a coplanar patch is face contact.
+    touching cell is classified by the number of its own support
+    vertices: one is point contact, two are edge contact, and three or
+    four are face contact (three occur when a face-down cell tilts
+    slightly about a face diagonal and lifts one vertex out of the
+    tolerance).
     Because all cells are translates of the same solid, every touching
     cell lands in the same class, which is returned as the overall type.
     """
@@ -290,10 +294,7 @@ def classify_ground_contact(c: Configuration, world_rot) -> GroundContact:
         pts = world[i][mask[i]]
         if len(pts) == 0:
             continue
-        dim = _affine_dim(pts)
-        if dim not in _DIM_TO_TYPE:
-            raise AssertionError("support set of one cell is not a face feature")
-        per_cell[cell.pos] = _DIM_TO_TYPE[dim]
+        per_cell[cell.pos] = _BY_COUNT[len(pts)]
         support.append(pts)
 
     kinds = set(per_cell.values())
@@ -371,9 +372,7 @@ def rotation_from_axis_angle(axis, degrees: float) -> np.ndarray:
     a = np.asarray(axis, dtype=float)
     if a.shape != (3,) or not np.isfinite(a).all() or np.linalg.norm(a) < 1e-12:
         raise ValidationError("rotation axis must be a finite nonzero 3-vector")
-    if not math.isfinite(degrees):
-        raise ValidationError(f"rotation angle must be finite, got {degrees!r}")
-    return _rodrigues(a, math.radians(degrees))
+    return _rodrigues(a, math.radians(_as_real(degrees, "rotation angle")))
 
 
 def roll_transform(from_dir: Pos, to_dir: Pos, theta: float):
@@ -485,9 +484,10 @@ def swept_cells(from_dir: Pos, to_dir: Pos) -> frozenset[Pos]:
     read from blocker_table().
     """
     fi, ti = _dir_index(from_dir), _dir_index(to_dir)
-    f, t = FACE_DIRS[fi], FACE_DIRS[ti]
-    if sum(a * b for a, b in zip(f, t)) != 1:
-        raise ValidationError(f"faces {f} and {t} are not edge-adjacent")
+    if ti not in ROLLS[fi]:
+        raise ValidationError(
+            f"faces {FACE_DIRS[fi]} and {FACE_DIRS[ti]} are not edge-adjacent"
+        )
     return blocker_table()[(fi, ti)]
 
 

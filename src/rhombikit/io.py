@@ -11,7 +11,6 @@ from __future__ import annotations
 import csv
 import io as _io
 import json
-import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -22,7 +21,7 @@ from .docking import CellLayout, FaceLayout, MagnetSpec, Polarity
 from .errors import ParseError, UnsupportedSymmetry, ValidationError
 from .geometry import ContactType, Mesh
 from .kinematics import PivotMove
-from .lattice import Cell, CellKind, Configuration, check_pos
+from .lattice import Cell, CellKind, Configuration, _as_real, check_pos
 
 FORMAT_VERSION = 1
 
@@ -34,10 +33,17 @@ _POLARITIES = {p.value: p for p in Polarity}
 @dataclass(frozen=True)
 class StructureDoc:
     """A structure file's payload: the cells plus an optional physical
-    scale (centimeters per canonical unit)."""
+    scale (centimeters per canonical unit), a positive finite number."""
 
     config: Configuration
     scale_cm_per_unit: float | None = None
+
+    def __post_init__(self) -> None:
+        scale = self.scale_cm_per_unit
+        if scale is not None:
+            if _as_real(scale, "scale_cm_per_unit") <= 0:
+                raise ValidationError(f"scale_cm_per_unit must be positive, got {scale!r}")
+            object.__setattr__(self, "scale_cm_per_unit", float(scale))
 
 
 def _load_json(text: str, source: str | None) -> object:
@@ -51,15 +57,23 @@ def _load_json(text: str, source: str | None) -> object:
         raise ParseError(f"invalid JSON: {exc}", source) from exc
 
 
-def _finite(v) -> bool:
-    """Is v a number that is neither a boolean (bool subclasses int) nor
-    NaN, an infinity or an int too large for a float?"""
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
-        return False
+def _owned(source, where, make, *args, **kwargs):
+    """make(*args, **kwargs), with the ValidationError (or
+    UnsupportedSymmetry) of the type that owns the rule reported as a
+    ParseError at where."""
     try:
-        return math.isfinite(v)
-    except OverflowError:
+        return make(*args, **kwargs)
+    except (ValidationError, UnsupportedSymmetry) as exc:
+        raise ParseError(str(exc), source, where) from exc
+
+
+def _finite(v) -> bool:
+    """Is v a finite number (lattice._as_real's rule)?"""
+    try:
+        _as_real(v, "value")
+    except ValidationError:
         return False
+    return True
 
 
 def _field(obj: dict, key: str, types, where: str, source, required=True, default=None):
@@ -70,10 +84,8 @@ def _field(obj: dict, key: str, types, where: str, source, required=True, defaul
     val = obj[key]
     if types is not None and not isinstance(val, types):
         raise ParseError(f"field {key!r} has wrong type", source, where)
-    if isinstance(val, (int, float)) and not _finite(val):
-        raise ParseError(
-            f"field {key!r} must be a finite number, got {val!r}", source, where
-        )
+    if isinstance(val, (int, float)):
+        _owned(source, where, _as_real, val, f"field {key!r}")
     return val
 
 
@@ -92,10 +104,7 @@ def _parse_pos(raw, where: str, source) -> tuple[int, int, int]:
         or not all(isinstance(v, int) and not isinstance(v, bool) for v in raw)
     ):
         raise ParseError("position must be three integers", source, where)
-    try:
-        return check_pos(raw)
-    except ValidationError as exc:
-        raise ParseError(str(exc), source, where) from exc
+    return _owned(source, where, check_pos, raw)
 
 
 # --------------------------------------------------------------------------
@@ -108,10 +117,6 @@ def parse_structure(data: object, source: str | None = None) -> StructureDoc:
         raise ParseError("structure document must be a JSON object", source)
     _check_version(data, source)
     scale = _field(data, "scale_cm_per_unit", (int, float), "", source, required=False)
-    if scale is not None:
-        scale = float(scale)
-        if scale <= 0:
-            raise ParseError("scale_cm_per_unit must be positive", source)
     raw_cells = _field(data, "cells", list, "", source)
     cells = []
     seen: dict[tuple[int, int, int], int] = {}
@@ -133,12 +138,10 @@ def parse_structure(data: object, source: str | None = None) -> StructureDoc:
                 f"kind must be one of {sorted(_KINDS)}", source, f"{where}.kind"
             )
         orient = _field(rc, "orient", int, where, source, required=False, default=0)
-        if not 0 <= orient <= 23:
-            raise ParseError("orient must be in 0..23", source, f"{where}.orient")
-        cells.append(Cell(pos, _KINDS[kind_raw], orient))
+        cells.append(_owned(source, f"{where}.orient", Cell, pos, _KINDS[kind_raw], orient))
     if not cells:
         raise ParseError("structure has no cells", source)
-    return StructureDoc(Configuration(cells), scale)
+    return _owned(source, None, StructureDoc, Configuration(cells), scale)
 
 
 def structure_to_dict(doc: StructureDoc) -> dict:
@@ -204,10 +207,9 @@ def parse_plan(data: object, source: str | None = None) -> PlanDoc:
                 raise ParseError(
                     f"{name} must be a face index in 0..11", source, f"{where}.{name}"
                 )
-        try:
-            moves.append(PivotMove(mover, substrate, FACE_DIRS[fi], FACE_DIRS[ti]))
-        except ValidationError as exc:
-            raise ParseError(str(exc), source, where) from exc
+        moves.append(
+            _owned(source, where, PivotMove, mover, substrate, FACE_DIRS[fi], FACE_DIRS[ti])
+        )
     return PlanDoc(start, tuple(moves))
 
 
@@ -273,24 +275,16 @@ def parse_layout(data: object, source: str | None = None) -> CellLayout:
             if not isinstance(rmag, dict):
                 raise ParseError("magnet must be an object", source, mwhere)
             pos = _field(rmag, "pos", list, mwhere, source)
-            if len(pos) != 2 or not all(map(_finite, pos)):
-                raise ParseError(
-                    "pos must be two finite numbers", source, f"{mwhere}.pos"
-                )
             pol = _field(rmag, "polarity", str, mwhere, source)
             if pol not in _POLARITIES:
                 raise ParseError(
                     "polarity must be 'N' or 'S'", source, f"{mwhere}.polarity"
                 )
-            magnets.append(MagnetSpec((float(pos[0]), float(pos[1])), _POLARITIES[pol]))
-        try:
-            faces.append(FaceLayout(tuple(magnets), symmetry))
-        except (ValidationError, UnsupportedSymmetry) as exc:
-            raise ParseError(str(exc), source, where) from exc
-    try:
-        return CellLayout(tuple(faces))
-    except ValidationError as exc:
-        raise ParseError(str(exc), source) from exc
+            magnets.append(
+                _owned(source, f"{mwhere}.pos", MagnetSpec, tuple(pos), _POLARITIES[pol])
+            )
+        faces.append(_owned(source, where, FaceLayout, tuple(magnets), symmetry))
+    return _owned(source, None, CellLayout, tuple(faces))
 
 
 def layout_to_dict(layout: CellLayout) -> dict:
@@ -402,10 +396,7 @@ def parse_trajectories(text: str, source: str | None = None) -> list[Trajectory]
         t = np.array([r[0] for r in data])
         xy = np.array([[r[1], r[2]] for r in data])
         heading = np.array([r[3] for r in data]) if has_heading else None
-        try:
-            out.append(Trajectory(trial, t, xy, heading))
-        except ValidationError as exc:
-            raise ParseError(str(exc), source) from exc
+        out.append(_owned(source, None, Trajectory, trial, t, xy, heading))
     return out
 
 
@@ -443,16 +434,13 @@ def parse_designs(data: object, source: str | None = None) -> list[DesignSpec]:
             raise ParseError(
                 f"contact must be one of {sorted(_CONTACTS)}", source, f"{where}.contact"
             )
-        passive = _field(rd, "passive", int, where, source)
-        active = _field(rd, "active", int, where, source)
-        if passive < 0 or active < 1:
-            raise ParseError(
-                "need passive >= 0 and active >= 1", source, where
-            )
-        meta = DesignMeta(
+        meta = _owned(
+            source,
+            where,
+            DesignMeta,
             name=_field(rd, "name", str, where, source),
-            passive=passive,
-            active=active,
+            passive=_field(rd, "passive", int, where, source),
+            active=_field(rd, "active", int, where, source),
             body_length_cm=float(
                 _field(rd, "body_length_cm", (int, float), where, source)
             ),
@@ -486,7 +474,7 @@ def export_obj(m: Mesh, scale: float = 1.0) -> str:
     """Wavefront OBJ text: fixed 6-decimal vertices, 1-based CCW faces."""
     if len(m.vertices) == 0 or len(m.faces) == 0:
         raise ValidationError("mesh is empty")
-    if not (math.isfinite(scale) and scale > 0):
+    if _as_real(scale, "scale") <= 0:
         raise ValidationError(f"scale must be finite and positive, got {scale!r}")
     lines = []
     for v in m.vertices:

@@ -15,10 +15,12 @@ the faces as FACE_DIRS indices: legal_moves and check_move pack a
 configuration relative to its own smallest position (lattice.pack_frame)
 and unpack the result, so they take and return ordinary coordinates of
 any size; the planner memoizes each roll as one int, a roll code (see
-planner). The generator tests a candidate's destination and swept
-volume together, as one set test of the occupied positions relative to
-the substrate against the roll's shadow (destination plus blocker
-offsets, a frozenset of packed ints).
+planner), and both it and legal_moves turn a roll back into a PivotMove
+with _pivot. The faces a roll may go between are lattice.ROLLS. The
+generator tests a candidate's destination and swept volume together, as
+one set test of the occupied positions relative to the substrate
+against the roll's shadow (destination plus blocker offsets, a
+frozenset of packed ints); check_move tests the same shadow.
 """
 
 from __future__ import annotations
@@ -35,6 +37,7 @@ from .lattice import (
     FACE_DIR_INDEX,
     OPPOSITE_DIR,
     PACKED_DIRS,
+    ROLLS,
     ROTATIONS,
     Cell,
     Configuration,
@@ -73,11 +76,11 @@ class PivotMove:
     def __post_init__(self) -> None:
         object.__setattr__(self, "mover", check_pos(self.mover))
         object.__setattr__(self, "substrate", check_pos(self.substrate))
-        f = FACE_DIRS[_dir_index(self.from_dir)]
-        t = FACE_DIRS[_dir_index(self.to_dir)]
+        fi, ti = _dir_index(self.from_dir), _dir_index(self.to_dir)
+        f, t = FACE_DIRS[fi], FACE_DIRS[ti]
         object.__setattr__(self, "from_dir", f)
         object.__setattr__(self, "to_dir", t)
-        if sum(a * b for a, b in zip(f, t)) != 1:
+        if ti not in ROLLS[fi]:
             raise ValidationError(f"faces {f} and {t} do not share an edge")
         if sub(self.mover, self.substrate) != f:
             raise ValidationError(
@@ -94,13 +97,10 @@ class PivotMove:
 
 
 def pivot_destinations(d: Pos) -> list[Pos]:
-    """The four directions reachable from face d by one edge roll.
-
-    Exactly the face directions at 60 degrees to d (dot product 1), in
-    FACE_DIRS order; these are the faces sharing an edge with face d.
+    """The four directions reachable from face d by one edge roll: the
+    faces sharing an edge with face d (lattice.ROLLS), in FACE_DIRS order.
     """
-    t = FACE_DIRS[_dir_index(d)]
-    return [e for e in FACE_DIRS if sum(a * b for a, b in zip(t, e)) == 1]
+    return [FACE_DIRS[j] for j in ROLLS[_dir_index(d)]]
 
 
 def _solve_pivot_rotations() -> dict[tuple[int, int], int]:
@@ -113,9 +113,8 @@ def _solve_pivot_rotations() -> dict[tuple[int, int], int]:
     exactly one such turn does. Read off the integer tables at import.
     """
     table: dict[tuple[int, int], int] = {}
-    for fi, f in enumerate(FACE_DIRS):
-        for t in pivot_destinations(f):
-            ti = FACE_DIR_INDEX[t]
+    for fi, tis in enumerate(ROLLS):
+        for ti in tis:
             sols = [
                 ri
                 for ri, m in enumerate(ROTATIONS)
@@ -123,7 +122,7 @@ def _solve_pivot_rotations() -> dict[tuple[int, int], int]:
                 and DIR_PERM[ri][ti] == OPPOSITE_DIR[fi]
             ]
             if len(sols) != 1:  # pragma: no cover - geometric impossibility
-                raise AssertionError(f"pivot rotation not unique for {f}->{t}")
+                raise AssertionError(f"pivot rotation not unique for {fi}->{ti}")
             table[(fi, ti)] = sols[0]
     return table
 
@@ -169,9 +168,9 @@ def check_move(
     s = pack(sub(move.substrate, origin))
     fi = FACE_DIR_INDEX[move.from_dir]
     ti = FACE_DIR_INDEX[move.to_dir]
-    for offset in blocker_table()[(fi, ti)]:
-        if s + pack(offset) in occupied:
-            return MoveLegality.SWEPT_VOLUME_BLOCKED
+    # the generator's shadow of the roll; its destination is known free
+    if any(s + o in occupied for o in dict(_roll_table()[fi][2])[ti]):
+        return MoveLegality.SWEPT_VOLUME_BLOCKED
     if strict_stability and not _supported(occupied, s + PACKED_DIRS[ti], s, mover):
         return MoveLegality.UNSTABLE
     return MoveLegality.LEGAL
@@ -223,11 +222,16 @@ def legal_moves(
         return []
     origin, packed = _frame(c)
     return [
-        PivotMove(
-            add(unpack(mover), origin), add(unpack(s), origin), FACE_DIRS[fi], FACE_DIRS[ti]
-        )
+        _pivot(origin, mover, s, fi, ti)
         for mover, s, fi, ti in _legal_rolls(packed, strict_stability)
     ]
+
+
+def _pivot(origin: Pos, mover: int, substrate: int, fi: int, ti: int) -> PivotMove:
+    """The PivotMove of a packed roll, in the coordinates where the
+    frame's origin is origin: the one way back from a roll to a move."""
+    mover_pos, substrate_pos = add(unpack(mover), origin), add(unpack(substrate), origin)
+    return PivotMove(mover_pos, substrate_pos, FACE_DIRS[fi], FACE_DIRS[ti])
 
 
 Roll = tuple[int, int, int, int]  # (mover, substrate, from index, to index)
@@ -236,17 +240,20 @@ Roll = tuple[int, int, int, int]  # (mover, substrate, from index, to index)
 @cache
 def _roll_table() -> list[tuple[int, int, list[tuple[int, frozenset[int]]]]]:
     """[(from index, from step, [(to index, shadow), ...]), ...] in
-    FACE_DIRS order, the steps and shadows packed.
+    FACE_DIRS order, the to indices those of lattice.ROLLS, the steps and
+    shadows packed.
 
     A roll's shadow is its destination offset plus its blocker offsets,
     all relative to the substrate: the roll is free exactly when no
     occupied cell lies in it.
     """
-    rolls = [(fi, PACKED_DIRS[fi], []) for fi in range(len(FACE_DIRS))]
-    for (fi, ti), blockers in sorted(blocker_table().items()):
-        shadow = frozenset((PACKED_DIRS[ti], *map(pack, blockers)))
-        rolls[fi][2].append((ti, shadow))
-    return rolls
+    table = blocker_table()
+    return [
+        (fi, PACKED_DIRS[fi], [
+            (ti, frozenset((PACKED_DIRS[ti], *map(pack, table[fi, ti])))) for ti in tis
+        ])
+        for fi, tis in enumerate(ROLLS)
+    ]
 
 
 def _legal_rolls(positions: tuple[int, ...], strict: bool) -> list[Roll]:

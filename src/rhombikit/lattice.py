@@ -22,6 +22,8 @@ Enumeration conventions (fixed, relied on by file formats and tests):
 
 * ``FACE_DIRS`` lists the 12 neighbor directions in ascending
   lexicographic order.
+* ``ROLLS[f]`` lists, in that order, the indices of the 4 faces that
+  share an edge with face f: the only statement of that rule.
 * ``ROTATIONS`` lists the 24 rotation matrices in descending lexicographic
   order of their row-major flattening, which places the identity at
   index 0.
@@ -30,6 +32,8 @@ Enumeration conventions (fixed, relied on by file formats and tests):
 from __future__ import annotations
 
 import itertools
+import math
+import numbers
 import operator
 from dataclasses import dataclass
 from enum import Enum
@@ -59,6 +63,14 @@ OPPOSITE_DIR: tuple[int, ...] = tuple(
     FACE_DIR_INDEX[(-d[0], -d[1], -d[2])] for d in FACE_DIRS
 )
 
+# per face, the indices of the 4 faces sharing an edge with it, in
+# FACE_DIRS order: the directions at 60 degrees (dot product 1). A cell
+# on face f can roll about each of f's edges onto one of them
+ROLLS: tuple[tuple[int, ...], ...] = tuple(
+    tuple(j for j, e in enumerate(FACE_DIRS) if sum(map(operator.mul, d, e)) == 1)
+    for d in FACE_DIRS
+)
+
 
 def _as_int(v) -> int:
     try:
@@ -67,6 +79,20 @@ def _as_int(v) -> int:
         return operator.index(v)  # ints and numpy integers, not floats
     except TypeError:
         raise ValidationError(f"expected an integer, got {v!r}") from None
+
+
+def _as_real(v, name: str) -> float:
+    """v as a float, if it is a finite real number: ints (numpy ones too)
+    and floats, not bools (bool subclasses int), NaN, infinities or ints
+    too large for a float. Raises ValidationError naming v otherwise."""
+    if isinstance(v, numbers.Real) and not isinstance(v, bool):
+        try:
+            f = float(v)
+        except OverflowError:  # an int beyond the float range
+            f = math.inf
+        if math.isfinite(f):
+            return f
+    raise ValidationError(f"{name} must be a finite number, got {v!r}")
 
 
 def is_valid_pos(p: Sequence[int]) -> bool:
@@ -292,7 +318,7 @@ class Cell:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "pos", check_pos(self.pos))
-        _check_rot(self.orient)
+        object.__setattr__(self, "orient", _check_rot(self.orient))
         if not isinstance(self.kind, CellKind):
             raise ValidationError(f"bad cell kind {self.kind!r}")
 

@@ -19,7 +19,7 @@ In kind-sensitive mode each element is 2 * packed + kind bit (active 0,
 passive 1), which sorts the same way. The search runs in the start's
 frame: positions are taken relative to the start's smallest one, and
 with translation matching every state is shifted to its own smallest
-position (_canonical, one int subtraction per cell); _emit adds the
+position (one int subtraction per cell, in _step); _emit adds the
 shifts and the start's position back. A packed position is exact while
 its y and z lie within lattice.PACK_LIMIT (2**31) of the frame's origin.
 A canonical connected state of n cells stays within n - 1 steps of its
@@ -36,22 +36,24 @@ the first time it is generated (_ids maps the tuple to its id, _states
 maps it back), and from then on the search handles ids only. The move
 generator kinematics._legal_rolls takes the packed positions; a
 successor is its parent's tuple with the mover's element removed and the
-destination's (same kind bit) inserted in order (_rolled), kept once in
-the registry however many parents reach it. Successors are memoized per
-Planner, so that repeated queries over one state space (parameter
-sweeps, test batteries) stay cheap, in ints only: _succ maps an id to
-the tuple of its successor ids in generator order, and _rolls to a
-parallel tuple of roll codes, (mover index * 12 + from index) * 12 + to
-index, the mover's index in the state's tuple and the faces' FACE_DIRS
-indices. A tuple of ints refers to nothing the cyclic GC must follow, so
+destination's (same kind bit) inserted in order, shifted when its
+smallest position moved. _step builds it as one list and makes one
+tuple of it; _successors and _emit both take that step. A successor is
+kept once in the registry however many parents reach it. Successors
+are memoized per Planner, so that repeated queries over one state space
+(parameter sweeps, test batteries) stay cheap, in ints only: _succ
+maps an id to the tuple of its successor ids in generator order, and
+_rolls to a parallel tuple of roll codes, (mover index * 12 + from
+index) * 12 + to index, the mover's index in the state's tuple and the
+faces' FACE_DIRS indices. A tuple of ints refers to nothing the cyclic GC must follow, so
 the collector untracks it at its first pass and later collections skip
 the memo. The parent table (id -> depth, parent id, bound), the heap
 entries and the goal test key on ids. PivotMoves are built only for the
 returned plan: _emit takes each step's roll as the first one in the
 parent's memo entry that reaches the child, which is the one the search
 recorded (a later roll to the same child is no shorter and is skipped),
-decodes it, and recomputes the canonicalization shift from the rolled
-state.
+decodes it into a PivotMove with kinematics._pivot, and recomputes the
+shift with _step.
 
 The exact-position heuristic is an optimal assignment between cell
 positions under the lattice step metric (each move relocates one cell by
@@ -88,15 +90,13 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 from .errors import IllegalMove, ValidationError
-from .kinematics import PivotMove, _legal_rolls, apply_move
+from .kinematics import PivotMove, _legal_rolls, _pivot, apply_move
 from .kinematics import legal_moves  # noqa: F401 - perfbench's tracer patches it here
 from .lattice import (
-    FACE_DIRS,
     PACKED_DIRS,
     CellKind,
     Configuration,
     Pos,
-    add,
     is_connected,
     pack_frame,
     unpack,
@@ -353,29 +353,24 @@ def _state(c: Configuration, origin: Pos, kind_bits: int, margin: int = 0) -> _S
     return packed
 
 
-def _canonical(state: _State, kind_bits: int, translate: bool) -> tuple[_State, int]:
-    """The goal key of a state: with translate, shifted so its smallest
-    position is the origin. Returns the key and the packed shift
-    subtracted.
+def _step(
+    state: _State, at: int, dest: int, kind_bits: int, translate: bool
+) -> tuple[_State, int]:
+    """The goal key of state with its element at index at moved to packed
+    position dest, keeping the element's kind bit. With translate the
+    key is shifted so its smallest position is the origin. Returns the
+    key and the packed shift subtracted (0 when the minimum stays put).
 
     Subtracting the minimum keeps a sorted state sorted and leaves each
     kind bit where it is.
     """
-    if not translate:
-        return state, 0
-    m = state[0] >> kind_bits
-    if m == 0:
-        return state, 0
-    d = m << kind_bits
-    return tuple(e - d for e in state), m
-
-
-def _rolled(state: _State, at: int, dest: int, kind_bits: int) -> _State:
-    """state with its element at index at moved to packed position dest,
-    keeping the element's kind bit; still sorted."""
     nxt = list(state)
     insort(nxt, (dest << kind_bits) + (nxt.pop(at) & kind_bits))
-    return tuple(nxt)
+    m = nxt[0] >> kind_bits if translate else 0
+    if m == 0:
+        return tuple(nxt), 0
+    d = m << kind_bits
+    return tuple([e - d for e in nxt]), m
 
 
 class _Positions(dict):
@@ -446,8 +441,7 @@ class Planner:
         for mover, substrate, fi, ti in _legal_rolls(positions, self.opts.strict_stability):
             # mover << k sorts at or just before the mover's element
             at = bisect_left(state, mover << k)
-            dest = substrate + PACKED_DIRS[ti]
-            canon, _ = _canonical(_rolled(state, at, dest, k), k, translate)
+            canon, _ = _step(state, at, substrate + PACKED_DIRS[ti], k, translate)
             j = ids.get(canon)
             if j is None:  # _id inlined: a call here costs ~4 % of a one-shot search
                 j = ids[canon] = len(states)
@@ -620,16 +614,8 @@ class Planner:
             at, fi = divmod(at, 12)
             mover = state[at] >> k
             substrate = mover - PACKED_DIRS[fi]
-            moves.append(
-                PivotMove(
-                    add(unpack(mover + offset), origin),
-                    add(unpack(substrate + offset), origin),
-                    FACE_DIRS[fi],
-                    FACE_DIRS[ti],
-                )
-            )
-            nxt = _rolled(state, at, substrate + PACKED_DIRS[ti], k)
-            offset += _canonical(nxt, k, translate)[1]
+            moves.append(_pivot(origin, mover + offset, substrate + offset, fi, ti))
+            offset += _step(state, at, substrate + PACKED_DIRS[ti], k, translate)[1]
         final = stats()
         plan = Plan(
             tuple(moves),
@@ -666,7 +652,7 @@ def goal_matches(
     if not match_up_to_translation and oc != og:
         return False
     # each packed relative to its own smallest position is already in
-    # the canonical form _canonical gives the search's states
+    # the canonical form _step gives the search's states
     k = int(kind_sensitive)
     return _state(c, oc, k) == _state(goal, og, k)
 

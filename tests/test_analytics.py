@@ -148,7 +148,10 @@ class TestRotationDirection:
             is RotationDirection.INDETERMINATE
         )
 
-    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, -1.0])
+    # huge-int: beyond the float range, refused rather than an OverflowError
+    @pytest.mark.parametrize(
+        "bad", [math.nan, math.inf, -math.inf, -1.0, pytest.param(10**400, id="huge-int")]
+    )
     @pytest.mark.parametrize("name", ["theta_min"])
     def test_bad_thresholds_rejected(self, name, bad):
         # two clockwise turns: theta_min=-inf used to label this CCW, and
@@ -185,6 +188,27 @@ def _fixture_trials():
 
 DESIGN_A = DesignMeta("Design A", 2, 1, 9.5, 77.0, ContactType.POINT)
 DESIGN_D = DesignMeta("Design D", 7, 3, 21.0, 252.0, ContactType.FACE)
+
+
+class TestDesignMeta:
+    @pytest.mark.parametrize(
+        "passive, active", [(2, 0), (-1, 1), (True, 1), (2, 1.0)],
+        ids=["no-active", "negative-passive", "bool", "float"],
+    )
+    def test_cell_counts_checked(self, passive, active):
+        # active=0 used to reach report_table's ratio as a ZeroDivisionError
+        with pytest.raises(ValidationError):
+            DesignMeta("X", passive, active, 9.5, 77.0, ContactType.POINT)
+
+    def test_contact_must_be_a_contact_type(self):
+        # the string used to reach report_table as an AttributeError
+        with pytest.raises(ValidationError, match="ContactType"):
+            DesignMeta("X", 2, 1, 9.5, 77.0, "point")
+
+    def test_numpy_counts_stored_as_ints(self):
+        meta = DesignMeta("X", np.int64(2), np.int64(1), 9.5, 77.0, ContactType.POINT)
+        assert type(meta.passive) is int and type(meta.active) is int
+        assert meta == DesignMeta("X", 2, 1, 9.5, 77.0, ContactType.POINT)
 
 
 class TestSummarize:

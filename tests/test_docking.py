@@ -417,10 +417,39 @@ class TestEnumeration:
         with pytest.raises(ValidationError, match="closer"):
             enumerate_valid_layouts(pts, k=k)
 
-    @pytest.mark.parametrize("bad", [math.nan, math.inf, True])
+    # huge-int: beyond the float range, refused rather than an OverflowError
+    @pytest.mark.parametrize(
+        "bad", [math.nan, math.inf, True, pytest.param(10**400, id="huge-int")]
+    )
     def test_bad_positions_rejected(self, bad):
         with pytest.raises(ValidationError, match="finite numbers"):
             enumerate_valid_layouts([(0.3, bad), (-0.3, -0.2)], k=2)
+
+    @pytest.mark.parametrize("k", [3, 6])
+    @pytest.mark.parametrize("decimals", [5, 6, 7])
+    def test_rounded_orbits_checked_at_the_pairing_tolerance(self, k, decimals):
+        # a k-fold orbit of mirror pairs written with a few decimals: the
+        # symmetry check pairs positions within EPS_MATCH, as docking does,
+        # so rounding errors below it (6 or 7 decimals) are accepted with
+        # the exact orbit's assignments, and larger ones (5) refused
+        def orbit(digits=None):
+            pts = []
+            for j in range(k):
+                for a in (0.3 + 2 * math.pi * j / k, -0.3 + 2 * math.pi * j / k):
+                    p = (0.4 * math.cos(a), 0.4 * math.sin(a))
+                    pts.append(p if digits is None else tuple(round(x, digits) for x in p))
+            return pts
+
+        exact = enumerate_valid_layouts(orbit(), k=k)
+        assert len(exact) == 2
+        if decimals >= 6:
+            assert enumerate_valid_layouts(orbit(decimals), k=k) == exact
+            FaceLayout(tuple(MagnetSpec(p, N) for p in orbit(decimals)), symmetry=k)
+        else:
+            with pytest.raises(ValidationError, match=f"{k}-fold symmetric"):
+                enumerate_valid_layouts(orbit(decimals), k=k)
+            with pytest.raises(ValidationError, match=f"{k}-fold symmetric"):
+                FaceLayout(tuple(MagnetSpec(p, N) for p in orbit(decimals)), symmetry=k)
 
     def test_k1_unsupported(self):
         with pytest.raises(UnsupportedSymmetry):

@@ -27,6 +27,7 @@ from rhombikit.geometry import (
     blocker_table,
     _swept_cells_uncached,
 )
+from rhombikit import lattice
 from rhombikit.kinematics import PivotMove, pivot_destinations, pivot_rotation
 from rhombikit.lattice import (
     FACE_DIRS,
@@ -218,7 +219,10 @@ class TestRotationFromAxisAngle:
         assert np.allclose(r @ r.T, np.eye(3), atol=1e-12)
         assert np.linalg.det(r) == pytest.approx(1.0)
 
-    @pytest.mark.parametrize("deg", [math.nan, math.inf, -math.inf])
+    # huge-int: beyond the float range, refused rather than an OverflowError
+    @pytest.mark.parametrize(
+        "deg", [math.nan, math.inf, -math.inf, pytest.param(10**400, id="huge-int")]
+    )
     def test_non_finite_angle_rejected(self, deg):
         with pytest.raises(ValidationError, match="angle"):
             rotation_from_axis_angle((1, 0, 0), deg)
@@ -324,6 +328,43 @@ class TestGroundContact:
         assert res.contact_type is ContactType.POINT
         assert set(res.per_cell.values()) == {ContactType.POINT}
 
+    def test_three_support_vertices_are_face_contact(self):
+        # face (1, 1, 0) down, then tilted by 7e-7 rad about its long
+        # diagonal: one short-diagonal end sinks to the new lowest point,
+        # the long-diagonal ends stay 7e-7 above it (inside the 1e-6
+        # support tolerance) and the other short-diagonal end rises 1.4e-6
+        down = _align_to_minus_z((1, 1, 0))
+        tilt = rotation_from_axis_angle(down @ np.array([1.0, -1.0, 0.0]), math.degrees(7e-7))
+        res = classify_ground_contact(Configuration.from_positions([(0, 0, 0)]), tilt @ down)
+        assert len(res.support_points) == 3
+        assert res.contact_type is ContactType.FACE
+
+    def test_support_count_agrees_with_rank_oracle(self):
+        # the count rule against the affine dimension of the support
+        # vertices (matrix rank at the support tolerance), on random
+        # rotations and on poses that put a vertex, an edge or a face down,
+        # each tilted by a small random turn
+        rng = np.random.default_rng(31)
+        edges = [np.add(CANONICAL_VERTICES[a], CANONICAL_VERTICES[b]) for a, b in CELL_EDGES]
+        downs = list(CANONICAL_VERTICES) + edges + list(FACE_DIRS)
+        rots = [
+            rotation_from_axis_angle(rng.normal(size=3), rng.uniform(0, 360))
+            for _ in range(300)
+        ]
+        for d in downs:
+            for deg in (0.0, 1e-8, 1e-6, 1e-5, 3e-5, 5e-5, 1e-4, 1e-2, 1.0):
+                rots.append(rotation_from_axis_angle(rng.normal(size=3), deg) @ _align_to_minus_z(d))
+        single = Configuration.from_positions([(0, 0, 0)])
+        counts = set()
+        for rot in rots:
+            res = classify_ground_contact(single, rot)
+            pts = res.support_points
+            rank = 0 if len(pts) == 1 else np.linalg.matrix_rank(pts[1:] - pts[0], tol=1e-6)
+            want = (ContactType.POINT, ContactType.EDGE, ContactType.FACE)[int(rank)]
+            assert res.contact_type is want, (len(pts), rank)
+            counts.add(len(pts))
+        assert counts == {1, 2, 3, 4}
+
     def test_degenerate_rotation_rejected(self):
         c = Configuration.from_positions([(0, 0, 0)])
         with pytest.raises(ValidationError):
@@ -379,6 +420,24 @@ class TestStructureMesh:
     def test_empty_rejected(self):
         with pytest.raises(ValidationError):
             structure_mesh(Configuration([]))
+
+
+class TestRolls:
+    def test_rolls_are_the_faces_sharing_an_edge(self):
+        # lattice.ROLLS against the dot-product rule and against the
+        # mesh: the faces whose vertex cycles share exactly two vertices
+        for fi, f in enumerate(FACE_DIRS):
+            by_dot = tuple(j for j, t in enumerate(FACE_DIRS) if np.dot(f, t) == 1)
+            by_mesh = []
+            for j, t in enumerate(FACE_DIRS):
+                try:
+                    shared_face_edge(f, t)
+                except ValidationError:
+                    continue
+                by_mesh.append(j)
+            assert lattice.ROLLS[fi] == by_dot == tuple(by_mesh)
+            assert len(lattice.ROLLS[fi]) == 4
+        assert sum(map(len, lattice.ROLLS)) == len(blocker_table()) == 48
 
 
 class TestSweptCells:

@@ -1,4 +1,5 @@
 import argparse
+import dataclasses
 import json
 import math
 import os
@@ -24,7 +25,7 @@ from rhombikit.docking import (
 from rhombikit.errors import ParseError, ValidationError
 from rhombikit.geometry import canonical_cell_mesh, structure_mesh
 from rhombikit.lattice import Cell, CellKind, Configuration
-from rhombikit.planner import plan
+from rhombikit.planner import SearchStats, plan
 
 from conftest import random_connected_positions
 
@@ -81,6 +82,39 @@ class TestStructureFiles:
         data = {"cells": [{"pos": [0, 0, 0], "kind": "passive", "orient": 24}]}
         with pytest.raises(ParseError, match="orient"):
             rio.parse_structure(data)
+
+    def test_cell_rule_reported_at_its_field(self):
+        # Cell owns the orientation rule; io reports it where it was read
+        data = {"cells": [{"pos": [0, 0, 0], "kind": "passive", "orient": -1}]}
+        with pytest.raises(ParseError, match=re.escape("cells[0].orient: rotation index")):
+            rio.parse_structure(data)
+
+    def test_numpy_orient_serializes(self):
+        # Cell keeps the int its check returns, not the numpy scalar
+        cell = Cell((0, 0, 0), CellKind.ACTIVE, np.int64(3))
+        assert type(cell.orient) is int
+        doc = rio.StructureDoc(Configuration([cell]))
+        assert rio.parse_structure(json.loads(rio.dumps_structure(doc))) == doc
+
+    @pytest.mark.parametrize(
+        "scale", [-1.0, 0.0, math.nan, math.inf, True, 10**400],
+        ids=["negative", "zero", "nan", "inf", "bool", "huge-int"],
+    )
+    def test_structure_doc_owns_the_scale_rule(self, scale):
+        # every document dumps_structure can write, load_structure reads
+        with pytest.raises(ValidationError, match="scale_cm_per_unit"):
+            rio.StructureDoc(Configuration.from_positions([(0, 0, 0)]), scale)
+
+    @pytest.mark.parametrize("scale", [-1.0, 0, -5])
+    def test_non_positive_scale_is_parse_error(self, scale):
+        data = {"cells": [{"pos": [0, 0, 0], "kind": "passive"}], "scale_cm_per_unit": scale}
+        with pytest.raises(ParseError, match="scale_cm_per_unit must be positive"):
+            rio.parse_structure(data)
+
+    def test_scale_read_as_float(self):
+        doc = rio.StructureDoc(Configuration.from_positions([(0, 0, 0)]), np.int64(2))
+        assert type(doc.scale_cm_per_unit) is float and doc.scale_cm_per_unit == 2.0
+        assert rio.parse_structure(json.loads(rio.dumps_structure(doc))) == doc
 
     def test_unsupported_version(self):
         with pytest.raises(ParseError, match="format_version"):
@@ -178,11 +212,16 @@ class TestPositionsFiles:
             (-0.5, 0.0),
         ]
 
-    @pytest.mark.parametrize("bad", ["[true, 0.5]", "[NaN, 0.5]", "[0.5, -Infinity]"])
+    @pytest.mark.parametrize(
+        "bad",
+        ["[true, 0.5]", "[NaN, 0.5]", "[0.5, -Infinity]",
+         pytest.param(f"[{10**400}, 0.5]", id="huge-int")],
+    )
     def test_boolean_and_non_finite_rejected(self, bad):
         text = '{"positions": [[0.5, 0.5], ' + bad + "]}"
         with pytest.raises(ParseError, match=re.escape("positions[1]")):
             rio.parse_positions(json.loads(text))
+
 
 
 class TestDesignFiles:
@@ -207,6 +246,15 @@ class TestDesignFiles:
     def test_boolean_and_non_finite_rejected(self, key, value):
         data = {"designs": [dict(self.DESIGN), dict(self.DESIGN, **{key: value})]}
         with pytest.raises(ParseError, match=re.escape(f"designs[1]: field {key!r}")):
+            rio.parse_designs(data)
+
+    @pytest.mark.parametrize("key, value", [("active", 0), ("passive", -1)])
+    def test_design_meta_rule_reported_at_the_design(self, key, value):
+        # DesignMeta owns the cell-count rule; io reports it at the design
+        data = {"designs": [dict(self.DESIGN), dict(self.DESIGN, **{key: value})]}
+        with pytest.raises(
+            ParseError, match=re.escape("designs[1]: need passive >= 0 and active >= 1")
+        ):
             rio.parse_designs(data)
 
 
@@ -309,10 +357,14 @@ class TestObjExport:
         with pytest.raises(ValidationError):
             rio.export_obj(Mesh(np.zeros((0, 3)), ()))
 
-    @pytest.mark.parametrize("scale", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+    # huge-int: beyond the float range, refused rather than an OverflowError
+    @pytest.mark.parametrize(
+        "scale", [math.nan, math.inf, -math.inf, 0.0, -1.0, pytest.param(10**400, id="huge-int")]
+    )
     def test_bad_scale_rejected(self, scale):
         with pytest.raises(ValidationError, match="scale"):
             rio.export_obj(canonical_cell_mesh(), scale)
+
 
 
 @pytest.fixture()
@@ -415,6 +467,13 @@ class TestCli:
         assert payload["states_expanded"] == 0
         assert (payload["generated"], payload["memo_size"]) == (0, 0)
         assert (payload["evaluations"], payload["memo_hits"]) == (0, 0)
+
+    def test_plan_json_counters_follow_search_stats(self, files, capsys):
+        # every SearchStats field but the wall time, read from the class
+        assert cli_main(["plan", "--from", files["line"], "--to", files["tri"], "--json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        counters = {f.name for f in dataclasses.fields(SearchStats)} - {"wall_time"}
+        assert set(payload) == counters | {"status", "reason", "moves"}
 
     def test_plan_json_reports_search_counters(self, files, capsys):
         code = cli_main(["plan", "--from", files["line"], "--to", files["tri"], "--json"])

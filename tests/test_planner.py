@@ -18,6 +18,7 @@ from rhombikit.io import PlanDoc, StructureDoc, dumps_plan
 from rhombikit.kinematics import PivotMove, apply_move, legal_moves
 from rhombikit.lattice import (
     PACK_LIMIT,
+    PACKED_DIRS,
     Cell,
     CellKind,
     Configuration,
@@ -32,6 +33,7 @@ from rhombikit.planner import (
     _axes,
     _axis_bound,
     _goal_profile,
+    _step,
     _translation_bound,
     Algorithm,
     Plan,
@@ -45,7 +47,7 @@ from rhombikit.planner import (
     replay,
 )
 
-from conftest import canon_positions, oracle_successors
+from conftest import canon_positions, oracle_successors, random_connected_positions
 
 
 def _fifo_reference(planner, start, goal):
@@ -550,6 +552,38 @@ class TestPackedStates:
                 for m in legal_moves(c)
             ]
             assert got == want, s
+
+    @pytest.mark.parametrize("kind_bits", [0, 1], ids=["plain", "kinds"])
+    @pytest.mark.parametrize("translate", [False, True], ids=["exact", "translation"])
+    def test_step_matches_roll_then_shift(self, kind_bits, translate):
+        # the two-pass reference _step replaces: move the element (its kind
+        # bit kept) and sort, then with translate subtract the smallest
+        # position from every element
+        def reference(state, at, dest):
+            rest = list(state)
+            e = rest.pop(at)
+            rolled = tuple(sorted(rest + [(dest << kind_bits) + (e & kind_bits)]))
+            if not translate or rolled[0] >> kind_bits == 0:
+                return rolled, 0
+            m = rolled[0] >> kind_bits
+            return tuple(x - (m << kind_bits) for x in rolled), m
+
+        rng = np.random.default_rng(23)
+        shifts = 0
+        for _ in range(500):
+            n = int(rng.integers(1, 8))
+            offset = tuple(2 * int(v) for v in rng.integers(-4, 5, size=3))
+            packed = sorted(pack(p) + pack(offset) for p in random_connected_positions(rng, n))
+            state = tuple((p << kind_bits) + int(rng.integers(2)) * kind_bits for p in packed)
+            dest = packed[rng.integers(n)] + PACKED_DIRS[rng.integers(12)]
+            if dest in packed:
+                continue
+            at = int(rng.integers(n))
+            got = _step(state, at, dest, kind_bits, translate)
+            assert got == reference(state, at, dest)
+            assert type(got[0]) is tuple
+            shifts += got[1] != 0
+        assert shifts > 0 if translate else shifts == 0
 
     @pytest.mark.parametrize("translate", [True, False])
     def test_exact_range_guarded(self, translate):
