@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .geometry import ContactType
-from .lattice import _as_int, _as_real
+from .lattice import _as_int, _as_real, _echo
 
 
 class RotationDirection(Enum):
@@ -33,7 +33,7 @@ class RotationDirection(Enum):
 @dataclass(frozen=True)
 class Trajectory:
     """One tracked trial: strictly increasing timestamps, positions in cm,
-    optional per-sample marker heading in radians."""
+    optional per-sample marker heading in radians; every sample finite."""
 
     trial_id: str
     t: np.ndarray
@@ -41,28 +41,27 @@ class Trajectory:
     heading: np.ndarray | None = None
 
     def __post_init__(self) -> None:
+        trial = f"trial {_echo(self.trial_id)}"
         t = np.asarray(self.t, dtype=float)
         xy = np.asarray(self.xy, dtype=float)
         object.__setattr__(self, "t", t)
         object.__setattr__(self, "xy", xy)
         if t.ndim != 1 or xy.shape != (len(t), 2):
-            raise ValidationError(
-                f"trial {self.trial_id!r}: need t (N,) and xy (N, 2) samples"
-            )
+            raise ValidationError(f"{trial}: need t (N,) and xy (N, 2) samples")
         if len(t) < 2:
-            raise ValidationError(f"trial {self.trial_id!r}: fewer than 2 samples")
-        if not np.all(np.diff(t) > 0):
-            raise ValidationError(
-                f"trial {self.trial_id!r}: timestamps not strictly increasing"
-            )
+            raise ValidationError(f"{trial}: fewer than 2 samples")
+        samples = [t, xy]
         if self.heading is not None:
             h = np.asarray(self.heading, dtype=float)
             object.__setattr__(self, "heading", h)
             if h.shape != t.shape:
-                raise ValidationError(
-                    f"trial {self.trial_id!r}: heading length mismatch"
-                )
-        for a in (self.t, self.xy) + (() if self.heading is None else (self.heading,)):
+                raise ValidationError(f"{trial}: heading length mismatch")
+            samples.append(h)
+        if not all(np.isfinite(a).all() for a in samples):
+            raise ValidationError(f"{trial}: samples must be finite numbers")
+        if not np.all(np.diff(t) > 0):
+            raise ValidationError(f"{trial}: timestamps not strictly increasing")
+        for a in samples:
             a.setflags(write=False)
 
     @property
@@ -105,7 +104,9 @@ def rotation_direction(
     noise. theta_min must be finite and nonnegative.
     """
     if _as_real(theta_min, "theta_min") < 0.0:
-        raise ValidationError(f"theta_min must be finite and >= 0, got {theta_min!r}")
+        raise ValidationError(
+            f"theta_min must be finite and >= 0, got {_echo(theta_min)}"
+        )
     if tr.heading is not None:
         headings = tr.heading
     else:
@@ -151,8 +152,8 @@ def trial_stats(tr: Trajectory, theta_min: float = math.pi) -> TrialStats:
 @dataclass(frozen=True)
 class DesignMeta:
     """Morphology metadata for one design (not derivable from trials):
-    at least one active cell, no negative passive count, and a
-    ContactType."""
+    int cell counts, at least one active and no negative passive count,
+    finite body measures kept as floats, and a ContactType."""
 
     name: str
     passive: int
@@ -162,15 +163,20 @@ class DesignMeta:
     contact: ContactType
 
     def __post_init__(self) -> None:
-        passive, active = _as_int(self.passive), _as_int(self.active)
-        if passive < 0 or active < 1:
+        for name, rule in (
+            ("passive", _as_int), ("active", _as_int),
+            ("body_length_cm", _as_real), ("body_weight_g", _as_real),
+        ):
+            object.__setattr__(self, name, rule(getattr(self, name), name))
+        if self.passive < 0 or self.active < 1:
             raise ValidationError(
-                f"need passive >= 0 and active >= 1, got {passive} and {active}"
+                f"need passive >= 0 and active >= 1, got {_echo(self.passive)} and "
+                f"{_echo(self.active)}"
             )
-        object.__setattr__(self, "passive", passive)
-        object.__setattr__(self, "active", active)
         if not isinstance(self.contact, ContactType):
-            raise ValidationError(f"contact must be a ContactType, got {self.contact!r}")
+            raise ValidationError(
+                f"contact must be a ContactType, got {_echo(self.contact)}"
+            )
 
 
 @dataclass(frozen=True)
@@ -198,7 +204,7 @@ def summarize(trials: Iterable[TrialStats], meta: DesignMeta) -> DesignSummary:
     """Aggregate one design's trials: mean and sample SD of both metrics."""
     stats = list(trials)
     if not stats:
-        raise ValidationError(f"design {meta.name!r} has no trials")
+        raise ValidationError(f"design {_echo(meta.name)} has no trials")
     mean_d, sd_d = _mean_sd([s.distance for s in stats])
     mean_n, sd_n = _mean_sd([s.net_displacement for s in stats])
     return DesignSummary(meta, len(stats), mean_d, sd_d, mean_n, sd_n)
@@ -262,4 +268,4 @@ def report_table(summaries: Sequence[DesignSummary], format: str = "markdown") -
         w.writerow(["metric"] + header[1:])
         w.writerows(rows)
         return buf.getvalue()
-    raise ValidationError(f"unknown table format {format!r}")
+    raise ValidationError(f"unknown table format {_echo(format)}")

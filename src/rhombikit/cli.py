@@ -27,7 +27,7 @@ from .geometry import (
     rotation_from_axis_angle,
     structure_mesh,
 )
-from .lattice import CellKind, is_connected
+from .lattice import CellKind, _echo, is_connected
 from .planner import (
     Algorithm,
     Plan,
@@ -243,7 +243,8 @@ def _cmd_analyze(args) -> int:
             missing = [t for t in spec.trial_ids if t not in by_id]
             if missing:
                 raise ValidationError(
-                    f"design {spec.meta.name!r}: unknown trial ids {missing}"
+                    f"design {_echo(spec.meta.name)}: "
+                    f"unknown trial ids {_echo(missing)}"
                 )
             trs = [by_id[t] for t in spec.trial_ids]
         stats = [trial_stats(tr, theta_min=args.theta_min) for tr in trs]

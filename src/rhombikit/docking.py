@@ -43,6 +43,7 @@ from .lattice import (
     _as_real,
     _check_dir,
     _check_rot,
+    _echo,
     _mat_apply,
 )
 
@@ -75,11 +76,11 @@ class MagnetSpec:
             pos = tuple(_as_real(x, "magnet coordinate") for x in self.pos)
         except ValidationError:
             raise ValidationError(
-                f"magnet position must be finite numbers, got {self.pos!r}"
+                f"magnet position must be finite numbers, got {_echo(self.pos)}"
             ) from None
         object.__setattr__(self, "pos", pos)
         if not isinstance(self.polarity, Polarity):
-            raise ValidationError(f"bad polarity {self.polarity!r}")
+            raise ValidationError(f"bad polarity {_echo(self.polarity)}")
 
 
 def _rot2(angle: float) -> np.ndarray:
@@ -88,14 +89,16 @@ def _rot2(angle: float) -> np.ndarray:
     return np.array([[c, -s], [s, c]])
 
 
-def _check_symmetry(k) -> None:
-    """A symmetry order is a plain int (not a bool) of at least two."""
-    if not isinstance(k, int) or isinstance(k, bool):
-        raise ValidationError(f"symmetry order must be an int, got {k!r}")
+def _check_symmetry(k) -> int:
+    """A symmetry order is an int (numpy ints too, not bools) of at least
+    two whose turn, 2*pi/k, a float can hold."""
+    k = _as_int(k, "symmetry order")
     if k < 2:
         raise UnsupportedSymmetry(
-            f"genderless docking needs at least two-fold symmetry, got k={k}"
+            f"genderless docking needs at least two-fold symmetry, got k={_echo(k)}"
         )
+    _as_real(k, "symmetry order")
+    return k
 
 
 def _partners(pa: np.ndarray, pb: np.ndarray) -> list[int]:
@@ -118,12 +121,11 @@ def _partners(pa: np.ndarray, pb: np.ndarray) -> list[int]:
 
 def _check_face(points: np.ndarray, k: int) -> None:
     """The rules for the magnet positions of one k-fold face, shared by
-    FaceLayout and the layout search: k is an int >= 2, the positions are
-    pairwise separated by more than twice the pairing tolerance, and as a
-    multiset they are invariant under rotation by 2*pi/k: the rotated
-    positions pair with the positions (_partners, within EPS_MATCH). The
-    separation makes that pairing unique."""
-    _check_symmetry(k)
+    FaceLayout and the layout search, once k has passed _check_symmetry:
+    the positions are pairwise separated by more than twice the pairing
+    tolerance, and as a multiset they are invariant under rotation by
+    2*pi/k: the rotated positions pair with the positions (_partners,
+    within EPS_MATCH). The separation makes that pairing unique."""
     for i in range(len(points)):
         for j in range(i + 1, len(points)):
             if np.linalg.norm(points[i] - points[j]) <= 2 * EPS_MATCH:
@@ -133,7 +135,9 @@ def _check_face(points: np.ndarray, k: int) -> None:
     try:
         _partners(points @ _rot2(2.0 * math.pi / k).T, points)
     except PairingError:
-        raise ValidationError(f"magnet positions are not {k}-fold symmetric") from None
+        raise ValidationError(
+            f"magnet positions are not {_echo(k)}-fold symmetric"
+        ) from None
 
 
 @dataclass(frozen=True)
@@ -154,6 +158,7 @@ class FaceLayout:
         object.__setattr__(self, "magnets", mags)
         if not mags:
             raise ValidationError("face layout has no magnets")
+        object.__setattr__(self, "symmetry", _check_symmetry(self.symmetry))
         _check_face(self.positions(), self.symmetry)
 
     def positions(self) -> np.ndarray:
@@ -203,7 +208,7 @@ class ContactAlignment:
             object.__setattr__(self, name, _check_dir(getattr(self, name)))
         for name in ("orient_a", "orient_b"):
             object.__setattr__(self, name, _check_rot(getattr(self, name)))
-        object.__setattr__(self, "turn", _as_int(self.turn))
+        object.__setattr__(self, "turn", _as_int(self.turn, "turn"))
 
     def world_dir(self) -> int:
         """Index of the world direction from cell A toward cell B."""
@@ -221,8 +226,8 @@ def _mate(uv: np.ndarray, s: int, turn: int, k: int) -> np.ndarray:
     then (u, v) maps to (s*u, -s*v): s = +1 when the two long axes are
     parallel, and the short axes oppose because the normals do.
     """
-    if turn % k:
-        uv = uv @ _rot2(2.0 * math.pi * turn / k).T
+    if turn % k:  # turn may pass the float range; the click is an int ratio
+        uv = uv @ _rot2(2.0 * math.pi * (turn % k / k)).T
     return uv * np.array([s, -s])
 
 
@@ -240,7 +245,7 @@ def contact_map(
     """
     if not align.is_coincident():
         raise PairingError(
-            f"faces are not geometrically coincident under {align}"
+            f"faces are not geometrically coincident under {_echo(align)}"
         )
     if len(a.magnets) != len(b.magnets):
         raise PairingError(
@@ -358,6 +363,7 @@ def enumerate_valid_layouts(
     )
     if len(pts) == 0:
         raise ValidationError("face positions must be a nonempty list of 2D points")
+    k = _check_symmetry(k)
     _check_face(pts, k)
     maps = _partner_maps(pts, k)
     if maps is None:

@@ -15,7 +15,7 @@ class PairingError(RhombikitError):
     magnet within tolerance."""
 
 
-class UnsupportedSymmetry(RhombikitError):
+class UnsupportedSymmetry(ValidationError):
     """The docking scheme requires at least two-fold rotational face
     symmetry; raised for k < 2."""
 

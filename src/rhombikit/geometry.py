@@ -34,6 +34,8 @@ from .lattice import (
     _as_real,
     _check_dir,
     _dir_index,
+    _echo,
+    _require_nonempty,
     add,
     apply_rotation,
 )
@@ -273,12 +275,12 @@ def classify_ground_contact(c: Configuration, world_rot) -> GroundContact:
     vertices: one is point contact, two are edge contact, and three or
     four are face contact (three occur when a face-down cell tilts
     slightly about a face diagonal and lifts one vertex out of the
-    tolerance).
-    Because all cells are translates of the same solid, every touching
-    cell lands in the same class, which is returned as the overall type.
+    tolerance). The structure's type is that of the touching cell with
+    the most support vertices: a tilt that keeps one cell's face within
+    the tolerance can lift vertices of cells further along out of it, so
+    the cells' own classes may differ.
     """
-    if len(c) == 0:
-        raise ValidationError("configuration is empty")
+    _require_nonempty(c)
     rot = check_world_rotation(world_rot)
 
     base = np.array(CANONICAL_VERTICES, dtype=float)
@@ -297,12 +299,9 @@ def classify_ground_contact(c: Configuration, world_rot) -> GroundContact:
         per_cell[cell.pos] = _BY_COUNT[len(pts)]
         support.append(pts)
 
-    kinds = set(per_cell.values())
-    if len(kinds) != 1:
-        raise AssertionError("touching cells disagree on contact type")
     pts = np.vstack(support)
     order = np.lexsort((pts[:, 2], pts[:, 1], pts[:, 0]))
-    return GroundContact(kinds.pop(), pts[order], per_cell)
+    return GroundContact(_BY_COUNT[max(map(len, support))], pts[order], per_cell)
 
 
 # --------------------------------------------------------------------------
@@ -318,8 +317,7 @@ def structure_mesh(c: Configuration) -> Mesh:
     pairs. The result is watertight whenever the configuration is
     connected.
     """
-    if len(c) == 0:
-        raise ValidationError("configuration is empty")
+    _require_nonempty(c)
     vert_ids: dict[Pos, int] = {}
     verts: list[Pos] = []
     faces: list[tuple[int, ...]] = []
@@ -352,7 +350,7 @@ def shared_face_edge(d1: Pos, d2: Pos) -> tuple[Pos, Pos]:
     i1, i2 = _dir_index(d1), _dir_index(d2)
     common = set(FACE_VERTICES[i1]) & set(FACE_VERTICES[i2])
     if len(common) != 2:
-        raise ValidationError(f"faces {d1} and {d2} do not share an edge")
+        raise ValidationError(f"faces {_echo(d1)} and {_echo(d2)} do not share an edge")
     a, b = sorted(CANONICAL_VERTICES[i] for i in common)
     return a, b
 

@@ -18,10 +18,20 @@ import numpy as np
 
 from .analytics import DesignMeta, Trajectory
 from .docking import CellLayout, FaceLayout, MagnetSpec, Polarity
-from .errors import ParseError, UnsupportedSymmetry, ValidationError
+from .errors import ParseError, ValidationError
 from .geometry import ContactType, Mesh
 from .kinematics import PivotMove
-from .lattice import Cell, CellKind, Configuration, _as_real, check_pos
+from .lattice import (
+    FACE_DIR_INDEX,
+    FACE_DIRS,
+    Cell,
+    CellKind,
+    Configuration,
+    _as_real,
+    _check_dir,
+    _echo,
+    check_pos,
+)
 
 FORMAT_VERSION = 1
 
@@ -41,39 +51,36 @@ class StructureDoc:
     def __post_init__(self) -> None:
         scale = self.scale_cm_per_unit
         if scale is not None:
-            if _as_real(scale, "scale_cm_per_unit") <= 0:
-                raise ValidationError(f"scale_cm_per_unit must be positive, got {scale!r}")
-            object.__setattr__(self, "scale_cm_per_unit", float(scale))
+            value = _as_real(scale, "scale_cm_per_unit")
+            if value <= 0:
+                raise ValidationError(
+                    f"scale_cm_per_unit must be positive, got {_echo(scale)}"
+                )
+            object.__setattr__(self, "scale_cm_per_unit", value)
 
 
-def _load_json(text: str, source: str | None) -> object:
+def _load_json(path: str | Path, parse):
+    """parse(document, source) of the JSON file at path; the source names
+    the file in every ParseError."""
+    source = str(path)
     try:
-        return json.loads(text)
+        data = json.loads(Path(path).read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise ParseError(
             f"invalid JSON: {exc.msg}", source, f"line {exc.lineno} column {exc.colno}"
         ) from exc
     except (ValueError, RecursionError) as exc:  # huge int literal, deep nesting
         raise ParseError(f"invalid JSON: {exc}", source) from exc
+    return parse(data, source)
 
 
 def _owned(source, where, make, *args, **kwargs):
-    """make(*args, **kwargs), with the ValidationError (or
-    UnsupportedSymmetry) of the type that owns the rule reported as a
-    ParseError at where."""
+    """make(*args, **kwargs), with the ValidationError of the type or
+    function that owns the rule reported as a ParseError at where."""
     try:
         return make(*args, **kwargs)
-    except (ValidationError, UnsupportedSymmetry) as exc:
+    except ValidationError as exc:
         raise ParseError(str(exc), source, where) from exc
-
-
-def _finite(v) -> bool:
-    """Is v a finite number (lattice._as_real's rule)?"""
-    try:
-        _as_real(v, "value")
-    except ValidationError:
-        return False
-    return True
 
 
 def _field(obj: dict, key: str, types, where: str, source, required=True, default=None):
@@ -89,22 +96,21 @@ def _field(obj: dict, key: str, types, where: str, source, required=True, defaul
     return val
 
 
-def _check_version(obj: dict, source) -> None:
-    """format_version is optional; when present it must be the int 1
-    (not true, not 1.0)."""
-    v = obj.get("format_version", FORMAT_VERSION)
+def _document(data: object, what: str, source) -> dict:
+    """data, checked to be a JSON object whose format_version, optional,
+    is the int 1 when present (not true, not 1.0)."""
+    if not isinstance(data, dict):
+        raise ParseError(f"{what} document must be a JSON object", source)
+    v = data.get("format_version", FORMAT_VERSION)
     if type(v) is not int or v != FORMAT_VERSION:
-        raise ParseError(f"unsupported format_version {v!r}", source)
+        raise ParseError(f"unsupported format_version {_echo(v)}", source)
+    return data
 
 
-def _parse_pos(raw, where: str, source) -> tuple[int, int, int]:
-    if (
-        not isinstance(raw, list)
-        or len(raw) != 3
-        or not all(isinstance(v, int) and not isinstance(v, bool) for v in raw)
-    ):
-        raise ParseError("position must be three integers", source, where)
-    return _owned(source, where, check_pos, raw)
+def _checked(obj: dict, key: str, types, rule, where: str, source):
+    """rule(obj[key]) for a field of the given JSON types; the rule's
+    owner reports its ValidationError as a ParseError at where.key."""
+    return _owned(source, f"{where}.{key}", rule, _field(obj, key, types, where, source))
 
 
 # --------------------------------------------------------------------------
@@ -113,9 +119,7 @@ def _parse_pos(raw, where: str, source) -> tuple[int, int, int]:
 
 
 def parse_structure(data: object, source: str | None = None) -> StructureDoc:
-    if not isinstance(data, dict):
-        raise ParseError("structure document must be a JSON object", source)
-    _check_version(data, source)
+    data = _document(data, "structure", source)
     scale = _field(data, "scale_cm_per_unit", (int, float), "", source, required=False)
     raw_cells = _field(data, "cells", list, "", source)
     cells = []
@@ -124,10 +128,10 @@ def parse_structure(data: object, source: str | None = None) -> StructureDoc:
         where = f"cells[{i}]"
         if not isinstance(rc, dict):
             raise ParseError("cell must be an object", source, where)
-        pos = _parse_pos(_field(rc, "pos", list, where, source), f"{where}.pos", source)
+        pos = _checked(rc, "pos", list, check_pos, where, source)
         if pos in seen:
             raise ParseError(
-                f"duplicate position {list(pos)} (first at cells[{seen[pos]}])",
+                f"duplicate position {_echo(list(pos))} (first at cells[{seen[pos]}])",
                 source,
                 f"{where}.pos",
             )
@@ -162,8 +166,7 @@ def dumps_structure(doc: StructureDoc) -> str:
 
 
 def load_structure(path: str | Path) -> StructureDoc:
-    p = Path(path)
-    return parse_structure(_load_json(p.read_text(encoding="utf-8"), str(p)), str(p))
+    return _load_json(path, parse_structure)
 
 
 def save_structure(doc: StructureDoc, path: str | Path) -> None:
@@ -182,11 +185,7 @@ class PlanDoc:
 
 
 def parse_plan(data: object, source: str | None = None) -> PlanDoc:
-    from .lattice import FACE_DIRS
-
-    if not isinstance(data, dict):
-        raise ParseError("plan document must be a JSON object", source)
-    _check_version(data, source)
+    data = _document(data, "plan", source)
     start = parse_structure(_field(data, "start", dict, "", source), source)
     raw_moves = _field(data, "moves", list, "", source)
     moves = []
@@ -194,19 +193,10 @@ def parse_plan(data: object, source: str | None = None) -> PlanDoc:
         where = f"moves[{i}]"
         if not isinstance(rm, dict):
             raise ParseError("move must be an object", source, where)
-        mover = _parse_pos(
-            _field(rm, "mover", list, where, source), f"{where}.mover", source
+        mover, substrate = (
+            _checked(rm, k, list, check_pos, where, source) for k in ("mover", "substrate")
         )
-        substrate = _parse_pos(
-            _field(rm, "substrate", list, where, source), f"{where}.substrate", source
-        )
-        fi = _field(rm, "from", int, where, source)
-        ti = _field(rm, "to", int, where, source)
-        for name, v in (("from", fi), ("to", ti)):
-            if not 0 <= v <= 11:
-                raise ParseError(
-                    f"{name} must be a face index in 0..11", source, f"{where}.{name}"
-                )
+        fi, ti = (_checked(rm, k, int, _check_dir, where, source) for k in ("from", "to"))
         moves.append(
             _owned(source, where, PivotMove, mover, substrate, FACE_DIRS[fi], FACE_DIRS[ti])
         )
@@ -214,8 +204,6 @@ def parse_plan(data: object, source: str | None = None) -> PlanDoc:
 
 
 def plan_to_dict(doc: PlanDoc) -> dict:
-    from .lattice import FACE_DIR_INDEX
-
     return {
         "format_version": FORMAT_VERSION,
         "start": structure_to_dict(doc.start),
@@ -236,8 +224,7 @@ def dumps_plan(doc: PlanDoc) -> str:
 
 
 def load_plan(path: str | Path) -> PlanDoc:
-    p = Path(path)
-    return parse_plan(_load_json(p.read_text(encoding="utf-8"), str(p)), str(p))
+    return _load_json(path, parse_plan)
 
 
 def save_plan(doc: PlanDoc, path: str | Path) -> None:
@@ -250,9 +237,7 @@ def save_plan(doc: PlanDoc, path: str | Path) -> None:
 
 
 def parse_layout(data: object, source: str | None = None) -> CellLayout:
-    if not isinstance(data, dict):
-        raise ParseError("layout document must be a JSON object", source)
-    _check_version(data, source)
+    data = _document(data, "layout", source)
     raw_faces = _field(data, "faces", list, "", source)
     if len(raw_faces) != 12:
         raise ParseError(f"layout needs 12 faces, got {len(raw_faces)}", source)
@@ -309,8 +294,7 @@ def dumps_layout(layout: CellLayout) -> str:
 
 
 def load_layout(path: str | Path) -> CellLayout:
-    p = Path(path)
-    return parse_layout(_load_json(p.read_text(encoding="utf-8"), str(p)), str(p))
+    return _load_json(path, parse_layout)
 
 
 def save_layout(layout: CellLayout, path: str | Path) -> None:
@@ -318,24 +302,20 @@ def save_layout(layout: CellLayout, path: str | Path) -> None:
 
 
 def parse_positions(data: object, source: str | None = None) -> list[tuple[float, float]]:
-    """2D magnet positions for the layout search: {"positions": [[u, v], ...]}."""
-    if not isinstance(data, dict):
-        raise ParseError("positions document must be a JSON object", source)
-    _check_version(data, source)
-    raw = _field(data, "positions", list, "", source)
+    """2D magnet positions for the layout search: {"positions": [[u, v], ...]},
+    each by MagnetSpec's position rule."""
+    data = _document(data, "positions", source)
     out = []
-    for i, rp in enumerate(raw):
-        if not isinstance(rp, list) or len(rp) != 2 or not all(map(_finite, rp)):
-            raise ParseError(
-                "position must be two finite numbers", source, f"positions[{i}]"
-            )
-        out.append((float(rp[0]), float(rp[1])))
+    for i, rp in enumerate(_field(data, "positions", list, "", source)):
+        where = f"positions[{i}]"
+        if not isinstance(rp, list):
+            raise ParseError("position must be a list", source, where)
+        out.append(_owned(source, where, MagnetSpec, tuple(rp), Polarity.N).pos)
     return out
 
 
 def load_positions(path: str | Path) -> list[tuple[float, float]]:
-    p = Path(path)
-    return parse_positions(_load_json(p.read_text(encoding="utf-8"), str(p)), str(p))
+    return _load_json(path, parse_positions)
 
 
 # --------------------------------------------------------------------------
@@ -376,13 +356,11 @@ def parse_trajectories(text: str, source: str | None = None) -> list[Trajectory]
         if not trial:
             raise ParseError("empty trial_id", source, f"line {lineno}")
         try:
-            values = [float(v) for v in row[1:]]
-        except ValueError as exc:
+            values = [_as_real(float(v), name) for name, v in zip(header[1:], row[1:])]
+        except (ValueError, ValidationError) as exc:
             raise ParseError(
                 f"bad numeric value: {exc}", source, f"line {lineno}"
             ) from exc
-        if not all(map(_finite, values)):
-            raise ParseError("values must be finite numbers", source, f"line {lineno}")
         if trial not in rows:
             rows[trial] = []
             order.append(trial)
@@ -417,9 +395,7 @@ class DesignSpec:
 
 
 def parse_designs(data: object, source: str | None = None) -> list[DesignSpec]:
-    if not isinstance(data, dict):
-        raise ParseError("design document must be a JSON object", source)
-    _check_version(data, source)
+    data = _document(data, "design", source)
     if "designs" in data:
         raw_list = _field(data, "designs", list, "", source)
     else:
@@ -441,12 +417,8 @@ def parse_designs(data: object, source: str | None = None) -> list[DesignSpec]:
             name=_field(rd, "name", str, where, source),
             passive=_field(rd, "passive", int, where, source),
             active=_field(rd, "active", int, where, source),
-            body_length_cm=float(
-                _field(rd, "body_length_cm", (int, float), where, source)
-            ),
-            body_weight_g=float(
-                _field(rd, "body_weight_g", (int, float), where, source)
-            ),
+            body_length_cm=_field(rd, "body_length_cm", (int, float), where, source),
+            body_weight_g=_field(rd, "body_weight_g", (int, float), where, source),
             contact=_CONTACTS[contact_raw],
         )
         trials = _field(rd, "trials", list, where, source, required=False)
@@ -461,8 +433,7 @@ def parse_designs(data: object, source: str | None = None) -> list[DesignSpec]:
 
 
 def load_designs(path: str | Path) -> list[DesignSpec]:
-    p = Path(path)
-    return parse_designs(_load_json(p.read_text(encoding="utf-8"), str(p)), str(p))
+    return _load_json(path, parse_designs)
 
 
 # --------------------------------------------------------------------------
@@ -475,7 +446,7 @@ def export_obj(m: Mesh, scale: float = 1.0) -> str:
     if len(m.vertices) == 0 or len(m.faces) == 0:
         raise ValidationError("mesh is empty")
     if _as_real(scale, "scale") <= 0:
-        raise ValidationError(f"scale must be finite and positive, got {scale!r}")
+        raise ValidationError(f"scale must be finite and positive, got {_echo(scale)}")
     lines = []
     for v in m.vertices:
         lines.append(f"v {v[0] * scale:.6f} {v[1] * scale:.6f} {v[2] * scale:.6f}")

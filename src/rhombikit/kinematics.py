@@ -43,6 +43,7 @@ from .lattice import (
     Configuration,
     Pos,
     _dir_index,
+    _echo,
     add,
     check_pos,
     compose,
@@ -84,7 +85,8 @@ class PivotMove:
             raise ValidationError(f"faces {f} and {t} do not share an edge")
         if sub(self.mover, self.substrate) != f:
             raise ValidationError(
-                f"mover {self.mover} is not at substrate {self.substrate} + {f}"
+                f"mover {_echo(self.mover)} is not at substrate "
+                f"{_echo(self.substrate)} + {f}"
             )
 
     @property
@@ -178,10 +180,11 @@ def check_move(
 
 def _frame(c: Configuration) -> tuple[Pos, tuple[int, ...]]:
     """c's smallest position and its positions packed relative to it,
-    sorted (pack keeps the order). The margin covers the two steps a
-    roll's shadow reaches beyond the cells."""
-    origin = c.cells[0].pos
-    return origin, pack_frame(c.positions, origin, margin=2)
+    sorted (pack keeps the order); an empty c packs to nothing. The
+    margin covers the two steps a roll's shadow reaches beyond the cells."""
+    positions = c.positions
+    origin = min(positions, default=(0, 0, 0))
+    return origin, pack_frame(positions, origin, margin=2)
 
 
 def _supported(occupied, dest: int, substrate: int, mover: int) -> bool:
@@ -203,7 +206,9 @@ def apply_move(
     """
     legality = check_move(c, move, strict_stability)
     if legality is not MoveLegality.LEGAL:
-        raise IllegalMove(f"move {move} is illegal: {legality.value}", reason=legality)
+        raise IllegalMove(
+            f"move {_echo(move)} is illegal: {legality.value}", reason=legality
+        )
     cell = c.cell_at(move.mover)
     moved = Cell(move.destination, cell.kind, compose(pivot_rotation(move), cell.orient))
     return Configuration(
@@ -218,8 +223,6 @@ def legal_moves(
 
     Equivalent to filtering every candidate through check_move.
     """
-    if len(c) == 0:
-        return []
     origin, packed = _frame(c)
     return [
         _pivot(origin, mover, s, fi, ti)

@@ -18,6 +18,12 @@ translation is one int addition (``PACKED_DIRS`` are the packed face
 directions). Callers pack positions relative to an origin of their own
 choosing with pack_frame, which checks that range.
 
+The package's value rules live here too, one home each: _as_int (an int
+or numpy integer, never a bool), _as_int_in (such an int in a range;
+_check_rot and _check_dir are the index rules), _as_real (a finite int
+or float), _require_nonempty, and _echo, through which every error
+message prints the value it refuses, however large.
+
 Enumeration conventions (fixed, relied on by file formats and tests):
 
 * ``FACE_DIRS`` lists the 12 neighbor directions in ascending
@@ -72,13 +78,26 @@ ROLLS: tuple[tuple[int, ...], ...] = tuple(
 )
 
 
-def _as_int(v) -> int:
+def _echo(v) -> str:
+    """repr(v) for an error message, which every message that prints an
+    input uses. A value repr refuses to print (an int past Python's
+    digit limit for str, alone or inside a tuple or list) is named by its
+    type instead, so that the message itself cannot raise."""
     try:
-        if isinstance(v, bool):  # bool subclasses int
+        return repr(v)
+    except ValueError:
+        return f"<unprintable {type(v).__name__}>"
+
+
+def _as_int(v, name: str = "value") -> int:
+    """v as an int: ints and numpy integers, not bools (bool subclasses
+    int) or floats. Raises ValidationError naming v otherwise."""
+    try:
+        if isinstance(v, bool):
             raise TypeError
-        return operator.index(v)  # ints and numpy integers, not floats
+        return operator.index(v)
     except TypeError:
-        raise ValidationError(f"expected an integer, got {v!r}") from None
+        raise ValidationError(f"{name} must be an int, got {_echo(v)}") from None
 
 
 def _as_real(v, name: str) -> float:
@@ -92,7 +111,20 @@ def _as_real(v, name: str) -> float:
             f = math.inf
         if math.isfinite(f):
             return f
-    raise ValidationError(f"{name} must be a finite number, got {v!r}")
+    raise ValidationError(f"{name} must be a finite number, got {_echo(v)}")
+
+
+def _as_int_in(v, name: str, lo: int, hi: int | None = None) -> int:
+    """v as an int in lo..hi (no upper end when hi is None), by _as_int's
+    rule. Raises ValidationError naming v otherwise."""
+    try:
+        i = _as_int(v)
+        if lo <= i and (hi is None or i <= hi):
+            return i
+    except ValidationError:
+        pass
+    span = f">= {lo}" if hi is None else f"in {lo}..{hi}"
+    raise ValidationError(f"{name} must be an int {span}, got {_echo(v)}")
 
 
 def is_valid_pos(p: Sequence[int]) -> bool:
@@ -106,11 +138,16 @@ def is_valid_pos(p: Sequence[int]) -> bool:
 
 def check_pos(p: Sequence[int]) -> Pos:
     """Validate and normalize a lattice position, raising ValidationError."""
-    if len(p) != 3:
-        raise ValidationError(f"lattice position must be an integer triple, got {p!r}")
-    t = (_as_int(p[0]), _as_int(p[1]), _as_int(p[2]))
+    try:
+        if len(p) != 3:
+            raise ValidationError
+        t = (_as_int(p[0]), _as_int(p[1]), _as_int(p[2]))
+    except (TypeError, ValidationError):
+        raise ValidationError(
+            f"lattice position must be an integer triple, got {_echo(p)}"
+        ) from None
     if sum(t) % 2 != 0:
-        raise ValidationError(f"lattice position {t} has odd coordinate sum")
+        raise ValidationError(f"lattice position {_echo(t)} has odd coordinate sum")
     return t
 
 
@@ -157,9 +194,9 @@ def pack_frame(
     spread = max((max(abs(p[1] - oy), abs(p[2] - oz)) for p in positions), default=0)
     if spread + margin >= PACK_LIMIT:
         raise ValidationError(
-            f"positions span {spread} lattice steps in y or z from {origin}; "
-            f"with {margin} more steps that leaves the exact range of "
-            f"{PACK_LIMIT} (see lattice.PACK_BITS)"
+            f"positions span {_echo(spread)} lattice steps in y or z from "
+            f"{_echo(origin)}; with {_echo(margin)} more steps that leaves the "
+            f"exact range of {PACK_LIMIT} (see lattice.PACK_BITS)"
         )
     return tuple(pack(sub(p, origin)) for p in positions)
 
@@ -236,17 +273,11 @@ def _mat_mul(a: Matrix, b: Matrix) -> Matrix:
 
 
 def _check_rot(r: int) -> int:
-    r = _as_int(r)
-    if not 0 <= r < 24:
-        raise ValidationError(f"rotation index must be in 0..23, got {r!r}")
-    return r
+    return _as_int_in(r, "rotation index", 0, 23)
 
 
 def _check_dir(d: int) -> int:
-    d = _as_int(d)
-    if not 0 <= d < 12:
-        raise ValidationError(f"face direction index must be in 0..11, got {d!r}")
-    return d
+    return _as_int_in(d, "face direction index", 0, 11)
 
 
 def _dir_index(d) -> int:
@@ -257,7 +288,7 @@ def _dir_index(d) -> int:
     except (TypeError, ValidationError):
         i = None
     if i is None:
-        raise ValidationError(f"not a face direction: {d!r}")
+        raise ValidationError(f"not a face direction: {_echo(d)}")
     return i
 
 
@@ -320,7 +351,7 @@ class Cell:
         object.__setattr__(self, "pos", check_pos(self.pos))
         object.__setattr__(self, "orient", _check_rot(self.orient))
         if not isinstance(self.kind, CellKind):
-            raise ValidationError(f"bad cell kind {self.kind!r}")
+            raise ValidationError(f"bad cell kind {_echo(self.kind)}")
 
 
 class Configuration:
@@ -335,7 +366,7 @@ class Configuration:
             seen: set[Pos] = set()
             for c in cs:
                 if c.pos in seen:
-                    raise ValidationError(f"duplicate cell position {c.pos}")
+                    raise ValidationError(f"duplicate cell position {_echo(c.pos)}")
                 seen.add(c.pos)
         self.cells: tuple[Cell, ...] = tuple(cs)
         self._by_pos: dict[Pos, Cell] = by_pos
@@ -385,8 +416,9 @@ class Configuration:
         )
 
 
-def _require_nonempty(c: Configuration) -> None:
-    if len(c) == 0:
+def _require_nonempty(*configs: Configuration) -> None:
+    """Raise ValidationError unless every configuration has a cell."""
+    if not all(configs):
         raise ValidationError("configuration is empty")
 
 

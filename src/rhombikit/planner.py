@@ -97,6 +97,9 @@ from .lattice import (
     CellKind,
     Configuration,
     Pos,
+    _as_int_in,
+    _echo,
+    _require_nonempty,
     is_connected,
     pack_frame,
     unpack,
@@ -123,15 +126,14 @@ class PlannerOptions:
     kind_sensitive: bool = False
 
     def __post_init__(self) -> None:
-        m = self.max_states
-        if type(m) is not int or m < 1:  # also rejects bools
-            raise ValidationError(f"max_states must be an int >= 1, got {m!r}")
+        budget = _as_int_in(self.max_states, "max_states", 1)
+        object.__setattr__(self, "max_states", budget)
         if not isinstance(self.algorithm, Algorithm):
-            raise ValidationError(f"not an Algorithm: {self.algorithm!r}")
+            raise ValidationError(f"not an Algorithm: {_echo(self.algorithm)}")
         for name in ("match_up_to_translation", "strict_stability", "kind_sensitive"):
             value = getattr(self, name)
             if type(value) is not bool:
-                raise ValidationError(f"{name} must be a bool, got {value!r}")
+                raise ValidationError(f"{name} must be a bool, got {_echo(value)}")
 
 
 @dataclass(frozen=True, slots=True)
@@ -302,8 +304,7 @@ def heuristic(
     translation quotient. Zero exactly when the goal criterion already
     holds.
     """
-    if len(c) == 0 or len(goal) == 0:
-        raise ValidationError("configurations must be nonempty")
+    _require_nonempty(c, goal)
     if len(c) != len(goal):
         raise ValidationError(
             f"configurations differ in size: {len(c)} vs {len(goal)}"
@@ -469,8 +470,7 @@ class Planner:
 
     def plan(self, start: Configuration, goal: Configuration) -> PlanResult:
         t0 = time.perf_counter()
-        if len(start) == 0 or len(goal) == 0:
-            raise ValidationError("start and goal must be nonempty")
+        _require_nonempty(start, goal)
         if not is_connected(start):
             raise ValidationError("start configuration is not connected")
         if not is_connected(goal):
@@ -505,7 +505,7 @@ class Planner:
         except ValidationError as exc:  # connected shapes fit n + 2 steps
             raise ValidationError(
                 f"{exc}; an exact-position search lets a cell drift up to "
-                f"max_states ({budget}) steps"
+                f"max_states ({_echo(budget)}) steps"
             ) from None
         start_id, goal_id = self._id(start_state), self._id(goal_state)
         pos = self._pos.__getitem__
@@ -644,8 +644,7 @@ def goal_matches(
 
     Compares the same canonical key the planner's goal test uses.
     """
-    if len(c) == 0 or len(goal) == 0:
-        raise ValidationError("configurations must be nonempty")
+    _require_nonempty(c, goal)
     if len(c) != len(goal):
         return False
     oc, og = c.cells[0].pos, goal.cells[0].pos

@@ -54,6 +54,20 @@ class TestTrajectoryValidation:
         with pytest.raises(ValidationError):
             Trajectory("t", np.array([0.0, 1.0]), np.zeros((2, 2)), np.zeros(3))
 
+    @pytest.mark.parametrize(
+        "field, index, bad",
+        [("xy", (1, 0), math.nan), ("xy", (2, 1), math.inf), ("t", 2, math.inf),
+         ("t", 0, -math.inf), ("heading", 1, math.nan)],
+    )
+    def test_non_finite_samples_rejected(self, field, index, bad):
+        # NaN xy used to reach trial_stats as a broken distance invariant,
+        # an infinite x gave distance inf, an infinite t was accepted and a
+        # NaN heading labelled the trial Indeterminate
+        samples = {"t": np.arange(3.0), "xy": np.ones((3, 2)), "heading": np.zeros(3)}
+        samples[field][index] = bad
+        with pytest.raises(ValidationError, match="trial 'T7': samples must be finite"):
+            Trajectory("T7", samples["t"], samples["xy"], samples["heading"])
+
 
 class TestPathLength:
     def test_straight_segment(self):
@@ -209,6 +223,19 @@ class TestDesignMeta:
         meta = DesignMeta("X", np.int64(2), np.int64(1), 9.5, 77.0, ContactType.POINT)
         assert type(meta.passive) is int and type(meta.active) is int
         assert meta == DesignMeta("X", 2, 1, 9.5, 77.0, ContactType.POINT)
+
+    def test_body_measures_stored_as_floats(self):
+        meta = DesignMeta("X", 2, 1, np.int64(9), 77, ContactType.POINT)
+        assert type(meta.body_length_cm) is float and type(meta.body_weight_g) is float
+        assert meta == DesignMeta("X", 2, 1, 9.0, 77.0, ContactType.POINT)
+
+    @pytest.mark.parametrize("name", ["body_length_cm", "body_weight_g"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, True, "9.5"])
+    def test_body_measures_must_be_finite_numbers(self, name, bad):
+        fields = dict(body_length_cm=9.5, body_weight_g=77.0)
+        fields[name] = bad
+        with pytest.raises(ValidationError, match=name):
+            DesignMeta("X", 2, 1, contact=ContactType.POINT, **fields)
 
 
 class TestSummarize:

@@ -339,6 +339,32 @@ class TestGroundContact:
         assert len(res.support_points) == 3
         assert res.contact_type is ContactType.FACE
 
+    def test_tilted_long_structure_typed_by_its_best_supported_cell(self):
+        # a 12-cell line resting on face (1, 1, 0) and tilted by 2e-8 to
+        # 3e-7 rad: cells further along lift vertices out of the support
+        # tolerance, so the touching cells disagree; the structure is as
+        # supported as its best cell, and each cell keeps its own class
+        line = Configuration.from_positions([(k, -k, 0) for k in range(12)])
+        down = _align_to_minus_z((1, 1, 0))
+        rng = np.random.default_rng(18)
+        mixed = 0
+        for _ in range(300):
+            turn = rotation_from_axis_angle(
+                rng.normal(size=3), math.degrees(rng.uniform(2e-8, 3e-7))
+            )
+            rot = turn @ down
+            res = classify_ground_contact(line, rot)
+            assert res.contact_type is ContactType.FACE
+            z = (2.0 * np.array(line.positions)[:, None, :] + CANONICAL_VERTICES) @ rot[2]
+            counts = (z <= z.min() + 1e-6).sum(axis=1)
+            assert res.per_cell == {
+                p: (None, ContactType.POINT, ContactType.EDGE, ContactType.FACE,
+                    ContactType.FACE)[n]
+                for p, n in zip(line.positions, counts) if n
+            }
+            mixed += len(set(res.per_cell.values())) > 1
+        assert mixed >= 100, mixed
+
     def test_support_count_agrees_with_rank_oracle(self):
         # the count rule against the affine dimension of the support
         # vertices (matrix rank at the support tolerance), on random

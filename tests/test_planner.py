@@ -17,12 +17,17 @@ from rhombikit.errors import IllegalMove, ValidationError
 from rhombikit.io import PlanDoc, StructureDoc, dumps_plan
 from rhombikit.kinematics import PivotMove, apply_move, legal_moves
 from rhombikit.lattice import (
+    IDENTITY,
     PACK_LIMIT,
     PACKED_DIRS,
+    ROTATION_INDEX,
     Cell,
     CellKind,
     Configuration,
+    add,
+    apply_rotation,
     canonicalize,
+    compose,
     lattice_distance,
     pack,
     unpack,
@@ -32,6 +37,7 @@ from rhombikit.planner import (
     _assignment_bound,
     _axes,
     _axis_bound,
+    _bound,
     _goal_profile,
     _step,
     _translation_bound,
@@ -47,7 +53,12 @@ from rhombikit.planner import (
     replay,
 )
 
-from conftest import canon_positions, oracle_successors, random_connected_positions
+from conftest import (
+    canon_positions,
+    oracle_successors,
+    random_connected_positions,
+    random_valid_pos,
+)
 
 
 def _fifo_reference(planner, start, goal):
@@ -300,6 +311,51 @@ class TestHeuristic:
                         d = heuristic(cs, g, t) - heuristic(cn, g, t)
                         assert abs(d) <= 1, (s, move, g.positions, t, d)
 
+    def test_admissible_on_all_4cell_box_pairs(self, shape_graphs):
+        # every ordered pair of the 475 four-cell box shapes is reachable;
+        # the bound the search evaluates never exceeds the pair's distance.
+        # One goal profile per goal, so its axis memos serve every state
+        shapes, _, dists = shape_graphs[4]
+        axes = [_axes(s) for s in shapes]
+        pairs = 0
+        for g in shapes:
+            profile = _goal_profile(g, True)
+            for s, a in zip(shapes, axes):
+                h, d = _translation_bound(a, profile), dists[s][g]
+                assert h <= d, (s, g, h, d)
+                pairs += 1
+        assert pairs == len(shapes) ** 2 == 225_625
+
+    @pytest.mark.parametrize("translate", [True, False], ids=["translation", "exact"])
+    def test_consistent_on_all_4cell_box_moves(self, shape_graphs, translate):
+        # |h(c) - h(c')| <= 1 across every legal move of every 4-cell box
+        # shape, against a seeded sample of goals; with exact positions each
+        # goal sits at a seeded offset, not always at the shapes' origin
+        shapes, _, _ = shape_graphs[4]
+        rng = np.random.default_rng(404)
+        goals = []
+        for i in rng.choice(len(shapes), size=8, replace=False):
+            off = (0, 0, 0) if translate else random_valid_pos(rng, radius=2)
+            goals.append(
+                _goal_profile(tuple(sorted(add(p, off) for p in shapes[i])), translate)
+            )
+        bound = _bound(translate)
+
+        def bound_input(positions):
+            return _axes(positions) if translate else positions
+
+        moves = 0
+        for s in shapes:
+            here = bound_input(s)
+            for move in legal_moves(Configuration.from_positions(s)):
+                nxt = tuple(sorted(move.destination if p == move.mover else p for p in s))
+                there = bound_input(nxt)
+                for g in goals:
+                    d = bound(here, g) - bound(there, g)
+                    assert abs(d) <= 1, (s, move, g, d)
+                moves += 1
+        assert moves > 5 * len(shapes)
+
 
 class TestPlan:
     def test_trivial(self):
@@ -528,6 +584,35 @@ class TestPackedStates:
                 for nxt in planner._successors(planner._id(tuple(map(pack, s))))
             ]
             assert got == oracle_successors(s, strict), s
+
+    @pytest.mark.parametrize("strict", [False, True], ids=["plain", "strict"])
+    def test_rotation_maps_successors_on_4cell_box_shapes(self, shape_graphs, strict):
+        # rotating a shape rotates its successor multiset. The 90-degree
+        # turn about z and the 120-degree turn about (1, 1, 1) generate all
+        # 24 lattice rotations, so these two stand for every one
+        gens = [
+            ROTATION_INDEX[((0, -1, 0), (1, 0, 0), (0, 0, 1))],
+            ROTATION_INDEX[((0, 0, 1), (1, 0, 0), (0, 1, 0))],
+        ]
+        group = {IDENTITY}
+        while len(grown := group | {compose(g, r) for g in gens for r in group}) > len(group):
+            group = grown
+        assert len(group) == 24
+        planner = Planner(PlannerOptions(strict_stability=strict))
+
+        def successors(positions):
+            i = planner._id(tuple(map(pack, canon_positions(positions))))
+            return sorted(
+                tuple(map(unpack, planner._states[j])) for j in planner._successors(i)
+            )
+
+        shapes, _, _ = shape_graphs[4]
+        for s in shapes:
+            after = successors(s)
+            for r in gens:
+                turned = successors([apply_rotation(r, p) for p in s])
+                want = sorted(canon_positions([apply_rotation(r, p) for p in t]) for t in after)
+                assert turned == want, (s, r)
 
     def test_kind_sensitive_successors_keep_each_kind(self, shape_graphs):
         # the oracle here is legal_moves plus apply_move on Configurations:
