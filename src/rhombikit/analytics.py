@@ -20,7 +20,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import ValidationError
-from .geometry import ContactType
+from .geometry import ContactType, _frozen
 from .lattice import _as_int, _as_real, _echo
 
 
@@ -42,8 +42,8 @@ class Trajectory:
 
     def __post_init__(self) -> None:
         trial = f"trial {_echo(self.trial_id)}"
-        t = np.asarray(self.t, dtype=float)
-        xy = np.asarray(self.xy, dtype=float)
+        t = _frozen(self.t)
+        xy = _frozen(self.xy)
         object.__setattr__(self, "t", t)
         object.__setattr__(self, "xy", xy)
         if t.ndim != 1 or xy.shape != (len(t), 2):
@@ -52,7 +52,7 @@ class Trajectory:
             raise ValidationError(f"{trial}: fewer than 2 samples")
         samples = [t, xy]
         if self.heading is not None:
-            h = np.asarray(self.heading, dtype=float)
+            h = _frozen(self.heading)
             object.__setattr__(self, "heading", h)
             if h.shape != t.shape:
                 raise ValidationError(f"{trial}: heading length mismatch")
@@ -61,8 +61,6 @@ class Trajectory:
             raise ValidationError(f"{trial}: samples must be finite numbers")
         if not np.all(np.diff(t) > 0):
             raise ValidationError(f"{trial}: timestamps not strictly increasing")
-        for a in samples:
-            a.setflags(write=False)
 
     @property
     def duration(self) -> float:

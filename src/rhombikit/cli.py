@@ -21,7 +21,7 @@ from .docking import (
     enumerate_valid_layouts,
     validate_genderless,
 )
-from .errors import IllegalMove, RhombikitError, ValidationError
+from .errors import RhombikitError, ValidationError
 from .geometry import (
     classify_ground_contact,
     rotation_from_axis_angle,
@@ -120,21 +120,10 @@ def _cmd_dock_check(args) -> int:
     payload = {"genderless": ok}
     lines = [f"genderless: {'yes' if ok else 'no'}"]
     if counterexample is not None:
-        payload["counterexample"] = {
-            "face_a": counterexample.face_a,
-            "orient_a": counterexample.orient_a,
-            "face_b": counterexample.face_b,
-            "orient_b": counterexample.orient_b,
-            "turn": counterexample.turn,
-        }
+        payload["counterexample"] = dataclasses.asdict(counterexample)
         lines.append(
-            "counterexample: face %d (orient %d) against face %d (orient %d)"
-            % (
-                counterexample.face_a,
-                counterexample.orient_a,
-                counterexample.face_b,
-                counterexample.orient_b,
-            )
+            "counterexample: face {face_a} (orient {orient_a}) against face {face_b} "
+            "(orient {orient_b})".format(**payload["counterexample"])
         )
     _emit(args, payload, lines)
     return EXIT_OK if ok else EXIT_VALIDATION
@@ -180,22 +169,17 @@ def _cmd_plan(args) -> int:
 def _cmd_replay(args) -> int:
     doc = rio.load_plan(args.plan)
     plan = Plan(doc.moves, SearchStats(0, 0, 0.0), goal=None)
-    final = replay_plan(doc.start.config, plan)
-    payload = {
-        "moves": len(doc.moves),
-        "final": rio.structure_to_dict(
-            rio.StructureDoc(final, doc.start.scale_cm_per_unit)
-        ),
-    }
+    final = rio.StructureDoc(
+        replay_plan(doc.start.config, plan), doc.start.scale_cm_per_unit
+    )
+    payload = {"moves": len(doc.moves), "final": rio.structure_to_dict(final)}
     lines = [
         f"replayed {len(doc.moves)} moves",
         "final positions: "
-        + " ".join(str(list(c.pos)) for c in final.cells),
+        + " ".join(str(list(c.pos)) for c in final.config.cells),
     ]
     if args.out:
-        rio.save_structure(
-            rio.StructureDoc(final, doc.start.scale_cm_per_unit), args.out
-        )
+        rio.save_structure(final, args.out)
         lines.append(f"final structure written to {args.out}")
     _emit(args, payload, lines)
     return EXIT_OK
@@ -285,9 +269,7 @@ def _cmd_export(args) -> int:
     doc = rio.load_structure(args.structure)
     scale = args.scale if args.scale is not None else (doc.scale_cm_per_unit or 1.0)
     mesh = structure_mesh(doc.config)
-    text = rio.export_obj(mesh, scale)
-    with open(args.obj, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text)
+    rio._write(args.obj, rio.export_obj(mesh, scale))
     _emit(
         args,
         {
@@ -382,12 +364,10 @@ def cli_main(argv: list[str] | None = None) -> int:
     except _UsageError as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_VALIDATION
-    except IllegalMove as exc:
-        where = f" (move {exc.index})" if exc.index is not None else ""
-        print(f"error: {exc}{where}", file=sys.stderr)
-        return EXIT_VALIDATION
     except RhombikitError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        index = getattr(exc, "index", None)  # IllegalMove in a move sequence
+        where = f" (move {index})" if index is not None else ""
+        print(f"error: {exc}{where}", file=sys.stderr)
         return EXIT_VALIDATION
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)

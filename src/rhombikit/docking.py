@@ -125,7 +125,10 @@ def _check_face(points: np.ndarray, k: int) -> None:
     the positions are pairwise separated by more than twice the pairing
     tolerance, and as a multiset they are invariant under rotation by
     2*pi/k: the rotated positions pair with the positions (_partners,
-    within EPS_MATCH). The separation makes that pairing unique."""
+    within EPS_MATCH), and only a magnet within EPS_MATCH of the face
+    centre pairs with itself. The separation makes that pairing unique;
+    the last rule keeps a click too small to move any magnet out of the
+    tolerance, under a huge k, from passing every face."""
     for i in range(len(points)):
         for j in range(i + 1, len(points)):
             if np.linalg.norm(points[i] - points[j]) <= 2 * EPS_MATCH:
@@ -133,7 +136,9 @@ def _check_face(points: np.ndarray, k: int) -> None:
                     f"magnets {i} and {j} are closer than the pairing tolerance"
                 )
     try:
-        _partners(points @ _rot2(2.0 * math.pi / k).T, points)
+        partner = _partners(points @ _rot2(2.0 * math.pi / k).T, points)
+        if any(i == j and np.linalg.norm(points[i]) > EPS_MATCH for i, j in enumerate(partner)):
+            raise PairingError("an off-centre magnet pairs with itself")
     except PairingError:
         raise ValidationError(
             f"magnet positions are not {_echo(k)}-fold symmetric"

@@ -41,7 +41,7 @@ class ParseError(ValidationError):
     """A structure/plan/layout/trajectory file failed to parse.
 
     Carries enough location info (file, line or JSON field) to point the
-    user at the offending spot.
+    user at the offending spot; message is the text without them.
     """
 
     def __init__(self, message, source=None, location=None):
@@ -51,5 +51,6 @@ class ParseError(ValidationError):
         if source is not None:
             detail = f"{source}: {detail}"
         super().__init__(detail)
+        self.message = message
         self.source = source
         self.location = location

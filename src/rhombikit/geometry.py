@@ -61,6 +61,15 @@ CANONICAL_VERTICES: tuple[Pos, ...] = tuple(
 _VERT_INDEX = {v: i for i, v in enumerate(CANONICAL_VERTICES)}
 
 
+def _frozen(a) -> np.ndarray:
+    """A read-only float copy of the array-like a: the arrays a frozen
+    dataclass holds, so that neither it nor its caller's array can change
+    the other."""
+    out = np.array(a, dtype=float)
+    out.setflags(write=False)
+    return out
+
+
 @dataclass(frozen=True)
 class FaceFrame:
     """Right-handed orthonormal frame of one rhombic face.
@@ -86,9 +95,7 @@ def _build_frames() -> tuple[FaceFrame, ...]:
         long_axis = np.array(octa[1], dtype=float) - center
         long_axis /= np.linalg.norm(long_axis)
         short_axis = np.cross(normal, long_axis)
-        for a in (center, normal, long_axis, short_axis):
-            a.setflags(write=False)
-        frames.append(FaceFrame(center, normal, long_axis, short_axis))
+        frames.append(FaceFrame(*map(_frozen, (center, normal, long_axis, short_axis))))
     return tuple(frames)
 
 
@@ -142,12 +149,12 @@ class Mesh:
     faces: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
-        self.vertices.setflags(write=False)
+        object.__setattr__(self, "vertices", _frozen(self.vertices))
 
 
 def canonical_cell_mesh() -> Mesh:
     """Mesh of one cell centered at the origin (14 vertices, 12 rhombi)."""
-    return Mesh(np.array(CANONICAL_VERTICES, dtype=float), FACE_VERTICES)
+    return Mesh(CANONICAL_VERTICES, FACE_VERTICES)
 
 
 def mesh_volume(m: Mesh) -> float:
@@ -238,7 +245,7 @@ class GroundContact:
     per_cell: dict[Pos, ContactType]
 
     def __post_init__(self) -> None:
-        self.support_points.setflags(write=False)
+        object.__setattr__(self, "support_points", _frozen(self.support_points))
 
 
 # a cell's contact type by its number of support vertices: no three
@@ -337,7 +344,7 @@ def structure_mesh(c: Configuration) -> Mesh:
                     verts.append(w)
                 loop.append(idx)
             faces.append(tuple(loop))
-    return Mesh(np.array(verts, dtype=float), tuple(faces))
+    return Mesh(verts, tuple(faces))
 
 
 # --------------------------------------------------------------------------

@@ -2,8 +2,14 @@
 
 JSON documents carry a format_version field and are emitted with sorted
 keys and two-space indentation so that identical inputs serialize to
-identical bytes. Parse failures raise ParseError pointing at the
-offending field or line rather than crashing with a bare traceback.
+identical bytes. Every file passes one door each way. Every loader reads
+through _read: a file that is not UTF-8, not valid JSON or CSV, or
+malformed in any field raises ParseError naming the file (.source) and
+the offending field or line (.location), never a bare traceback. The
+parse_* functions take the decoded document and only locate errors; the
+rule itself belongs to the type that owns it. Every saver, and the CLI's
+OBJ export, writes through _write: UTF-8 with LF line ends, so the bytes
+are the same on every platform.
 """
 
 from __future__ import annotations
@@ -13,8 +19,6 @@ import io as _io
 import json
 from dataclasses import dataclass
 from pathlib import Path
-
-import numpy as np
 
 from .analytics import DesignMeta, Trajectory
 from .docking import CellLayout, FaceLayout, MagnetSpec, Polarity
@@ -59,58 +63,69 @@ class StructureDoc:
             object.__setattr__(self, "scale_cm_per_unit", value)
 
 
-def _load_json(path: str | Path, parse):
-    """parse(document, source) of the JSON file at path; the source names
-    the file in every ParseError."""
-    source = str(path)
+def _read(path: str | Path, parse, kind: str = "JSON"):
+    """parse(document) of the UTF-8 file at path, the document being the
+    decoded JSON value, or the text itself for a CSV file. The one reader
+    of every loader: a file that does not decode, and every ParseError the
+    parser raises, comes out as a ParseError naming the file."""
     try:
-        data = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise ParseError(
-            f"invalid JSON: {exc.msg}", source, f"line {exc.lineno} column {exc.colno}"
-        ) from exc
-    except (ValueError, RecursionError) as exc:  # huge int literal, deep nesting
-        raise ParseError(f"invalid JSON: {exc}", source) from exc
-    return parse(data, source)
+        try:
+            text = Path(path).read_text(encoding="utf-8")
+            document = json.loads(text) if kind == "JSON" else text
+        except json.JSONDecodeError as exc:
+            raise ParseError(
+                f"invalid JSON: {exc.msg}", location=f"line {exc.lineno} column {exc.colno}"
+            ) from exc
+        except (ValueError, RecursionError) as exc:  # not UTF-8, huge int literal, deep nesting
+            raise ParseError(f"invalid {kind}: {exc}") from exc
+        return parse(document)
+    except ParseError as exc:
+        raise ParseError(exc.message, str(path), exc.location) from exc
 
 
-def _owned(source, where, make, *args, **kwargs):
+def _write(path: str | Path, text: str) -> None:
+    """The one writer of every output file: UTF-8 with LF line ends."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(text)
+
+
+def _owned(where, make, *args, **kwargs):
     """make(*args, **kwargs), with the ValidationError of the type or
     function that owns the rule reported as a ParseError at where."""
     try:
         return make(*args, **kwargs)
     except ValidationError as exc:
-        raise ParseError(str(exc), source, where) from exc
+        raise ParseError(str(exc), location=where) from exc
 
 
-def _field(obj: dict, key: str, types, where: str, source, required=True, default=None):
+def _field(obj: dict, key: str, types, where: str, required=True, default=None):
     if key not in obj:
         if required:
-            raise ParseError(f"missing field {key!r}", source, where)
+            raise ParseError(f"missing field {key!r}", location=where)
         return default
     val = obj[key]
-    if types is not None and not isinstance(val, types):
-        raise ParseError(f"field {key!r} has wrong type", source, where)
+    if not isinstance(val, types):
+        raise ParseError(f"field {key!r} has wrong type", location=where)
     if isinstance(val, (int, float)):
-        _owned(source, where, _as_real, val, f"field {key!r}")
+        _owned(where, _as_real, val, f"field {key!r}")
     return val
 
 
-def _document(data: object, what: str, source) -> dict:
+def _document(data: object, what: str) -> dict:
     """data, checked to be a JSON object whose format_version, optional,
     is the int 1 when present (not true, not 1.0)."""
     if not isinstance(data, dict):
-        raise ParseError(f"{what} document must be a JSON object", source)
+        raise ParseError(f"{what} document must be a JSON object")
     v = data.get("format_version", FORMAT_VERSION)
     if type(v) is not int or v != FORMAT_VERSION:
-        raise ParseError(f"unsupported format_version {_echo(v)}", source)
+        raise ParseError(f"unsupported format_version {_echo(v)}")
     return data
 
 
-def _checked(obj: dict, key: str, types, rule, where: str, source):
+def _checked(obj: dict, key: str, types, rule, where: str):
     """rule(obj[key]) for a field of the given JSON types; the rule's
     owner reports its ValidationError as a ParseError at where.key."""
-    return _owned(source, f"{where}.{key}", rule, _field(obj, key, types, where, source))
+    return _owned(f"{where}.{key}", rule, _field(obj, key, types, where))
 
 
 # --------------------------------------------------------------------------
@@ -118,34 +133,33 @@ def _checked(obj: dict, key: str, types, rule, where: str, source):
 # --------------------------------------------------------------------------
 
 
-def parse_structure(data: object, source: str | None = None) -> StructureDoc:
-    data = _document(data, "structure", source)
-    scale = _field(data, "scale_cm_per_unit", (int, float), "", source, required=False)
-    raw_cells = _field(data, "cells", list, "", source)
+def parse_structure(data: object) -> StructureDoc:
+    data = _document(data, "structure")
+    scale = _field(data, "scale_cm_per_unit", (int, float), "", required=False)
+    raw_cells = _field(data, "cells", list, "")
     cells = []
     seen: dict[tuple[int, int, int], int] = {}
     for i, rc in enumerate(raw_cells):
         where = f"cells[{i}]"
         if not isinstance(rc, dict):
-            raise ParseError("cell must be an object", source, where)
-        pos = _checked(rc, "pos", list, check_pos, where, source)
+            raise ParseError("cell must be an object", location=where)
+        pos = _checked(rc, "pos", list, check_pos, where)
         if pos in seen:
             raise ParseError(
                 f"duplicate position {_echo(list(pos))} (first at cells[{seen[pos]}])",
-                source,
-                f"{where}.pos",
+                location=f"{where}.pos",
             )
         seen[pos] = i
-        kind_raw = _field(rc, "kind", str, where, source)
+        kind_raw = _field(rc, "kind", str, where)
         if kind_raw not in _KINDS:
             raise ParseError(
-                f"kind must be one of {sorted(_KINDS)}", source, f"{where}.kind"
+                f"kind must be one of {sorted(_KINDS)}", location=f"{where}.kind"
             )
-        orient = _field(rc, "orient", int, where, source, required=False, default=0)
-        cells.append(_owned(source, f"{where}.orient", Cell, pos, _KINDS[kind_raw], orient))
+        orient = _field(rc, "orient", int, where, required=False, default=0)
+        cells.append(_owned(f"{where}.orient", Cell, pos, _KINDS[kind_raw], orient))
     if not cells:
-        raise ParseError("structure has no cells", source)
-    return _owned(source, None, StructureDoc, Configuration(cells), scale)
+        raise ParseError("structure has no cells")
+    return _owned(None, StructureDoc, Configuration(cells), scale)
 
 
 def structure_to_dict(doc: StructureDoc) -> dict:
@@ -166,11 +180,11 @@ def dumps_structure(doc: StructureDoc) -> str:
 
 
 def load_structure(path: str | Path) -> StructureDoc:
-    return _load_json(path, parse_structure)
+    return _read(path, parse_structure)
 
 
 def save_structure(doc: StructureDoc, path: str | Path) -> None:
-    Path(path).write_text(dumps_structure(doc), encoding="utf-8")
+    _write(path, dumps_structure(doc))
 
 
 # --------------------------------------------------------------------------
@@ -184,21 +198,21 @@ class PlanDoc:
     moves: tuple[PivotMove, ...]
 
 
-def parse_plan(data: object, source: str | None = None) -> PlanDoc:
-    data = _document(data, "plan", source)
-    start = parse_structure(_field(data, "start", dict, "", source), source)
-    raw_moves = _field(data, "moves", list, "", source)
+def parse_plan(data: object) -> PlanDoc:
+    data = _document(data, "plan")
+    start = parse_structure(_field(data, "start", dict, ""))
+    raw_moves = _field(data, "moves", list, "")
     moves = []
     for i, rm in enumerate(raw_moves):
         where = f"moves[{i}]"
         if not isinstance(rm, dict):
-            raise ParseError("move must be an object", source, where)
+            raise ParseError("move must be an object", location=where)
         mover, substrate = (
-            _checked(rm, k, list, check_pos, where, source) for k in ("mover", "substrate")
+            _checked(rm, k, list, check_pos, where) for k in ("mover", "substrate")
         )
-        fi, ti = (_checked(rm, k, int, _check_dir, where, source) for k in ("from", "to"))
+        fi, ti = (_checked(rm, k, int, _check_dir, where) for k in ("from", "to"))
         moves.append(
-            _owned(source, where, PivotMove, mover, substrate, FACE_DIRS[fi], FACE_DIRS[ti])
+            _owned(where, PivotMove, mover, substrate, FACE_DIRS[fi], FACE_DIRS[ti])
         )
     return PlanDoc(start, tuple(moves))
 
@@ -224,11 +238,11 @@ def dumps_plan(doc: PlanDoc) -> str:
 
 
 def load_plan(path: str | Path) -> PlanDoc:
-    return _load_json(path, parse_plan)
+    return _read(path, parse_plan)
 
 
 def save_plan(doc: PlanDoc, path: str | Path) -> None:
-    Path(path).write_text(dumps_plan(doc), encoding="utf-8")
+    _write(path, dumps_plan(doc))
 
 
 # --------------------------------------------------------------------------
@@ -236,40 +250,37 @@ def save_plan(doc: PlanDoc, path: str | Path) -> None:
 # --------------------------------------------------------------------------
 
 
-def parse_layout(data: object, source: str | None = None) -> CellLayout:
-    data = _document(data, "layout", source)
-    raw_faces = _field(data, "faces", list, "", source)
-    if len(raw_faces) != 12:
-        raise ParseError(f"layout needs 12 faces, got {len(raw_faces)}", source)
+def parse_layout(data: object) -> CellLayout:
+    data = _document(data, "layout")
+    raw_faces = _field(data, "faces", list, "")
     faces = []
     for i, rf in enumerate(raw_faces):
         where = f"faces[{i}]"
         if not isinstance(rf, dict):
-            raise ParseError("face must be an object", source, where)
-        d = _field(rf, "dir", int, where, source)
+            raise ParseError("face must be an object", location=where)
+        d = _field(rf, "dir", int, where)
         if d != i:
             raise ParseError(
                 f"faces must be listed in direction order; expected dir {i}",
-                source,
-                f"{where}.dir",
+                location=f"{where}.dir",
             )
-        symmetry = _field(rf, "symmetry", int, where, source, required=False, default=2)
+        symmetry = _field(rf, "symmetry", int, where, required=False, default=2)
         magnets = []
-        for j, rmag in enumerate(_field(rf, "magnets", list, where, source)):
+        for j, rmag in enumerate(_field(rf, "magnets", list, where)):
             mwhere = f"{where}.magnets[{j}]"
             if not isinstance(rmag, dict):
-                raise ParseError("magnet must be an object", source, mwhere)
-            pos = _field(rmag, "pos", list, mwhere, source)
-            pol = _field(rmag, "polarity", str, mwhere, source)
+                raise ParseError("magnet must be an object", location=mwhere)
+            pos = _field(rmag, "pos", list, mwhere)
+            pol = _field(rmag, "polarity", str, mwhere)
             if pol not in _POLARITIES:
                 raise ParseError(
-                    "polarity must be 'N' or 'S'", source, f"{mwhere}.polarity"
+                    "polarity must be 'N' or 'S'", location=f"{mwhere}.polarity"
                 )
             magnets.append(
-                _owned(source, f"{mwhere}.pos", MagnetSpec, tuple(pos), _POLARITIES[pol])
+                _owned(f"{mwhere}.pos", MagnetSpec, tuple(pos), _POLARITIES[pol])
             )
-        faces.append(_owned(source, where, FaceLayout, tuple(magnets), symmetry))
-    return _owned(source, None, CellLayout, tuple(faces))
+        faces.append(_owned(where, FaceLayout, tuple(magnets), symmetry))
+    return _owned(None, CellLayout, tuple(faces))
 
 
 def layout_to_dict(layout: CellLayout) -> dict:
@@ -294,28 +305,28 @@ def dumps_layout(layout: CellLayout) -> str:
 
 
 def load_layout(path: str | Path) -> CellLayout:
-    return _load_json(path, parse_layout)
+    return _read(path, parse_layout)
 
 
 def save_layout(layout: CellLayout, path: str | Path) -> None:
-    Path(path).write_text(dumps_layout(layout), encoding="utf-8")
+    _write(path, dumps_layout(layout))
 
 
-def parse_positions(data: object, source: str | None = None) -> list[tuple[float, float]]:
+def parse_positions(data: object) -> list[tuple[float, float]]:
     """2D magnet positions for the layout search: {"positions": [[u, v], ...]},
     each by MagnetSpec's position rule."""
-    data = _document(data, "positions", source)
+    data = _document(data, "positions")
     out = []
-    for i, rp in enumerate(_field(data, "positions", list, "", source)):
+    for i, rp in enumerate(_field(data, "positions", list, "")):
         where = f"positions[{i}]"
         if not isinstance(rp, list):
-            raise ParseError("position must be a list", source, where)
-        out.append(_owned(source, where, MagnetSpec, tuple(rp), Polarity.N).pos)
+            raise ParseError("position must be a list", location=where)
+        out.append(_owned(where, MagnetSpec, tuple(rp), Polarity.N).pos)
     return out
 
 
 def load_positions(path: str | Path) -> list[tuple[float, float]]:
-    return _load_json(path, parse_positions)
+    return _read(path, parse_positions)
 
 
 # --------------------------------------------------------------------------
@@ -323,64 +334,64 @@ def load_positions(path: str | Path) -> list[tuple[float, float]]:
 # --------------------------------------------------------------------------
 
 
-def parse_trajectories(text: str, source: str | None = None) -> list[Trajectory]:
+def _records(reader):
+    """The CSV reader's records, one at a time; a csv.Error (a field over
+    csv.field_size_limit()) becomes a ParseError at the reader's line."""
+    try:
+        yield from reader
+    except csv.Error as exc:
+        raise ParseError(f"invalid CSV: {exc}", location=f"line {reader.line_num}") from exc
+
+
+def parse_trajectories(text: str) -> list[Trajectory]:
     """Parse `trial_id,t,x,y[,heading]` CSV into per-trial trajectories.
 
     Trials appear in order of first occurrence; timestamps must increase
     strictly within each trial.
     """
-    reader = csv.reader(_io.StringIO(text))
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise ParseError("empty trajectory file", source) from None
+    records = _records(csv.reader(_io.StringIO(text)))
+    header = next(records, None)
+    if header is None:
+        raise ParseError("empty trajectory file")
     header = [h.strip() for h in header]
     if header not in (["trial_id", "t", "x", "y"], ["trial_id", "t", "x", "y", "heading"]):
-        raise ParseError(
-            "header must be trial_id,t,x,y[,heading]", source, "line 1"
-        )
+        raise ParseError("header must be trial_id,t,x,y[,heading]", location="line 1")
     has_heading = len(header) == 5
 
-    order: list[str] = []
     rows: dict[str, list[tuple[float, float, float, float | None]]] = {}
-    for lineno, row in enumerate(reader, start=2):
+    for lineno, row in enumerate(records, start=2):
         if not row or all(not c.strip() for c in row):
             continue
         if len(row) != len(header):
             raise ParseError(
-                f"expected {len(header)} columns, got {len(row)}",
-                source,
-                f"line {lineno}",
+                f"expected {len(header)} columns, got {len(row)}", location=f"line {lineno}"
             )
         trial = row[0].strip()
         if not trial:
-            raise ParseError("empty trial_id", source, f"line {lineno}")
+            raise ParseError("empty trial_id", location=f"line {lineno}")
         try:
             values = [_as_real(float(v), name) for name, v in zip(header[1:], row[1:])]
         except (ValueError, ValidationError) as exc:
-            raise ParseError(
-                f"bad numeric value: {exc}", source, f"line {lineno}"
-            ) from exc
-        if trial not in rows:
-            rows[trial] = []
-            order.append(trial)
-        rows[trial].append((*values[:3], values[3] if has_heading else None))
+            raise ParseError(f"bad numeric value: {exc}", location=f"line {lineno}") from exc
+        rows.setdefault(trial, []).append((*values[:3], values[3] if has_heading else None))
 
-    if not order:
-        raise ParseError("no data rows", source)
-    out = []
-    for trial in order:
-        data = rows[trial]
-        t = np.array([r[0] for r in data])
-        xy = np.array([[r[1], r[2]] for r in data])
-        heading = np.array([r[3] for r in data]) if has_heading else None
-        out.append(_owned(source, None, Trajectory, trial, t, xy, heading))
-    return out
+    if not rows:
+        raise ParseError("no data rows")
+    return [
+        _owned(
+            None,
+            Trajectory,
+            trial,
+            [r[0] for r in data],
+            [r[1:3] for r in data],
+            [r[3] for r in data] if has_heading else None,
+        )
+        for trial, data in rows.items()
+    ]
 
 
 def load_trajectories(path: str | Path) -> list[Trajectory]:
-    p = Path(path)
-    return parse_trajectories(p.read_text(encoding="utf-8"), str(p))
+    return _read(path, parse_trajectories, "CSV")
 
 
 # --------------------------------------------------------------------------
@@ -394,46 +405,45 @@ class DesignSpec:
     trial_ids: tuple[str, ...] | None  # None: all trials in the file
 
 
-def parse_designs(data: object, source: str | None = None) -> list[DesignSpec]:
-    data = _document(data, "design", source)
+def parse_designs(data: object) -> list[DesignSpec]:
+    data = _document(data, "design")
     if "designs" in data:
-        raw_list = _field(data, "designs", list, "", source)
+        raw_list = _field(data, "designs", list, "")
     else:
         raw_list = [data]
     out = []
     for i, rd in enumerate(raw_list):
         where = f"designs[{i}]"
         if not isinstance(rd, dict):
-            raise ParseError("design must be an object", source, where)
-        contact_raw = _field(rd, "contact", str, where, source).lower()
+            raise ParseError("design must be an object", location=where)
+        contact_raw = _field(rd, "contact", str, where).lower()
         if contact_raw not in _CONTACTS:
             raise ParseError(
-                f"contact must be one of {sorted(_CONTACTS)}", source, f"{where}.contact"
+                f"contact must be one of {sorted(_CONTACTS)}", location=f"{where}.contact"
             )
         meta = _owned(
-            source,
             where,
             DesignMeta,
-            name=_field(rd, "name", str, where, source),
-            passive=_field(rd, "passive", int, where, source),
-            active=_field(rd, "active", int, where, source),
-            body_length_cm=_field(rd, "body_length_cm", (int, float), where, source),
-            body_weight_g=_field(rd, "body_weight_g", (int, float), where, source),
+            name=_field(rd, "name", str, where),
+            passive=_field(rd, "passive", int, where),
+            active=_field(rd, "active", int, where),
+            body_length_cm=_field(rd, "body_length_cm", (int, float), where),
+            body_weight_g=_field(rd, "body_weight_g", (int, float), where),
             contact=_CONTACTS[contact_raw],
         )
-        trials = _field(rd, "trials", list, where, source, required=False)
+        trials = _field(rd, "trials", list, where, required=False)
         if trials is not None:
             if not all(isinstance(t, str) for t in trials):
-                raise ParseError("trials must be strings", source, f"{where}.trials")
+                raise ParseError("trials must be strings", location=f"{where}.trials")
             trials = tuple(trials)
         out.append(DesignSpec(meta, trials))
     if not out:
-        raise ParseError("no designs given", source)
+        raise ParseError("no designs given")
     return out
 
 
 def load_designs(path: str | Path) -> list[DesignSpec]:
-    return _load_json(path, parse_designs)
+    return _read(path, parse_designs)
 
 
 # --------------------------------------------------------------------------

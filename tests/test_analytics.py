@@ -69,6 +69,16 @@ class TestTrajectoryValidation:
             Trajectory("T7", samples["t"], samples["xy"], samples["heading"])
 
 
+    def test_holds_read_only_copies(self):
+        # the caller's arrays stay its own and writeable
+        t, xy, heading = np.arange(3.0), np.ones((3, 2)), np.zeros(3)
+        tr = Trajectory("T", t, xy, heading)
+        assert all(a.flags.writeable for a in (t, xy, heading))
+        assert not any(a.flags.writeable for a in (tr.t, tr.xy, tr.heading))
+        t[0] = -5.0
+        assert tr.t[0] == 0.0
+
+
 class TestPathLength:
     def test_straight_segment(self):
         assert path_length(_traj([(0, 0), (79, 0)])) == pytest.approx(79.0)

@@ -143,6 +143,22 @@ class TestLayoutValidation:
         with pytest.raises(ValidationError, match="symmetric"):
             FaceLayout((MagnetSpec((0.3, 0.1), N), MagnetSpec((0.4, 0.2), S)))
 
+    @pytest.mark.parametrize("k", [10**7, 10**12])
+    def test_click_inside_the_tolerance_is_not_symmetry(self, k):
+        # one click of a huge k moves no magnet out of EPS_MATCH, so each
+        # would pair with itself; the default magnets are 2-fold only
+        mags = default_cell_layout().faces[0].magnets
+        with pytest.raises(ValidationError, match=f"{k}-fold symmetric"):
+            FaceLayout(mags, symmetry=k)
+        with pytest.raises(ValidationError, match=f"{k}-fold symmetric"):
+            enumerate_valid_layouts(default_face_positions(), k=k)
+
+    def test_centre_magnet_pairs_with_itself(self):
+        # a magnet at the centre is its own image under every click
+        centre = (MagnetSpec((0.0, 0.0), N),)
+        pair = (MagnetSpec((0.3, 0.1), N), MagnetSpec((-0.3, -0.1), S))
+        assert FaceLayout(centre + pair, symmetry=2).symmetry == 2
+
     def test_symmetry_below_two_rejected(self):
         with pytest.raises(UnsupportedSymmetry):
             FaceLayout((MagnetSpec((0.3, 0.1), N),), symmetry=1)

@@ -11,6 +11,8 @@ from rhombikit.geometry import (
     CELL_EDGES,
     FACE_VERTICES,
     ContactType,
+    GroundContact,
+    Mesh,
     canonical_cell_mesh,
     classify_ground_contact,
     dihedral_angle,
@@ -129,6 +131,17 @@ class TestCanonicalMesh:
 
     def test_edge_count(self):
         assert len(CELL_EDGES) == 24
+
+
+    def test_mesh_holds_a_read_only_copy(self):
+        # the caller's vertices stay writeable; nested lists are accepted
+        v = np.array(CANONICAL_VERTICES, dtype=float)
+        m = Mesh(v, FACE_VERTICES)
+        assert v.flags.writeable and not m.vertices.flags.writeable
+        listed = Mesh([list(p) for p in CANONICAL_VERTICES], FACE_VERTICES)
+        assert listed.vertices.dtype == float
+        assert np.array_equal(listed.vertices, m.vertices)
+        assert mesh_volume(listed) == pytest.approx(16.0, abs=1e-9)
 
 
 class TestFaceFrames:
@@ -259,6 +272,11 @@ class TestRollTransform:
 
 
 class TestGroundContact:
+    def test_holds_a_read_only_copy(self):
+        pts = np.zeros((1, 3))
+        res = GroundContact(ContactType.POINT, pts, {(0, 0, 0): ContactType.POINT})
+        assert pts.flags.writeable and not res.support_points.flags.writeable
+
     def test_identity_single_cell_point(self):
         c = Configuration.from_positions([(0, 0, 0)])
         res = classify_ground_contact(c, np.eye(3))

@@ -286,7 +286,96 @@ class TestFormatVersion:
         assert parse(dict(doc, format_version=1)) == parse(doc)
 
 
+def _malformed_files():
+    """loader -> (file text, location, message) of one malformed document."""
+    layout = rio.layout_to_dict(default_cell_layout())
+    layout["faces"][2]["magnets"][1]["polarity"] = "X"
+    design = dict(TestDesignFiles.DESIGN, contact="blob")
+    cell = {"pos": [0, 0, 0], "kind": "passive"}
+    move = {"mover": [1, 1, 0], "substrate": [0, 0, 0], "from": 0, "to": 99}
+    return {
+        "load_structure": (
+            json.dumps({"cells": [dict(cell, kind="solid")]}),
+            "cells[0].kind",
+            "kind must be one of ['active', 'passive']",
+        ),
+        "load_plan": (
+            json.dumps({"start": {"cells": [cell]}, "moves": [move]}),
+            "moves[0].to",
+            "face direction index must be an int in 0..11, got 99",
+        ),
+        "load_layout": (
+            json.dumps(layout),
+            "faces[2].magnets[1].polarity",
+            "polarity must be 'N' or 'S'",
+        ),
+        "load_positions": (
+            json.dumps({"positions": [[0.5, 0.5], "x"]}),
+            "positions[1]",
+            "position must be a list",
+        ),
+        "load_designs": (
+            json.dumps({"designs": [design]}),
+            "designs[0].contact",
+            "contact must be one of ['edge', 'face', 'point']",
+        ),
+        "load_trajectories": (
+            "trial_id,t,x,y\nA,0,0,0\nA,oops,1,1\n",
+            "line 3",
+            "bad numeric value: could not convert string to float: 'oops'",
+        ),
+    }
+
+
+class TestFileDoors:
+    """Every loader reads through one door and every writer writes through one."""
+
+    @pytest.mark.parametrize("loader", sorted(_malformed_files()))
+    def test_undecodable_file_is_parse_error_naming_it(self, tmp_path, loader):
+        path = tmp_path / "bad"
+        path.write_bytes(b"\xff")
+        with pytest.raises(ParseError, match="can't decode byte 0xff") as info:
+            getattr(rio, loader)(path)
+        assert info.value.source == str(path)
+
+    @pytest.mark.parametrize("loader", sorted(_malformed_files()))
+    def test_malformed_file_located_and_named(self, tmp_path, loader):
+        text, location, message = _malformed_files()[loader]
+        path = tmp_path / "doc"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(ParseError) as info:
+            getattr(rio, loader)(path)
+        err = info.value
+        assert (err.source, err.location, err.message) == (str(path), location, message)
+        assert str(err) == f"{path}: {location}: {message}"
+
+    def test_every_writer_writes_lf_utf8(self, files):
+        tmp = files["tmp"]
+        doc = rio.load_structure(files["line"])
+        plan_doc = rio.PlanDoc(doc, ())
+        layout = default_cell_layout()
+        rio.save_structure(doc, tmp / "s.json")
+        rio.save_plan(plan_doc, tmp / "p.json")
+        rio.save_layout(layout, tmp / "l.json")
+        assert cli_main(["export", "--structure", files["line"], "--obj", str(tmp / "m.obj")]) == 0
+        expected = {
+            "s.json": rio.dumps_structure(doc),
+            "p.json": rio.dumps_plan(plan_doc),
+            "l.json": rio.dumps_layout(layout),
+            "m.obj": rio.export_obj(structure_mesh(doc.config)),
+        }
+        for name, text in expected.items():
+            data = (tmp / name).read_bytes()
+            assert b"\r" not in data and data.decode("utf-8") == text, name
+
+
 class TestTrajectoryFiles:
+    def test_field_over_the_csv_limit_located(self):
+        text = "trial_id,t,x,y\na,0,0," + "1" * 200000
+        with pytest.raises(ParseError, match="field larger than field limit") as info:
+            rio.parse_trajectories(text)
+        assert info.value.location == "line 2"
+
     def test_basic_and_heading(self):
         text = "trial_id,t,x,y\nA,0,0,0\nA,1,3,4\nB,0,1,1\nB,2,2,2\n"
         trs = rio.parse_trajectories(text)
@@ -752,6 +841,26 @@ class TestCli:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "closer than the pairing tolerance" in captured.err
+
+    def test_dock_check_symmetry_beyond_the_tolerance_exit_1(self, capsys):
+        # one click of k = 10**7 moves no default magnet out of EPS_MATCH
+        code = cli_main(["dock-check", "--enumerate", "--symmetry", "10000000"])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: magnet positions are not 10000000-fold symmetric\n"
+
+    def test_analyze_non_utf8_csv_exit_1(self, files, capsys):
+        csv_path = files["tmp"] / "t.csv"
+        csv_path.write_bytes(b"trial_id,t,x,y\nA,0,0,0\nA,1,\xff,0\n")
+        design_path = files["tmp"] / "d.json"
+        design_path.write_text(json.dumps(TestDesignFiles.DESIGN), encoding="utf-8")
+        code = cli_main(["analyze", "--csv", str(csv_path), "--design", str(design_path)])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: {csv_path}: invalid CSV: ")
+        assert "Traceback" not in captured.err
+        assert captured.out == ""
 
     def test_readme_cli_block_matches_parser(self):
         # every flag of every subcommand, as the README CLI block names it
