@@ -349,7 +349,8 @@ def parse_trajectories(text: str) -> list[Trajectory]:
     Trials appear in order of first occurrence; timestamps must increase
     strictly within each trial.
     """
-    records = _records(csv.reader(_io.StringIO(text)))
+    reader = csv.reader(_io.StringIO(text))
+    records = _records(reader)
     header = next(records, None)
     if header is None:
         raise ParseError("empty trajectory file")
@@ -359,7 +360,8 @@ def parse_trajectories(text: str) -> list[Trajectory]:
     has_heading = len(header) == 5
 
     rows: dict[str, list[tuple[float, float, float, float | None]]] = {}
-    for lineno, row in enumerate(records, start=2):
+    for row in records:
+        lineno = reader.line_num  # the row's last physical line
         if not row or all(not c.strip() for c in row):
             continue
         if len(row) != len(header):

@@ -14,13 +14,15 @@ occupied positions packed as ints (lattice.pack) and returns plain
 the faces as FACE_DIRS indices: legal_moves and check_move pack a
 configuration relative to its own smallest position (lattice.pack_frame)
 and unpack the result, so they take and return ordinary coordinates of
-any size; the planner memoizes each roll as one int, a roll code (see
-planner), and both it and legal_moves turn a roll back into a PivotMove
-with _pivot. The faces a roll may go between are lattice.ROLLS. The
-generator tests a candidate's destination and swept volume together, as
-one set test of the occupied positions relative to the substrate
-against the roll's shadow (destination plus blocker offsets, a
-frozenset of packed ints); check_move tests the same shadow.
+any size; the planner memoizes successor ids only and runs the
+generator again for the steps of the plan it returns, and both it and
+legal_moves turn a roll back into a PivotMove with _pivot. The faces a
+roll may go between are lattice.ROLLS. The generator tests a
+candidate's destination and swept volume together, as one set test of
+the occupied positions relative to the substrate against the roll's
+shadow (destination plus blocker offsets, a frozenset of packed ints);
+check_move tests the same shadow (its to index's entry of the face's
+rolls, whose order is that of lattice.ROLLS).
 """
 
 from __future__ import annotations
@@ -171,7 +173,7 @@ def check_move(
     fi = FACE_DIR_INDEX[move.from_dir]
     ti = FACE_DIR_INDEX[move.to_dir]
     # the generator's shadow of the roll; its destination is known free
-    if any(s + o in occupied for o in dict(_roll_table()[fi][2])[ti]):
+    if any(s + o in occupied for o in _roll_table()[fi][2][ROLLS[fi].index(ti)][1]):
         return MoveLegality.SWEPT_VOLUME_BLOCKED
     if strict_stability and not _supported(occupied, s + PACKED_DIRS[ti], s, mover):
         return MoveLegality.UNSTABLE

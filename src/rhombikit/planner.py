@@ -43,17 +43,15 @@ kept once in the registry however many parents reach it. Successors
 are memoized per Planner, so that repeated queries over one state space
 (parameter sweeps, test batteries) stay cheap, in ints only: _succ
 maps an id to the tuple of its successor ids in generator order, and
-_rolls to a parallel tuple of roll codes, (mover index * 12 + from
-index) * 12 + to index, the mover's index in the state's tuple and the
-faces' FACE_DIRS indices. A tuple of ints refers to nothing the cyclic GC must follow, so
-the collector untracks it at its first pass and later collections skip
-the memo. The parent table (id -> depth, parent id, bound), the heap
-entries and the goal test key on ids. PivotMoves are built only for the
-returned plan: _emit takes each step's roll as the first one in the
-parent's memo entry that reaches the child, which is the one the search
-recorded (a later roll to the same child is no shorter and is skipped),
-decodes it into a PivotMove with kinematics._pivot, and recomputes the
-shift with _step.
+nothing else. A tuple of ints refers to nothing the cyclic GC must
+follow, so the collector untracks it at its first pass and later
+collections skip the memo. The parent table (id -> depth, parent id,
+bound), the heap entries and the goal test key on ids. PivotMoves are
+built only for the returned plan: for each step _emit runs the
+generator on the parent again and takes the roll at the child's first
+index in the parent's memo entry, which is the one the search recorded
+(a later roll to the same child is no shorter and is skipped), builds
+its PivotMove with kinematics._pivot, and takes the shift from _step.
 
 The exact-position heuristic is an optimal assignment between cell
 positions under the lattice step metric (each move relocates one cell by
@@ -393,10 +391,11 @@ class Planner:
     """Reusable search engine; memoizes successor expansion per state.
 
     Each instance numbers the canonical states it meets (_ids, _states)
-    and keeps per expanded id the successor ids (_succ) and their roll
-    codes (_rolls), both tuples of ints that the cyclic GC untracks, and
-    per id, once first evaluated, the bound input (_inputs, see
-    _bound_input). None of these depends on a goal, so they serve every
+    and keeps per expanded id the successor ids (_succ), a tuple of ints
+    that the cyclic GC untracks, and per id, once first evaluated, the
+    bound input (_inputs, see _bound_input). _emit regenerates the rolls
+    of each step on the returned path and takes the one at the child's
+    first index. None of these depends on a goal, so they serve every
     query of the instance. The states are
     canonical under the instance's options, so strict_stability, kind
     sensitivity and the translation quotient are all fixed by the
@@ -412,7 +411,6 @@ class Planner:
         self._states: list[_State] = []
         self._inputs: list = []  # id -> bound input, None until evaluated
         self._succ: dict[int, tuple[int, ...]] = {}  # id -> successor ids
-        self._rolls: dict[int, tuple[int, ...]] = {}  # id -> roll codes
         self._pos = _Positions(self._kind_bits)
         self._axis: dict[tuple, tuple] = {}  # axis tuples, one object each
 
@@ -427,9 +425,14 @@ class Planner:
 
     # -- successor generation ----------------------------------------------
 
+    def _rolls_of(self, state: _State) -> list:
+        """The generator's rolls of a state, in its memo entry's order."""
+        k = self._kind_bits
+        positions = tuple(e >> k for e in state) if k else state
+        return _legal_rolls(positions, self.opts.strict_stability)
+
     def _successors(self, i: int) -> tuple[int, ...]:
-        """Successor ids of state id i, in move-generator order; the
-        roll that reaches each is kept in _rolls[i] at the same index."""
+        """Successor ids of state id i, in move-generator order."""
         cached = self._succ.get(i)
         if cached is not None:
             return cached
@@ -437,9 +440,8 @@ class Planner:
         k = self._kind_bits
         translate = self.opts.match_up_to_translation
         ids, states, inputs = self._ids, self._states, self._inputs
-        positions = tuple(e >> k for e in state) if k else state
-        out, codes = [], []
-        for mover, substrate, fi, ti in _legal_rolls(positions, self.opts.strict_stability):
+        out = []
+        for mover, substrate, _, ti in self._rolls_of(state):
             # mover << k sorts at or just before the mover's element
             at = bisect_left(state, mover << k)
             canon, _ = _step(state, at, substrate + PACKED_DIRS[ti], k, translate)
@@ -449,9 +451,7 @@ class Planner:
                 states.append(canon)
                 inputs.append(None)
             out.append(j)
-            codes.append((at * 12 + fi) * 12 + ti)
         out = self._succ[i] = tuple(out)
-        self._rolls[i] = tuple(codes)
         return out
 
     def _bound_input(self, i: int) -> tuple:
@@ -596,12 +596,13 @@ class Planner:
             path.append(parent)
         path.reverse()
 
-        # decode each step from the parent's memo: the search recorded the
-        # first roll that reaches the child (a later one to the same child
-        # is no shorter), which is the first index holding the child's id.
-        # The packed offset maps each canonical frame back onto the
-        # start's frame, and the start's smallest position maps that
-        # frame back to the caller's coordinates
+        # regenerate each step's rolls as _successors did: the search
+        # recorded the first roll that reaches the child (a later one to
+        # the same child is no shorter), the one at the first index of the
+        # child's id in the parent's memo entry. The packed offset maps
+        # each canonical frame back onto the start's frame, and the
+        # start's smallest position maps that frame back to the caller's
+        # coordinates
         k = self._kind_bits
         translate = self.opts.match_up_to_translation
         origin = start.cells[0].pos
@@ -609,12 +610,9 @@ class Planner:
         moves = []
         for parent, child in zip(path, path[1:]):
             state = self._states[parent]
-            code = self._rolls[parent][self._succ[parent].index(child)]
-            at, ti = divmod(code, 12)
-            at, fi = divmod(at, 12)
-            mover = state[at] >> k
-            substrate = mover - PACKED_DIRS[fi]
+            mover, substrate, fi, ti = self._rolls_of(state)[self._succ[parent].index(child)]
             moves.append(_pivot(origin, mover + offset, substrate + offset, fi, ti))
+            at = bisect_left(state, mover << k)
             offset += _step(state, at, substrate + PACKED_DIRS[ti], k, translate)[1]
         final = stats()
         plan = Plan(

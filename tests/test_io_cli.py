@@ -399,6 +399,13 @@ class TestTrajectoryFiles:
         with pytest.raises(ParseError, match="line 3"):
             rio.parse_trajectories(text)
 
+    def test_location_counts_physical_lines(self):
+        # a quoted trial_id spans lines 2 and 3, so the bad row is line 4
+        text = 'trial_id,t,x,y\n"A\nB",0,0,0\nA,oops,1,1\n'
+        with pytest.raises(ParseError) as info:
+            rio.parse_trajectories(text)
+        assert info.value.location == "line 4"
+
     def test_bad_header(self):
         with pytest.raises(ParseError, match="header"):
             rio.parse_trajectories("a,b,c\n1,2,3\n")
