@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import math
 import sys
 
@@ -56,7 +55,7 @@ class _Parser(argparse.ArgumentParser):
 
 def _emit(args, payload: dict, text_lines: list[str]) -> None:
     if args.json:
-        print(json.dumps(payload, indent=2, sort_keys=True))
+        print(rio._json(payload), end="")
     else:
         for line in text_lines:
             print(line)
@@ -100,17 +99,19 @@ def _cmd_dock_check(args) -> int:
             if args.positions
             else list(default_face_positions())
         )
-        valid = enumerate_valid_layouts(positions, k=args.symmetry)
+        valid = [
+            "".join(p.value for p in v)
+            for v in enumerate_valid_layouts(positions, k=args.symmetry)
+        ]
         payload = {
             "positions": [list(p) for p in positions],
             "symmetry": args.symmetry,
-            "valid_assignments": ["".join(p.value for p in v) for v in valid],
+            "valid_assignments": valid,
         }
         _emit(
             args,
             payload,
-            [f"valid assignments: {len(valid)}"]
-            + ["  " + "".join(p.value for p in v) for v in valid],
+            [f"valid assignments: {len(valid)}"] + ["  " + v for v in valid],
         )
         return EXIT_OK
     if not args.layout:
@@ -219,7 +220,7 @@ def _cmd_analyze(args) -> int:
     designs = rio.load_designs(args.design)
     by_id = {tr.trial_id: tr for tr in trajectories}
     summaries = []
-    details = []
+    rotations = []  # per design: trials per rotation direction
     for spec in designs:
         if spec.trial_ids is None:
             trs = trajectories
@@ -233,35 +234,28 @@ def _cmd_analyze(args) -> int:
             trs = [by_id[t] for t in spec.trial_ids]
         stats = [trial_stats(tr, theta_min=args.theta_min) for tr in trs]
         summaries.append(summarize(stats, spec.meta))
-        details.append(
-            {
-                "design": spec.meta.name,
-                "rotation": {
-                    d.value: sum(1 for s in stats if s.rotation is d)
-                    for d in RotationDirection
-                },
-            }
+        rotations.append(
+            {d.value: sum(1 for s in stats if s.rotation is d) for d in RotationDirection}
         )
     table = report_table(summaries, "markdown" if args.format == "md" else "csv")
-    if args.json:
-        payload = {
-            "table": table,
-            "designs": [
-                {
-                    "name": s.meta.name,
-                    "trials": s.trial_count,
-                    "mean_distance_cm": s.mean_distance,
-                    "sd_distance_cm": s.sd_distance,
-                    "mean_net_displacement_cm": s.mean_net_displacement,
-                    "sd_net_displacement_cm": s.sd_net_displacement,
-                    "rotation": d["rotation"],
-                }
-                for s, d in zip(summaries, details)
-            ],
-        }
-        print(json.dumps(payload, indent=2, sort_keys=True))
-    else:
-        print(table, end="")
+    payload = {
+        "table": table,
+        "designs": [
+            {
+                "name": s.meta.name,
+                "trials": s.trial_count,
+                "mean_distance_cm": s.mean_distance,
+                "sd_distance_cm": s.sd_distance,
+                "mean_net_displacement_cm": s.mean_net_displacement,
+                "sd_net_displacement_cm": s.sd_net_displacement,
+                "rotation": rotation,
+            }
+            for s, rotation in zip(summaries, rotations)
+        ],
+    }
+    # the table as one line: splitting it would break a design name that
+    # holds a line separator such as U+2028
+    _emit(args, payload, [table.removesuffix("\n")])
     return EXIT_OK
 
 

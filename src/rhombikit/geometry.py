@@ -375,8 +375,11 @@ def _rodrigues(axis: np.ndarray, theta: float) -> np.ndarray:
 def rotation_from_axis_angle(axis, degrees: float) -> np.ndarray:
     """Proper rotation matrix about an arbitrary axis through the origin."""
     a = np.asarray(axis, dtype=float)
-    if a.shape != (3,) or not np.isfinite(a).all() or np.linalg.norm(a) < 1e-12:
+    if a.shape != (3,) or not np.isfinite(a).all() or math.hypot(*a) < 1e-12:
         raise ValidationError("rotation axis must be a finite nonzero 3-vector")
+    # a power-of-two scale is exact, so it changes no bit of the unit axis,
+    # and it keeps the norm of a huge axis from overflowing
+    a = np.ldexp(a, -math.frexp(np.abs(a).max())[1])
     return _rodrigues(a, math.radians(_as_real(degrees, "rotation angle")))
 
 

@@ -1,8 +1,11 @@
 """File formats: structures, plans, magnet layouts, trajectories, OBJ.
 
-JSON documents carry a format_version field and are emitted with sorted
-keys and two-space indentation so that identical inputs serialize to
-identical bytes. Every file passes one door each way. Every loader reads
+JSON documents carry a format_version field. Every JSON text, saved or
+printed by the CLI, is _json's: sorted keys, two-space indentation and
+a final newline, so identical inputs serialize to identical bytes.
+Every JSON list a parser reads is walked by _items, which locates the
+item at index i as <list>[i] and refuses an item of the wrong JSON type
+there. Every file passes one door each way. Every loader reads
 through _read: a file that is not UTF-8, not valid JSON or CSV, or
 malformed in any field raises ParseError naming the file (.source) and
 the offending field or line (.location), never a bare traceback. The
@@ -122,6 +125,23 @@ def _document(data: object, what: str) -> dict:
     return data
 
 
+def _items(values: list, where: str, what: str, kind=dict):
+    """(location, item) for each item of a JSON list, the location
+    where[i]; an item that is not of the JSON type kind (an object, or a
+    list) raises ParseError "<what> must be ..." at its location."""
+    for i, item in enumerate(values):
+        location = f"{where}[{i}]"
+        if not isinstance(item, kind):
+            article = "an object" if kind is dict else "a list"
+            raise ParseError(f"{what} must be {article}", location=location)
+        yield location, item
+
+
+def _json(obj) -> str:
+    """The one JSON text: sorted keys, two-space indent, final newline."""
+    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+
+
 def _checked(obj: dict, key: str, types, rule, where: str):
     """rule(obj[key]) for a field of the given JSON types; the rule's
     owner reports its ValidationError as a ParseError at where.key."""
@@ -138,18 +158,15 @@ def parse_structure(data: object) -> StructureDoc:
     scale = _field(data, "scale_cm_per_unit", (int, float), "", required=False)
     raw_cells = _field(data, "cells", list, "")
     cells = []
-    seen: dict[tuple[int, int, int], int] = {}
-    for i, rc in enumerate(raw_cells):
-        where = f"cells[{i}]"
-        if not isinstance(rc, dict):
-            raise ParseError("cell must be an object", location=where)
+    seen: dict[tuple[int, int, int], str] = {}  # position -> first location
+    for where, rc in _items(raw_cells, "cells", "cell"):
         pos = _checked(rc, "pos", list, check_pos, where)
         if pos in seen:
             raise ParseError(
-                f"duplicate position {_echo(list(pos))} (first at cells[{seen[pos]}])",
+                f"duplicate position {_echo(list(pos))} (first at {seen[pos]})",
                 location=f"{where}.pos",
             )
-        seen[pos] = i
+        seen[pos] = where
         kind_raw = _field(rc, "kind", str, where)
         if kind_raw not in _KINDS:
             raise ParseError(
@@ -176,7 +193,7 @@ def structure_to_dict(doc: StructureDoc) -> dict:
 
 
 def dumps_structure(doc: StructureDoc) -> str:
-    return json.dumps(structure_to_dict(doc), indent=2, sort_keys=True) + "\n"
+    return _json(structure_to_dict(doc))
 
 
 def load_structure(path: str | Path) -> StructureDoc:
@@ -203,10 +220,7 @@ def parse_plan(data: object) -> PlanDoc:
     start = parse_structure(_field(data, "start", dict, ""))
     raw_moves = _field(data, "moves", list, "")
     moves = []
-    for i, rm in enumerate(raw_moves):
-        where = f"moves[{i}]"
-        if not isinstance(rm, dict):
-            raise ParseError("move must be an object", location=where)
+    for where, rm in _items(raw_moves, "moves", "move"):
         mover, substrate = (
             _checked(rm, k, list, check_pos, where) for k in ("mover", "substrate")
         )
@@ -234,7 +248,7 @@ def plan_to_dict(doc: PlanDoc) -> dict:
 
 
 def dumps_plan(doc: PlanDoc) -> str:
-    return json.dumps(plan_to_dict(doc), indent=2, sort_keys=True) + "\n"
+    return _json(plan_to_dict(doc))
 
 
 def load_plan(path: str | Path) -> PlanDoc:
@@ -254,10 +268,7 @@ def parse_layout(data: object) -> CellLayout:
     data = _document(data, "layout")
     raw_faces = _field(data, "faces", list, "")
     faces = []
-    for i, rf in enumerate(raw_faces):
-        where = f"faces[{i}]"
-        if not isinstance(rf, dict):
-            raise ParseError("face must be an object", location=where)
+    for i, (where, rf) in enumerate(_items(raw_faces, "faces", "face")):
         d = _field(rf, "dir", int, where)
         if d != i:
             raise ParseError(
@@ -266,10 +277,8 @@ def parse_layout(data: object) -> CellLayout:
             )
         symmetry = _field(rf, "symmetry", int, where, required=False, default=2)
         magnets = []
-        for j, rmag in enumerate(_field(rf, "magnets", list, where)):
-            mwhere = f"{where}.magnets[{j}]"
-            if not isinstance(rmag, dict):
-                raise ParseError("magnet must be an object", location=mwhere)
+        raw_magnets = _field(rf, "magnets", list, where)
+        for mwhere, rmag in _items(raw_magnets, f"{where}.magnets", "magnet"):
             pos = _field(rmag, "pos", list, mwhere)
             pol = _field(rmag, "polarity", str, mwhere)
             if pol not in _POLARITIES:
@@ -301,7 +310,7 @@ def layout_to_dict(layout: CellLayout) -> dict:
 
 
 def dumps_layout(layout: CellLayout) -> str:
-    return json.dumps(layout_to_dict(layout), indent=2, sort_keys=True) + "\n"
+    return _json(layout_to_dict(layout))
 
 
 def load_layout(path: str | Path) -> CellLayout:
@@ -316,13 +325,11 @@ def parse_positions(data: object) -> list[tuple[float, float]]:
     """2D magnet positions for the layout search: {"positions": [[u, v], ...]},
     each by MagnetSpec's position rule."""
     data = _document(data, "positions")
-    out = []
-    for i, rp in enumerate(_field(data, "positions", list, "")):
-        where = f"positions[{i}]"
-        if not isinstance(rp, list):
-            raise ParseError("position must be a list", location=where)
-        out.append(_owned(where, MagnetSpec, tuple(rp), Polarity.N).pos)
-    return out
+    raw_positions = _field(data, "positions", list, "")
+    return [
+        _owned(where, MagnetSpec, tuple(rp), Polarity.N).pos
+        for where, rp in _items(raw_positions, "positions", "position", list)
+    ]
 
 
 def load_positions(path: str | Path) -> list[tuple[float, float]]:
@@ -414,10 +421,7 @@ def parse_designs(data: object) -> list[DesignSpec]:
     else:
         raw_list = [data]
     out = []
-    for i, rd in enumerate(raw_list):
-        where = f"designs[{i}]"
-        if not isinstance(rd, dict):
-            raise ParseError("design must be an object", location=where)
+    for where, rd in _items(raw_list, "designs", "design"):
         contact_raw = _field(rd, "contact", str, where).lower()
         if contact_raw not in _CONTACTS:
             raise ParseError(

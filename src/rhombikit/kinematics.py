@@ -10,8 +10,10 @@ mover (lattice.removable_cells, the one articulation pass both check_move
 and the move generator use), and nothing occupies the volume the mover
 sweeps through. The one generator, _legal_rolls, takes the sorted
 occupied positions packed as ints (lattice.pack) and returns plain
-(mover, substrate, from_index, to_index) tuples, the positions packed and
-the faces as FACE_DIRS indices: legal_moves and check_move pack a
+(index, substrate, from_index, to_index) tuples: the mover's index in
+the positions it was given, the substrate packed and the faces as
+FACE_DIRS indices, so a caller that holds the positions reads the mover
+without searching for it. legal_moves and check_move pack a
 configuration relative to its own smallest position (lattice.pack_frame)
 and unpack the result, so they take and return ordinary coordinates of
 any size; the planner memoizes successor ids only and runs the
@@ -227,8 +229,8 @@ def legal_moves(
     """
     origin, packed = _frame(c)
     return [
-        _pivot(origin, mover, s, fi, ti)
-        for mover, s, fi, ti in _legal_rolls(packed, strict_stability)
+        _pivot(origin, packed[index], s, fi, ti)
+        for index, s, fi, ti in _legal_rolls(packed, strict_stability)
     ]
 
 
@@ -239,7 +241,7 @@ def _pivot(origin: Pos, mover: int, substrate: int, fi: int, ti: int) -> PivotMo
     return PivotMove(mover_pos, substrate_pos, FACE_DIRS[fi], FACE_DIRS[ti])
 
 
-Roll = tuple[int, int, int, int]  # (mover, substrate, from index, to index)
+Roll = tuple[int, int, int, int]  # (mover's index, substrate, from index, to index)
 
 
 @cache
@@ -273,7 +275,7 @@ def _legal_rolls(positions: tuple[int, ...], strict: bool) -> list[Roll]:
     removable = removable_cells(occupied)
     around: dict[int, set[int]] = {}  # substrate -> occupied offsets from it
     out = []
-    for mover in positions:
+    for index, mover in enumerate(positions):
         if mover not in removable:
             continue
         for fi, f, rolls in _roll_table():
@@ -288,5 +290,5 @@ def _legal_rolls(positions: tuple[int, ...], strict: bool) -> list[Roll]:
                     continue
                 if strict and not _supported(occupied, s + PACKED_DIRS[ti], s, mover):
                     continue
-                out.append((mover, s, fi, ti))
+                out.append((index, s, fi, ti))
     return out

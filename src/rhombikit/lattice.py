@@ -357,7 +357,7 @@ class Cell:
 class Configuration:
     """An immutable finite set of cells with pairwise distinct positions."""
 
-    __slots__ = ("cells", "_by_pos", "_hash")
+    __slots__ = ("cells", "_by_pos")
 
     def __init__(self, cells: Iterable[Cell]):
         cs = sorted(cells, key=lambda c: c.pos)
@@ -370,7 +370,6 @@ class Configuration:
                 seen.add(c.pos)
         self.cells: tuple[Cell, ...] = tuple(cs)
         self._by_pos: dict[Pos, Cell] = by_pos
-        self._hash: int | None = None
 
     @classmethod
     def from_positions(
@@ -379,7 +378,7 @@ class Configuration:
         kind: CellKind = CellKind.PASSIVE,
         orient: int = IDENTITY,
     ) -> "Configuration":
-        return cls(Cell(check_pos(p), kind, orient) for p in positions)
+        return cls(Cell(p, kind, orient) for p in positions)
 
     def __len__(self) -> int:
         return len(self.cells)
@@ -394,9 +393,7 @@ class Configuration:
         return isinstance(other, Configuration) and self.cells == other.cells
 
     def __hash__(self) -> int:
-        if self._hash is None:
-            self._hash = hash(self.cells)
-        return self._hash
+        return hash(self.cells)
 
     def __repr__(self) -> str:
         return f"Configuration({len(self.cells)} cells)"

@@ -34,9 +34,10 @@ ValidationError naming max_states otherwise.
 Each Planner numbers the states it meets: a state gets a small int id
 the first time it is generated (_ids maps the tuple to its id, _states
 maps it back), and from then on the search handles ids only. The move
-generator kinematics._legal_rolls takes the packed positions; a
-successor is its parent's tuple with the mover's element removed and the
-destination's (same kind bit) inserted in order, shifted when its
+generator kinematics._legal_rolls takes the packed positions and names
+each roll's mover by its index in them, which is its index in the state;
+a successor is its parent's tuple with the element at that index removed
+and the destination's (same kind bit) inserted in order, shifted when its
 smallest position moved. _step builds it as one list and makes one
 tuple of it; _successors and _emit both take that step. A successor is
 kept once in the registry however many parents reach it. Successors
@@ -83,7 +84,7 @@ from __future__ import annotations
 import heapq
 import operator
 import time
-from bisect import bisect_left, insort
+from bisect import insort
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -441,9 +442,7 @@ class Planner:
         translate = self.opts.match_up_to_translation
         ids, states, inputs = self._ids, self._states, self._inputs
         out = []
-        for mover, substrate, _, ti in self._rolls_of(state):
-            # mover << k sorts at or just before the mover's element
-            at = bisect_left(state, mover << k)
+        for at, substrate, _, ti in self._rolls_of(state):
             canon, _ = _step(state, at, substrate + PACKED_DIRS[ti], k, translate)
             j = ids.get(canon)
             if j is None:  # _id inlined: a call here costs ~4 % of a one-shot search
@@ -610,9 +609,9 @@ class Planner:
         moves = []
         for parent, child in zip(path, path[1:]):
             state = self._states[parent]
-            mover, substrate, fi, ti = self._rolls_of(state)[self._succ[parent].index(child)]
+            at, substrate, fi, ti = self._rolls_of(state)[self._succ[parent].index(child)]
+            mover = state[at] >> k
             moves.append(_pivot(origin, mover + offset, substrate + offset, fi, ti))
-            at = bisect_left(state, mover << k)
             offset += _step(state, at, substrate + PACKED_DIRS[ti], k, translate)[1]
         final = stats()
         plan = Plan(

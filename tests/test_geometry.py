@@ -1,5 +1,6 @@
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -244,6 +245,30 @@ class TestRotationFromAxisAngle:
         "axis", [(math.nan, 0, 0), (1, math.inf, 0), (0, 0, -math.inf), (0, 0, 0)]
     )
     def test_bad_axis_rejected(self, axis):
+        with pytest.raises(ValidationError, match="axis"):
+            rotation_from_axis_angle(axis, 90.0)
+
+    @pytest.mark.parametrize("axis", [(1e308, 1e308, 0), (-1.7e308, -1.7e308, 0)])
+    def test_huge_axis_gives_its_direction_rotation(self, axis):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            r = rotation_from_axis_angle(axis, 90.0)
+        assert np.allclose(r @ r.T, np.eye(3), atol=1e-12)
+        assert np.linalg.det(r) == pytest.approx(1.0)
+        sign = math.copysign(1.0, axis[0])
+        assert np.allclose(r, rotation_from_axis_angle((sign, sign, 0), 90.0), atol=1e-12)
+
+    def test_power_of_two_scale_changes_no_bit(self):
+        rng = np.random.default_rng(5)
+        for _ in range(200):
+            axis = rng.normal(size=3) * 10.0 ** rng.uniform(-5, 5)
+            deg = rng.uniform(-360, 360)
+            r = rotation_from_axis_angle(axis, deg)
+            for k in (-8, -1, 3, 200):
+                assert np.array_equal(rotation_from_axis_angle(np.ldexp(axis, k), deg), r)
+
+    @pytest.mark.parametrize("axis", [(1e-13, 0, 0), (1e-200, 1e-200, 0), (5e-324, 0, 0)])
+    def test_sub_threshold_axis_rejected(self, axis):
         with pytest.raises(ValidationError, match="axis"):
             rotation_from_axis_angle(axis, 90.0)
 

@@ -327,6 +327,44 @@ def _malformed_files():
     }
 
 
+def _wrong_typed_items():
+    """list field -> (parser, document with one wrong-typed item, location,
+    message), one per JSON list the parsers walk."""
+    cell = {"pos": [0, 0, 0], "kind": "passive"}
+    faces = rio.layout_to_dict(default_cell_layout())
+    faces["faces"][3] = "x"
+    magnets = rio.layout_to_dict(default_cell_layout())
+    magnets["faces"][2]["magnets"][1] = 7
+    design = dict(TestDesignFiles.DESIGN)
+    return {
+        "cells": (rio.parse_structure, {"cells": [cell, 5]},
+                  "cells[1]", "cell must be an object"),
+        "moves": (rio.parse_plan, {"start": {"cells": [cell]}, "moves": [[]]},
+                  "moves[0]", "move must be an object"),
+        "faces": (rio.parse_layout, faces, "faces[3]", "face must be an object"),
+        "magnets": (rio.parse_layout, magnets,
+                    "faces[2].magnets[1]", "magnet must be an object"),
+        "positions": (rio.parse_positions, {"positions": [[0.5, 0.5], {"u": 1}]},
+                      "positions[1]", "position must be a list"),
+        "designs": (rio.parse_designs, {"designs": [design, None]},
+                    "designs[1]", "design must be an object"),
+    }
+
+
+class TestListItems:
+    @pytest.mark.parametrize("field", sorted(_wrong_typed_items()))
+    def test_wrong_typed_item_located(self, field):
+        parse, doc, location, message = _wrong_typed_items()[field]
+        with pytest.raises(ParseError) as info:
+            parse(doc)
+        assert (info.value.location, info.value.message) == (location, message)
+
+    def test_single_design_located_at_designs_0(self):
+        with pytest.raises(ParseError) as info:
+            rio.parse_designs(dict(TestDesignFiles.DESIGN, contact="blob"))
+        assert info.value.location == "designs[0].contact"
+
+
 class TestFileDoors:
     """Every loader reads through one door and every writer writes through one."""
 
@@ -658,6 +696,17 @@ class TestCli:
         payload = json.loads(capsys.readouterr().out)
         assert payload["contact"] == "face"
 
+    def test_contact_huge_axis_is_its_direction(self, files, capsys):
+        contacts = []
+        for rot in ("1e308,1e308,0,90", "1,1,0,90"):
+            assert cli_main(
+                ["contact", "--structure", files["two"], f"--rot={rot}", "--json"]
+            ) == 0
+            captured = capsys.readouterr()
+            assert captured.err == ""
+            contacts.append(json.loads(captured.out)["contact"])
+        assert contacts[0] == contacts[1]
+
     def test_dock_check_layout_modes(self, files, capsys):
         layout_path = str(files["tmp"] / "layout.json")
         rio.save_layout(default_cell_layout(), layout_path)
@@ -955,3 +1004,66 @@ class TestCli:
         )
         payload = json.loads(capsys.readouterr().out)
         assert payload["designs"][0]["mean_distance_cm"] == pytest.approx(90.0)
+
+    @staticmethod
+    def _json_runs(files):
+        """subcommand -> argv of each --json run, with its input files."""
+        tmp = files["tmp"]
+        rio.save_layout(default_cell_layout(), tmp / "layout.json")
+        (tmp / "t.csv").write_text(
+            "trial_id,t,x,y\nA,0,0,0\nA,30,50,0\nA,60,10,0\n", encoding="utf-8"
+        )
+        (tmp / "d.json").write_text(json.dumps(TestDesignFiles.DESIGN), encoding="utf-8")
+        plan_path = str(tmp / "plan.json")
+        return {
+            "validate": ["validate", files["line"]],
+            "dock-check-layout": ["dock-check", "--layout", str(tmp / "layout.json")],
+            "dock-check-enumerate": ["dock-check", "--enumerate"],
+            "plan": ["plan", "--from", files["line"], "--to", files["tri"],
+                     "--plan-out", plan_path],
+            "replay": ["replay", "--plan", plan_path, "--out", str(tmp / "final.json")],
+            "contact": ["contact", "--structure", files["two"], "--rot", "1,-1,0,-90"],
+            "analyze": ["analyze", "--csv", str(tmp / "t.csv"),
+                        "--design", str(tmp / "d.json")],
+            "export": ["export", "--structure", files["line"],
+                       "--obj", str(tmp / "m.obj")],
+        }
+
+    @pytest.mark.parametrize(
+        "command",
+        ["validate", "dock-check-layout", "dock-check-enumerate", "plan", "replay",
+         "contact", "analyze", "export"],
+    )
+    def test_json_output_is_canonical(self, files, capsys, command):
+        runs = self._json_runs(files)
+        if command == "replay":
+            assert cli_main(runs["plan"]) == 0
+            capsys.readouterr()
+        assert cli_main(runs[command] + ["--json"]) == 0
+        out = capsys.readouterr().out
+        assert out == json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n"
+
+    @pytest.mark.parametrize("fmt", ["md", "csv"])
+    def test_analyze_text_prints_the_table(self, files, capsys, fmt):
+        # the table goes out as it is: one final newline, and a design
+        # name holding a line separator is not split
+        tmp = files["tmp"]
+        (tmp / "t.csv").write_text(
+            "trial_id,t,x,y\nA,0,0,0\nA,30,50,0\nA,60,10,0\n", encoding="utf-8"
+        )
+        name = "Line\u2028Sep"
+        design = dict(TestDesignFiles.DESIGN, name=name)
+        (tmp / "d.json").write_text(json.dumps(design), encoding="utf-8")
+        argv = ["analyze", "--csv", str(tmp / "t.csv"), "--design", str(tmp / "d.json"),
+                "--format", fmt]
+        assert cli_main(argv) == 0
+        (trajectory,) = rio.load_trajectories(tmp / "t.csv")
+        (spec,) = rio.load_designs(tmp / "d.json")
+        summary = rhombikit.analytics.summarize(
+            [rhombikit.analytics.trial_stats(trajectory)], spec.meta
+        )
+        table = rhombikit.analytics.report_table(
+            [summary], "markdown" if fmt == "md" else "csv"
+        )
+        assert capsys.readouterr().out == table
+        assert name in table

@@ -233,6 +233,19 @@ class TestConfiguration:
         with pytest.raises(ValidationError):
             c.translate((1, 0, 0))
 
+    def test_from_positions_reports_the_cell_rule(self):
+        with pytest.raises(ValidationError) as info:
+            Configuration.from_positions([(0, 0, 0), (1, 0, 0)])
+        with pytest.raises(ValidationError) as direct:
+            Cell((1, 0, 0))
+        assert str(info.value) == str(direct.value)
+
+    def test_equal_configurations_hash_equal(self):
+        a = Configuration.from_positions([(0, 0, 0), (1, 1, 0), (2, 0, 2)])
+        b = Configuration.from_positions([(2, 0, 2), (0, 0, 0), (1, 1, 0)])
+        assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+        assert a != a.translate((2, 0, 0))
+
 
 class TestCanonicalize:
     def test_already_canonical(self):
