@@ -12,7 +12,9 @@ Each convex polytope is described twice over: as face polygons of shape
 (F, V, 3) with per-face vertex counts and outward CCW winding, and as
 half-spaces of shape (F, 4), rows (nx, ny, nz, c) meaning n.x <= c. The
 tests cross-check it against an independent point-collection method
-with a Qhull convex hull and against a Monte-Carlo estimate.
+with a Qhull convex hull and against a Monte-Carlo estimate. Its final
+sum, ``fan_volume``, is also the volume of every mesh
+(``geometry.mesh_volume``).
 """
 
 from __future__ import annotations
@@ -66,6 +68,14 @@ def intersection_volume(
                 kept.append(cap)
         faces = kept
 
+    vol = fan_volume(faces)
+    return vol if vol > 0.0 else 0.0
+
+
+def fan_volume(faces) -> float:
+    """Signed volume enclosed by polygons given as lists of [x, y, z]
+    points, CCW from outside: the divergence theorem summed over each
+    polygon's triangle fan from its first point."""
     vol = 0.0
     for face in faces:
         x0, y0, z0 = face[0]
@@ -77,8 +87,7 @@ def intersection_volume(
                 - y0 * (x1 * z2 - z1 * x2)
                 + z0 * (x1 * y2 - y1 * x2)
             )
-    vol /= 6.0
-    return vol if vol > 0.0 else 0.0
+    return vol / 6.0
 
 
 def _cap(section, nx, ny, nz):

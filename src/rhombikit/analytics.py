@@ -111,8 +111,6 @@ def rotation_direction(
         steps = np.diff(tr.xy, axis=0)
         keep = np.linalg.norm(steps, axis=1) >= _MIN_STEP
         steps = steps[keep]
-        if len(steps) < 2:
-            return RotationDirection.INDETERMINATE
         headings = np.arctan2(steps[:, 1], steps[:, 0])
     if len(headings) < 2:
         return RotationDirection.INDETERMINATE

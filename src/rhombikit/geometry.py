@@ -28,14 +28,13 @@ from .errors import ValidationError
 from .lattice import (
     DIR_PERM,
     FACE_DIRS,
-    ROLLS,
     Configuration,
     Pos,
     _as_real,
     _check_dir,
     _dir_index,
-    _echo,
     _require_nonempty,
+    _roll_faces,
     add,
     apply_rotation,
 )
@@ -159,13 +158,8 @@ def canonical_cell_mesh() -> Mesh:
 
 def mesh_volume(m: Mesh) -> float:
     """Signed volume by the divergence theorem (positive for outward CCW)."""
-    vol = 0.0
-    v = m.vertices
-    for face in m.faces:
-        v0 = v[face[0]]
-        for i in range(1, len(face) - 1):
-            vol += float(np.dot(v0, np.cross(v[face[i]], v[face[i + 1]])))
-    return vol / 6.0
+    v = m.vertices.tolist()
+    return _kernels.fan_volume([[v[i] for i in face] for face in m.faces])
 
 
 def mesh_surface_area(m: Mesh) -> float:
@@ -354,11 +348,10 @@ def structure_mesh(c: Configuration) -> Mesh:
 
 def shared_face_edge(d1: Pos, d2: Pos) -> tuple[Pos, Pos]:
     """Endpoints of the edge shared by faces d1 and d2, sorted."""
-    i1, i2 = _dir_index(d1), _dir_index(d2)
-    common = set(FACE_VERTICES[i1]) & set(FACE_VERTICES[i2])
-    if len(common) != 2:
-        raise ValidationError(f"faces {_echo(d1)} and {_echo(d2)} do not share an edge")
-    a, b = sorted(CANONICAL_VERTICES[i] for i in common)
+    i1, i2 = _roll_faces(d1, d2)
+    a, b = sorted(
+        CANONICAL_VERTICES[i] for i in set(FACE_VERTICES[i1]) & set(FACE_VERTICES[i2])
+    )
     return a, b
 
 
@@ -491,12 +484,8 @@ def swept_cells(from_dir: Pos, to_dir: Pos) -> frozenset[Pos]:
     be integer face-direction vectors sharing an edge; the answer is
     read from blocker_table().
     """
-    fi, ti = _dir_index(from_dir), _dir_index(to_dir)
-    if ti not in ROLLS[fi]:
-        raise ValidationError(
-            f"faces {FACE_DIRS[fi]} and {FACE_DIRS[ti]} are not edge-adjacent"
-        )
-    return blocker_table()[(fi, ti)]
+    key = _roll_faces(from_dir, to_dir)  # checked before the table is built
+    return blocker_table()[key]
 
 
 @cache

@@ -5,14 +5,15 @@ printed by the CLI, is _json's: sorted keys, two-space indentation and
 a final newline, so identical inputs serialize to identical bytes.
 Every JSON list a parser reads is walked by _items, which locates the
 item at index i as <list>[i] and refuses an item of the wrong JSON type
-there. Every file passes one door each way. Every loader reads
-through _read: a file that is not UTF-8, not valid JSON or CSV, or
-malformed in any field raises ParseError naming the file (.source) and
-the offending field or line (.location), never a bare traceback. The
-parse_* functions take the decoded document and only locate errors; the
-rule itself belongs to the type that owns it. Every saver, and the CLI's
-OBJ export, writes through _write: UTF-8 with LF line ends, so the bytes
-are the same on every platform.
+there; _once refuses a repeated cell position or trial id at the
+repeat, naming where it first came. Every file passes one door each
+way. Every loader reads through _read: a file that is not UTF-8, not
+valid JSON or CSV, or malformed in any field raises ParseError naming
+the file (.source) and the offending field or line (.location), never a
+bare traceback. The parse_* functions take the decoded document and
+only locate errors; the rule itself belongs to the type that owns it.
+Every saver, and the CLI's OBJ export, writes through _write: UTF-8
+with LF line ends, so the bytes are the same on every platform.
 """
 
 from __future__ import annotations
@@ -125,16 +126,32 @@ def _document(data: object, what: str) -> dict:
     return data
 
 
+_JSON_TYPES = {dict: "an object", list: "a list", str: "a string"}
+
+
 def _items(values: list, where: str, what: str, kind=dict):
     """(location, item) for each item of a JSON list, the location
-    where[i]; an item that is not of the JSON type kind (an object, or a
-    list) raises ParseError "<what> must be ..." at its location."""
+    where[i]; an item that is not of the JSON type kind (an object, a
+    list or a string) raises ParseError "<what> must be ..." at its
+    location."""
     for i, item in enumerate(values):
         location = f"{where}[{i}]"
         if not isinstance(item, kind):
-            article = "an object" if kind is dict else "a list"
-            raise ParseError(f"{what} must be {article}", location=location)
+            raise ParseError(f"{what} must be {_JSON_TYPES[kind]}", location=location)
         yield location, item
+
+
+def _once(first: dict, key, what: str, where: str, location: str | None = None):
+    """Record in first where key is first met. A key met again raises
+    ParseError "duplicate <what> <key> (first at <where it was first
+    met>)" at location, by default where, the key printed as JSON writes
+    it (a position as a list)."""
+    if key in first:
+        shown = _echo(list(key) if isinstance(key, tuple) else key)
+        raise ParseError(
+            f"duplicate {what} {shown} (first at {first[key]})", location=location or where
+        )
+    first[key] = where
 
 
 def _json(obj) -> str:
@@ -161,12 +178,7 @@ def parse_structure(data: object) -> StructureDoc:
     seen: dict[tuple[int, int, int], str] = {}  # position -> first location
     for where, rc in _items(raw_cells, "cells", "cell"):
         pos = _checked(rc, "pos", list, check_pos, where)
-        if pos in seen:
-            raise ParseError(
-                f"duplicate position {_echo(list(pos))} (first at {seen[pos]})",
-                location=f"{where}.pos",
-            )
-        seen[pos] = where
+        _once(seen, pos, "position", where, f"{where}.pos")
         kind_raw = _field(rc, "kind", str, where)
         if kind_raw not in _KINDS:
             raise ParseError(
@@ -439,8 +451,9 @@ def parse_designs(data: object) -> list[DesignSpec]:
         )
         trials = _field(rd, "trials", list, where, required=False)
         if trials is not None:
-            if not all(isinstance(t, str) for t in trials):
-                raise ParseError("trials must be strings", location=f"{where}.trials")
+            first: dict[str, str] = {}  # trial id -> first location
+            for twhere, t in _items(trials, f"{where}.trials", "trial id", str):
+                _once(first, t, "trial id", twhere)
             trials = tuple(trials)
         out.append(DesignSpec(meta, trials))
     if not out:

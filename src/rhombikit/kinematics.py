@@ -48,6 +48,7 @@ from .lattice import (
     Pos,
     _dir_index,
     _echo,
+    _roll_faces,
     add,
     check_pos,
     compose,
@@ -81,12 +82,10 @@ class PivotMove:
     def __post_init__(self) -> None:
         object.__setattr__(self, "mover", check_pos(self.mover))
         object.__setattr__(self, "substrate", check_pos(self.substrate))
-        fi, ti = _dir_index(self.from_dir), _dir_index(self.to_dir)
-        f, t = FACE_DIRS[fi], FACE_DIRS[ti]
+        fi, ti = _roll_faces(self.from_dir, self.to_dir)
+        f = FACE_DIRS[fi]
         object.__setattr__(self, "from_dir", f)
-        object.__setattr__(self, "to_dir", t)
-        if ti not in ROLLS[fi]:
-            raise ValidationError(f"faces {f} and {t} do not share an edge")
+        object.__setattr__(self, "to_dir", FACE_DIRS[ti])
         if sub(self.mover, self.substrate) != f:
             raise ValidationError(
                 f"mover {_echo(self.mover)} is not at substrate "

@@ -29,10 +29,15 @@ Enumeration conventions (fixed, relied on by file formats and tests):
 * ``FACE_DIRS`` lists the 12 neighbor directions in ascending
   lexicographic order.
 * ``ROLLS[f]`` lists, in that order, the indices of the 4 faces that
-  share an edge with face f: the only statement of that rule.
+  share an edge with face f: the only statement of that rule, and
+  _roll_faces the only statement of its error.
 * ``ROTATIONS`` lists the 24 rotation matrices in descending lexicographic
   order of their row-major flattening, which places the identity at
   index 0.
+* ``DIR_PERM[r]`` is the permutation of the face directions that rotation
+  r induces, and it fixes r, so the composition and inverse tables are
+  read off it: ``ROT_MUL[a][b]`` (apply b, then a) is the rotation whose
+  permutation is ``DIR_PERM[a][DIR_PERM[b][d]]``.
 """
 
 from __future__ import annotations
@@ -232,23 +237,19 @@ def lattice_distance(p: Sequence[int], q: Sequence[int]) -> int:
 # --------------------------------------------------------------------------
 
 
+def _det(m: Matrix) -> int:
+    (a, b, c), (d, e, f), (g, h, i) = m
+    return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
+
+
 def _generate_rotations() -> tuple[Matrix, ...]:
-    mats = []
-    for perm in itertools.permutations(range(3)):
-        for signs in itertools.product((1, -1), repeat=3):
-            rows = [[0, 0, 0] for _ in range(3)]
-            for r, (c, s) in enumerate(zip(perm, signs)):
-                rows[r][c] = s
-            # determinant of a signed permutation: sign(perm) * product(signs)
-            parity = 1
-            for i in range(3):
-                for j in range(i + 1, 3):
-                    if perm[i] > perm[j]:
-                        parity = -parity
-            if parity * signs[0] * signs[1] * signs[2] == 1:
-                mats.append(tuple(tuple(r) for r in rows))
-    mats.sort(key=lambda m: m[0] + m[1] + m[2], reverse=True)
-    return tuple(mats)
+    """The signed permutation matrices of determinant 1 (their rows are
+    signed unit vectors), in descending order, which for rows of three
+    entries is that of the row-major flattening."""
+    units = [p for p in itertools.product((-1, 0, 1), repeat=3) if sum(map(abs, p)) == 1]
+    return tuple(sorted(
+        (m for m in itertools.product(units, repeat=3) if _det(m) == 1), reverse=True
+    ))
 
 
 ROTATIONS: tuple[Matrix, ...] = _generate_rotations()
@@ -262,13 +263,6 @@ def _mat_apply(m: Matrix, v: Sequence[int]) -> Pos:
         m[0][0] * v[0] + m[0][1] * v[1] + m[0][2] * v[2],
         m[1][0] * v[0] + m[1][1] * v[1] + m[1][2] * v[2],
         m[2][0] * v[0] + m[2][1] * v[1] + m[2][2] * v[2],
-    )
-
-
-def _mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    return tuple(
-        tuple(sum(a[i][k] * b[k][j] for k in range(3)) for j in range(3))
-        for i in range(3)
     )
 
 
@@ -292,15 +286,31 @@ def _dir_index(d) -> int:
     return i
 
 
-# composition and inverse tables, plus the induced permutation of FACE_DIRS
-ROT_MUL: tuple[tuple[int, ...], ...] = tuple(
-    tuple(ROTATION_INDEX[_mat_mul(a, b)] for b in ROTATIONS) for a in ROTATIONS
-)
-ROT_INV: tuple[int, ...] = tuple(
-    next(j for j in range(24) if ROT_MUL[i][j] == IDENTITY) for i in range(24)
-)
+def _roll_faces(d1, d2) -> tuple[int, int]:
+    """FACE_DIRS indices of two direction vectors (by _dir_index's rule)
+    whose faces share an edge by ROLLS; the one statement of the error
+    for faces that do not."""
+    i1, i2 = _dir_index(d1), _dir_index(d2)
+    if i2 not in ROLLS[i1]:
+        raise ValidationError(
+            f"faces {FACE_DIRS[i1]} and {FACE_DIRS[i2]} do not share an edge"
+        )
+    return i1, i2
+
+
+# the permutation of FACE_DIRS each rotation induces fixes the rotation
+# (the directions span space), so composition and inverse are read off
+# the permutations: "apply b, then a" is the one whose permutation is
+# a[b[d]], and the inverse's permutation is the inverse permutation
 DIR_PERM: tuple[tuple[int, ...], ...] = tuple(
     tuple(FACE_DIR_INDEX[_mat_apply(m, d)] for d in FACE_DIRS) for m in ROTATIONS
+)
+_PERM_INDEX: dict[tuple[int, ...], int] = {p: r for r, p in enumerate(DIR_PERM)}
+ROT_MUL: tuple[tuple[int, ...], ...] = tuple(
+    tuple(_PERM_INDEX[tuple(map(a.__getitem__, b))] for b in DIR_PERM) for a in DIR_PERM
+)
+ROT_INV: tuple[int, ...] = tuple(
+    _PERM_INDEX[tuple(sorted(range(12), key=p.__getitem__))] for p in DIR_PERM
 )
 
 
@@ -362,12 +372,9 @@ class Configuration:
     def __init__(self, cells: Iterable[Cell]):
         cs = sorted(cells, key=lambda c: c.pos)
         by_pos = {c.pos: c for c in cs}
-        if len(by_pos) != len(cs):
-            seen: set[Pos] = set()
-            for c in cs:
-                if c.pos in seen:
-                    raise ValidationError(f"duplicate cell position {_echo(c.pos)}")
-                seen.add(c.pos)
+        if len(by_pos) != len(cs):  # sorted, so a duplicate follows its twin
+            dup = next(a.pos for a, b in zip(cs, cs[1:]) if a.pos == b.pos)
+            raise ValidationError(f"duplicate cell position {_echo(dup)}")
         self.cells: tuple[Cell, ...] = tuple(cs)
         self._by_pos: dict[Pos, Cell] = by_pos
 

@@ -270,7 +270,7 @@ def _axis_bound(sa, ga) -> int:
 
 def _translation_bound(a_axes: tuple, goal_profile: tuple) -> int:
     """The translation-minimized per-axis bound between a state's axis
-    profile (see _axes) and a goal profile (see _goal_profile).
+    profile (see _axes) and a goal profile (see _bound).
 
     Each axis's bound is looked up in that axis's memo, which belongs to
     the goal profile, and computed only on a miss: it depends on nothing
@@ -310,27 +310,23 @@ def heuristic(
         )
     translate = match_up_to_translation
     a = _axes(c.positions) if translate else c.positions
-    return _bound(translate)(a, _goal_profile(goal.positions, translate))
+    bound, goal_profile = _bound(goal.positions, translate)
+    return bound(a, goal_profile)
 
 
-def _goal_profile(goal: tuple[Pos, ...], translate: bool) -> tuple:
-    """What _bound compares a state with: with translate, the goal's
-    sorted coordinates per axis, each paired with an empty memo of state
-    bounds on that axis; else the goal's positions. Computed once per
-    plan() call, so the memos last that call and hold one goal's values.
-    """
-    if not translate:
-        return goal
-    return tuple((g, {}) for g in _axes(goal))
-
-
-def _bound(translate: bool):
-    """The bound of a matching mode, called as bound(a, goal_profile)
-    with a state's bound input a: its axis profile (see _axes) with
-    translate, else its positions. plan() looks it up once per call, so
-    a wrapper installed on the module's name before then sees every
+def _bound(goal: tuple[Pos, ...], translate: bool) -> tuple:
+    """(bound, goal profile) of a matching mode and a goal's positions,
+    the bound called as bound(a, goal_profile) with a state's bound input
+    a: its axis profile (see _axes) with translate, else its positions.
+    With translate the goal profile is the goal's sorted coordinates per
+    axis, each paired with an empty memo of state bounds on that axis;
+    else the goal's positions. plan() calls this once per call, so the
+    memos last that call and hold one goal's values, and a wrapper
+    installed on the bound's module name before then sees every
     evaluation."""
-    return _translation_bound if translate else _assignment_bound
+    if not translate:
+        return _assignment_bound, goal
+    return _translation_bound, tuple((g, {}) for g in _axes(goal))
 
 
 # --------------------------------------------------------------------------
@@ -507,14 +503,13 @@ class Planner:
                 f"max_states ({_echo(budget)}) steps"
             ) from None
         start_id, goal_id = self._id(start_state), self._id(goal_state)
-        pos = self._pos.__getitem__
-        goal_profile = _goal_profile(tuple(map(pos, goal_state)), translate)
         astar = self.opts.algorithm is Algorithm.ASTAR
         memo_before = len(self._succ)
 
         if astar:
             inputs, bound_input = self._inputs, self._bound_input
-            bound = _bound(translate)
+            goal_positions = tuple(map(self._pos.__getitem__, goal_state))
+            bound, goal_profile = _bound(goal_positions, translate)
 
             def h(i: int) -> int:
                 a = inputs[i]

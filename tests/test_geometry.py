@@ -493,18 +493,22 @@ class TestStructureMesh:
 
 class TestRolls:
     def test_rolls_are_the_faces_sharing_an_edge(self):
-        # lattice.ROLLS against the dot-product rule and against the
-        # mesh: the faces whose vertex cycles share exactly two vertices
+        # lattice.ROLLS against the dot-product rule, against the mesh
+        # (the faces whose vertex cycles share exactly two vertices) and
+        # against what shared_face_edge accepts
         for fi, f in enumerate(FACE_DIRS):
             by_dot = tuple(j for j, t in enumerate(FACE_DIRS) if np.dot(f, t) == 1)
-            by_mesh = []
+            by_mesh = tuple(
+                j for j in range(12) if len(set(FACE_VERTICES[fi]) & set(FACE_VERTICES[j])) == 2
+            )
+            accepted = []
             for j, t in enumerate(FACE_DIRS):
                 try:
                     shared_face_edge(f, t)
                 except ValidationError:
                     continue
-                by_mesh.append(j)
-            assert lattice.ROLLS[fi] == by_dot == tuple(by_mesh)
+                accepted.append(j)
+            assert lattice.ROLLS[fi] == by_dot == by_mesh == tuple(accepted)
             assert len(lattice.ROLLS[fi]) == 4
         assert sum(map(len, lattice.ROLLS)) == len(blocker_table()) == 48
 

@@ -64,8 +64,12 @@ class TestStructureFiles:
                 {"pos": [0, 0, 0], "kind": "active"},
             ]
         }
-        with pytest.raises(ParseError, match=r"cells\[1\].*cells\[0\]"):
+        with pytest.raises(ParseError) as info:
             rio.parse_structure(data)
+        assert (info.value.location, info.value.message) == (
+            "cells[1].pos",
+            "duplicate position [0, 0, 0] (first at cells[0])",
+        )
 
     def test_odd_sum_names_offending_cell(self):
         data = {"cells": [{"pos": [1, 0, 0], "kind": "passive"}]}
@@ -248,6 +252,16 @@ class TestDesignFiles:
         with pytest.raises(ParseError, match=re.escape(f"designs[1]: field {key!r}")):
             rio.parse_designs(data)
 
+    def test_repeated_trial_id_located(self):
+        # a trial listed twice would be counted twice by analyze
+        data = {"designs": [dict(self.DESIGN), dict(self.DESIGN, trials=["T0", "T1", "T0"])]}
+        with pytest.raises(ParseError) as info:
+            rio.parse_designs(data)
+        assert (info.value.location, info.value.message) == (
+            "designs[1].trials[2]",
+            "duplicate trial id 'T0' (first at designs[1].trials[0])",
+        )
+
     @pytest.mark.parametrize("key, value", [("active", 0), ("passive", -1)])
     def test_design_meta_rule_reported_at_the_design(self, key, value):
         # DesignMeta owns the cell-count rule; io reports it at the design
@@ -348,6 +362,8 @@ def _wrong_typed_items():
                       "positions[1]", "position must be a list"),
         "designs": (rio.parse_designs, {"designs": [design, None]},
                     "designs[1]", "design must be an object"),
+        "trials": (rio.parse_designs, {"designs": [dict(design, trials=["T0", 5])]},
+                   "designs[0].trials[1]", "trial id must be a string"),
     }
 
 
@@ -363,6 +379,46 @@ class TestListItems:
         with pytest.raises(ParseError) as info:
             rio.parse_designs(dict(TestDesignFiles.DESIGN, contact="blob"))
         assert info.value.location == "designs[0].contact"
+
+
+def _error_paths():
+    """case -> (parser, document, location, message) of one malformed
+    input per parser error path not covered elsewhere."""
+    cell = {"pos": [0, 0, 0], "kind": "passive"}
+    layout = rio.layout_to_dict(default_cell_layout())
+    layout["faces"][1]["dir"] = 2
+    header = "trial_id,t,x,y\n"
+    return {
+        "missing_field": (rio.parse_structure, {"cells": [cell, {"kind": "passive"}]},
+                          "cells[1]", "missing field 'pos'"),
+        "wrong_field_type": (rio.parse_structure, {"cells": [dict(cell, kind=5)]},
+                             "cells[0]", "field 'kind' has wrong type"),
+        "not_an_object": (rio.parse_structure, [cell], None,
+                          "structure document must be a JSON object"),
+        "no_cells": (rio.parse_structure, {"cells": []}, None, "structure has no cells"),
+        "faces_out_of_order": (rio.parse_layout, layout, "faces[1].dir",
+                               "faces must be listed in direction order; expected dir 1"),
+        "column_count": (rio.parse_trajectories, header + "A,0,0,0\nA,1,1\n",
+                         "line 3", "expected 4 columns, got 3"),
+        "empty_trial_id": (rio.parse_trajectories, header + " ,0,0,0\n",
+                           "line 2", "empty trial_id"),
+        "no_data_rows": (rio.parse_trajectories, header, None, "no data rows"),
+        # blank rows, empty or all spaces, are skipped: never a column count
+        "blank_rows_only": (rio.parse_trajectories, header + "\n , ,\n", None,
+                            "no data rows"),
+        "blank_rows_skipped": (rio.parse_trajectories, header + "\n , ,\nA,0\n",
+                               "line 4", "expected 4 columns, got 2"),
+        "no_designs": (rio.parse_designs, {"designs": []}, None, "no designs given"),
+    }
+
+
+class TestErrorPaths:
+    @pytest.mark.parametrize("case", sorted(_error_paths()))
+    def test_message_and_location(self, case):
+        parse, document, location, message = _error_paths()[case]
+        with pytest.raises(ParseError) as info:
+            parse(document)
+        assert (info.value.location, info.value.message) == (location, message)
 
 
 class TestFileDoors:
@@ -657,7 +713,7 @@ class TestCli:
     def test_export_two_cells_22_faces(self, files):
         out = str(files["tmp"] / "two.obj")
         assert cli_main(["export", "--structure", files["two"], "--obj", out]) == 0
-        text = open(out, encoding="utf-8").read()
+        text = Path(out).read_text(encoding="utf-8")
         assert sum(1 for l in text.splitlines() if l.startswith("f ")) == 22
 
     def test_export_byte_deterministic(self, files):
@@ -665,7 +721,7 @@ class TestCli:
         b = str(files["tmp"] / "b.obj")
         cli_main(["export", "--structure", files["two"], "--obj", a])
         cli_main(["export", "--structure", files["two"], "--obj", b])
-        assert open(a, "rb").read() == open(b, "rb").read()
+        assert Path(a).read_bytes() == Path(b).read_bytes()
 
     @pytest.mark.parametrize("scale", ["nan", "inf", "0"])
     def test_export_bad_scale_exit_1_writes_nothing(self, files, capsys, scale):
@@ -821,6 +877,22 @@ class TestCli:
         # out-and-back tracks of lengths 111 and 141: mean distance 126
         assert "| Avg. distance traveled (cm) | 126 +/- " in out
 
+    def test_analyze_repeated_trial_exit_1(self, files, capsys):
+        tmp = files["tmp"]
+        (tmp / "t.csv").write_text(
+            "trial_id,t,x,y\nT0,0,0,0\nT0,30,1,1\n", encoding="utf-8"
+        )
+        design = dict(TestDesignFiles.DESIGN, trials=["T0", "T0"])
+        (tmp / "d.json").write_text(json.dumps(design), encoding="utf-8")
+        argv = ["analyze", "--csv", str(tmp / "t.csv"), "--design", str(tmp / "d.json")]
+        assert cli_main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: {tmp / 'd.json'}: designs[0].trials[1]: "
+            "duplicate trial id 'T0' (first at designs[0].trials[0])\n"
+        )
+
     def test_json_outputs_parse(self, files, capsys):
         assert cli_main(["validate", files["line"], "--json"]) == 0
         payload = json.loads(capsys.readouterr().out)
@@ -846,7 +918,7 @@ class TestCli:
         assert cli_main(["validate", final_path]) == 0
         assert cli_main(["export", "--structure", final_path, "--obj", obj_path,
                          "--scale", "2.5"]) == 0
-        text = open(obj_path, encoding="utf-8").read()
+        text = Path(obj_path).read_text(encoding="utf-8")
         # the triangle goal has 3 mutually adjacent cells: 12*3 - 2*3 faces
         assert sum(1 for l in text.splitlines() if l.startswith("f ")) == 30
         # kinds survive the pipeline: one active cell throughout

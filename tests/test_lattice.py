@@ -6,6 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rhombikit.errors import ValidationError
+from rhombikit.geometry import shared_face_edge, swept_cells
+from rhombikit.kinematics import PivotMove
 from rhombikit.lattice import (
     DIR_PERM,
     FACE_DIRS,
@@ -14,12 +16,14 @@ from rhombikit.lattice import (
     OPPOSITE_DIR,
     PACK_LIMIT,
     PACKED_DIRS,
+    ROLLS,
     ROTATIONS,
     ROT_INV,
     ROT_MUL,
     Cell,
     CellKind,
     Configuration,
+    _roll_faces,
     add,
     apply_rotation,
     apply_rotation_dir,
@@ -207,6 +211,56 @@ class TestRotationGroup:
             minv = np.array(rotation_matrix(ROT_INV[r]))
             assert np.array_equal(m @ minv, np.eye(3, dtype=int))
 
+    def test_mul_table_is_the_matrix_product(self):
+        # the tables are read off the face permutations; the matrices are
+        # the oracle. The group axioms alone would also pass the opposite
+        # group (a transposed table)
+        index = {m: i for i, m in enumerate(ROTATIONS)}
+        for a, ma in enumerate(ROTATIONS):
+            for b, mb in enumerate(ROTATIONS):
+                product = tuple(map(tuple, (np.array(ma) @ np.array(mb)).tolist()))
+                assert ROT_MUL[a][b] == index[product], (a, b)
+            assert ROT_INV[a] == index[tuple(zip(*ma))]  # the transpose
+
+    def test_rotations_are_the_proper_signed_permutations_in_order(self):
+        # the 48 signed permutation matrices, numpy's determinant picking
+        # the 24 proper ones; the index order is descending by flattening
+        proper = set()
+        for perm in itertools.permutations(np.eye(3, dtype=int)):
+            for signs in itertools.product((1, -1), repeat=3):
+                m = np.array(perm) * np.array(signs)[:, None]
+                if round(np.linalg.det(m)) == 1:
+                    proper.add(tuple(map(tuple, m.tolist())))
+        assert set(ROTATIONS) == proper
+        flat = [sum(m, ()) for m in ROTATIONS]
+        assert flat == sorted(flat, reverse=True)
+
+
+class TestEdgeRule:
+    """lattice.ROLLS decides which faces share an edge, and _roll_faces
+    states the one error for a pair that does not; every caller raises it."""
+
+    CALLERS = {
+        "PivotMove": lambda f, t: PivotMove(f, (0, 0, 0), f, t),
+        "swept_cells": swept_cells,
+        "shared_face_edge": shared_face_edge,
+        "_roll_faces": _roll_faces,
+    }
+
+    @pytest.mark.parametrize("caller", sorted(CALLERS))
+    @pytest.mark.parametrize(
+        "t", [(-1, -1, 0), (1, -1, 0), (1, 1, 0)], ids=["opposite", "orthogonal", "same"]
+    )
+    def test_one_message(self, caller, t):
+        with pytest.raises(ValidationError) as info:
+            self.CALLERS[caller](np.array((1, 1, 0)), t)
+        assert str(info.value) == f"faces (1, 1, 0) and {t} do not share an edge"
+
+    def test_indices_of_a_roll(self):
+        for fi, f in enumerate(FACE_DIRS):
+            for ti in ROLLS[fi]:
+                assert _roll_faces(f, FACE_DIRS[ti]) == (fi, ti)
+
 
 class TestConfiguration:
     def test_duplicate_positions_rejected(self):
@@ -214,6 +268,12 @@ class TestConfiguration:
             Configuration(
                 [Cell((0, 0, 0)), Cell((0, 0, 0), CellKind.ACTIVE)]
             )
+
+    def test_smallest_duplicate_named(self):
+        cells = [Cell(p) for p in [(2, 2, 0), (1, 1, 0), (0, 0, 0), (2, 2, 0), (1, 1, 0)]]
+        with pytest.raises(ValidationError) as info:
+            Configuration(cells)
+        assert str(info.value) == "duplicate cell position (1, 1, 0)"
 
     def test_metadata_preserved_by_translate(self):
         c = Configuration(

@@ -38,7 +38,6 @@ from rhombikit.planner import (
     _axes,
     _axis_bound,
     _bound,
-    _goal_profile,
     _step,
     _translation_bound,
     Algorithm,
@@ -280,7 +279,7 @@ class TestHeuristic:
         # one goal profile, so one set of axis memos, serves every draw;
         # each lookup must give what a fresh computation gives
         goal, states = pair
-        profile = _goal_profile(goal, True)
+        _, profile = _bound(goal, True)
         for state in states:
             assert _translation_bound(_axes(state), profile) == _memo_free_bound(
                 state, goal
@@ -319,7 +318,7 @@ class TestHeuristic:
         axes = [_axes(s) for s in shapes]
         pairs = 0
         for g in shapes:
-            profile = _goal_profile(g, True)
+            _, profile = _bound(g, True)
             for s, a in zip(shapes, axes):
                 h, d = _translation_bound(a, profile), dists[s][g]
                 assert h <= d, (s, g, h, d)
@@ -336,10 +335,8 @@ class TestHeuristic:
         goals = []
         for i in rng.choice(len(shapes), size=8, replace=False):
             off = (0, 0, 0) if translate else random_valid_pos(rng, radius=2)
-            goals.append(
-                _goal_profile(tuple(sorted(add(p, off) for p in shapes[i])), translate)
-            )
-        bound = _bound(translate)
+            bound, profile = _bound(tuple(sorted(add(p, off) for p in shapes[i])), translate)
+            goals.append(profile)
 
         def bound_input(positions):
             return _axes(positions) if translate else positions
