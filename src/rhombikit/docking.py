@@ -70,13 +70,14 @@ class MagnetSpec:
     polarity: Polarity
 
     def __post_init__(self) -> None:
-        if len(self.pos) != 2:
-            raise ValidationError("magnet position must be a 2D point")
         try:
+            if len(self.pos) != 2:
+                raise ValidationError
             pos = tuple(_as_real(x, "magnet coordinate") for x in self.pos)
-        except ValidationError:
+        except (TypeError, ValidationError):
             raise ValidationError(
-                f"magnet position must be finite numbers, got {_echo(self.pos)}"
+                "magnet position must be a 2D point of finite numbers, "
+                f"got {_echo(self.pos)}"
             ) from None
         object.__setattr__(self, "pos", pos)
         if not isinstance(self.polarity, Polarity):
@@ -364,7 +365,7 @@ def enumerate_valid_layouts(
     """
     # each position obeys MagnetSpec's rule (two finite real numbers)
     pts = np.array(
-        [MagnetSpec(tuple(p), Polarity.N).pos for p in face_positions], dtype=float
+        [MagnetSpec(p, Polarity.N).pos for p in face_positions], dtype=float
     )
     if len(pts) == 0:
         raise ValidationError("face positions must be a nonempty list of 2D points")

@@ -33,6 +33,7 @@ from .lattice import (
     _as_real,
     _check_dir,
     _dir_index,
+    _echo,
     _require_nonempty,
     _roll_faces,
     add,
@@ -61,10 +62,15 @@ _VERT_INDEX = {v: i for i, v in enumerate(CANONICAL_VERTICES)}
 
 
 def _frozen(a) -> np.ndarray:
-    """A read-only float copy of the array-like a: the arrays a frozen
-    dataclass holds, so that neither it nor its caller's array can change
-    the other."""
-    out = np.array(a, dtype=float)
+    """A read-only float copy of the array-like a, the one conversion of
+    array input: every array a frozen dataclass holds (so that neither it
+    nor its caller's array can change the other), a world rotation and a
+    rotation axis. Input numpy cannot read as floats (ragged, not numbers,
+    an int past the float range) raises ValidationError."""
+    try:
+        out = np.array(a, dtype=float)
+    except (TypeError, ValueError, OverflowError):
+        raise ValidationError(f"not an array of numbers: {_echo(a)}") from None
     out.setflags(write=False)
     return out
 
@@ -159,7 +165,9 @@ def canonical_cell_mesh() -> Mesh:
 def mesh_volume(m: Mesh) -> float:
     """Signed volume by the divergence theorem (positive for outward CCW)."""
     v = m.vertices.tolist()
-    return _kernels.fan_volume([[v[i] for i in face] for face in m.faces])
+    return _kernels.fan_volume(
+        [[(v[i], v[j]) for i, j in zip(f, f[1:] + f[:1])] for f in m.faces]
+    )
 
 
 def mesh_surface_area(m: Mesh) -> float:
@@ -253,7 +261,7 @@ _BY_COUNT = {
 
 
 def check_world_rotation(world_rot) -> np.ndarray:
-    rot = np.asarray(world_rot, dtype=float)
+    rot = _frozen(world_rot)
     if rot.shape != (3, 3):
         raise ValidationError(f"rotation must be 3x3, got shape {rot.shape}")
     if not np.allclose(rot @ rot.T, np.eye(3), atol=1e-6) or abs(
@@ -367,7 +375,7 @@ def _rodrigues(axis: np.ndarray, theta: float) -> np.ndarray:
 
 def rotation_from_axis_angle(axis, degrees: float) -> np.ndarray:
     """Proper rotation matrix about an arbitrary axis through the origin."""
-    a = np.asarray(axis, dtype=float)
+    a = _frozen(axis)
     if a.shape != (3,) or not np.isfinite(a).all() or math.hypot(*a) < 1e-12:
         raise ValidationError("rotation axis must be a finite nonzero 3-vector")
     # a power-of-two scale is exact, so it changes no bit of the unit axis,

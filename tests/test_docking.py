@@ -177,6 +177,13 @@ class TestLayoutValidation:
         with pytest.raises(ValidationError, match="finite numbers"):
             MagnetSpec(tuple(pos), N)
 
+    @pytest.mark.parametrize("pos", [5, None, 0.3, (0.3,), (0.3, 0.1, 0.2)])
+    def test_magnet_position_must_be_2d_point(self, pos):
+        with pytest.raises(ValidationError, match="2D point"):
+            MagnetSpec(pos, N)
+        with pytest.raises(ValidationError, match="2D point"):
+            enumerate_valid_layouts([pos, (-0.3, -0.2)])
+
     def test_magnet_position_accepts_numpy_scalars(self):
         m = MagnetSpec((np.float64(0.3), np.int64(1)), N)
         assert m.pos == (0.3, 1.0) and type(m.pos[1]) is float

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy.spatial import ConvexHull
 
+from rhombikit.analytics import Trajectory
 from rhombikit.errors import ValidationError
 from rhombikit.geometry import (
     CANONICAL_VERTICES,
@@ -602,3 +603,35 @@ class TestDirectionVectors:
         assert face_frame(f) is face_frame((1, 1, 0))
         assert shared_face_edge(f, t) == shared_face_edge((1, 1, 0), (1, 0, 1))
         assert swept_cells(f, t) == swept_cells((1, 1, 0), (1, 0, 1))
+
+
+_ONE_CELL = Configuration.from_positions([(0, 0, 0)])
+
+
+class TestArrayInputs:
+    # input numpy cannot read as a float array is a ValidationError,
+    # not a leaked ValueError or TypeError
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: classify_ground_contact(_ONE_CELL, "abc"),
+            lambda: classify_ground_contact(_ONE_CELL, [[1, 0, 0], [0, 1], [0, 0, 1]]),
+            lambda: classify_ground_contact(_ONE_CELL, [[1j, 0, 0]] * 3),
+            lambda: rotation_from_axis_angle([1, [0, 1]], 3),
+            lambda: rotation_from_axis_angle((10**400, 0, 0), 3),
+            lambda: Trajectory("a", [0, 1], [[0, 0], [1]]),
+            lambda: Mesh([[0, 0, 0], [1]], ()),
+        ],
+        ids=[
+            "contact-str",
+            "contact-ragged",
+            "contact-complex",
+            "axis-ragged",
+            "axis-huge-int",
+            "trajectory-ragged",
+            "mesh-ragged",
+        ],
+    )
+    def test_unreadable_array_raises_validation_error(self, call):
+        with pytest.raises(ValidationError, match="array of numbers"):
+            call()

@@ -153,9 +153,13 @@ class TestKnownVolumes:
 
 class TestCrossValidation:
     def test_random_poses_agree(self):
+        # each pair is also moved by a common offset, which must not
+        # change the kernel's volume (the offsets have their own generator,
+        # so the poses are those the test has always drawn)
         rng = np.random.default_rng(2024)
+        offsets = np.random.default_rng(2025).uniform(-50.0, 50.0, size=(150, 3))
         disagreements = []
-        for _ in range(150):
+        for offset in offsets:
             rot_a = rotation_from_axis_angle(rng.normal(size=3), rng.uniform(0, 360))
             rot_b = rotation_from_axis_angle(rng.normal(size=3), rng.uniform(0, 360))
             shift = rng.uniform(-3.0, 3.0, size=3)
@@ -164,6 +168,13 @@ class TestCrossValidation:
             va, vb = _both(a, b)
             if abs(va - vb) > 1e-8:
                 disagreements.append((shift, va, vb))
+            a = _cell(rot_a, offset)
+            b = _cell(rot_b, shift + offset)
+            moved = _kernels.intersection_volume(
+                a[0], _LENS, a[1], b[0], _LENS, b[1], 1e-9
+            )
+            if abs(moved - vb) > 1e-9:
+                disagreements.append((offset, vb, moved))
         assert not disagreements
 
     def test_monte_carlo_referee(self):
@@ -179,17 +190,22 @@ class TestCrossValidation:
             assert va == pytest.approx(mc, abs=0.35)  # ~3 sigma for 2e5 samples
 
     def test_scaled_tetrahedron_pair(self):
-        # non-cell convex inputs: clipped tetra against a cell
+        # non-cell convex inputs: clipped tetra against a cell, as given
+        # and with both moved off the origin; faces CCW from outside (the
+        # padding row repeats the first vertex of each triangle)
         tet = np.array(
             [
-                [[0, 0, 0], [3, 0, 0], [0, 3, 0], [0, 0, 0]],
-                [[0, 0, 0], [0, 0, 3], [3, 0, 0], [0, 0, 0]],
-                [[0, 0, 0], [0, 3, 0], [0, 0, 3], [0, 0, 0]],
-                [[3, 0, 0], [0, 0, 3], [0, 3, 0], [3, 0, 0]],
+                [[0, 3, 0], [3, 0, 0], [0, 0, 0], [0, 3, 0]],
+                [[3, 0, 0], [0, 0, 3], [0, 0, 0], [3, 0, 0]],
+                [[0, 0, 3], [0, 3, 0], [0, 0, 0], [0, 0, 3]],
+                [[0, 3, 0], [0, 0, 3], [3, 0, 0], [0, 3, 0]],
             ],
             dtype=float,
         )
         lens = np.full(4, 3, dtype=np.int64)
+        loops = [face[:3].tolist() for face in tet]
+        edges = [list(zip(loop, loop[1:] + loop[:1])) for loop in loops]
+        assert _kernels.fan_volume(edges) == pytest.approx(4.5)  # 27/6
         # half-space form of the tetra
         planes_t = np.array(
             [
@@ -199,14 +215,17 @@ class TestCrossValidation:
                 [1 / math.sqrt(3), 1 / math.sqrt(3), 1 / math.sqrt(3), 3 / math.sqrt(3)],
             ]
         )
-        cell = _cell(np.eye(3), np.zeros(3))
-        va = _hull_volume(tet, lens, planes_t, cell[0], _LENS, cell[1], 1e-9)
-        vb = _kernels.intersection_volume(
-            tet, lens, planes_t, cell[0], _LENS, cell[1], 1e-9
-        )
-        assert va == pytest.approx(vb, abs=1e-9)
-        assert 0.0 < va < 4.5  # tetra volume is 27/6 = 4.5, partially outside
-
+        for shift in (np.zeros(3), np.array((0.5, -1.0, 2.0))):
+            polys = tet + shift
+            planes = planes_t.copy()
+            planes[:, 3] += planes_t[:, :3] @ shift
+            cell = _cell(np.eye(3), shift)
+            va = _hull_volume(polys, lens, planes, cell[0], _LENS, cell[1], 1e-9)
+            vb = _kernels.intersection_volume(
+                polys, lens, planes, cell[0], _LENS, cell[1], 1e-9
+            )
+            assert va == pytest.approx(vb, abs=1e-9)
+            assert va == pytest.approx(2.0, abs=1e-9)  # partially outside
 
 
 class TestBlockerTable:
@@ -217,3 +236,10 @@ class TestBlockerTable:
         monkeypatch.setattr(_kernels, "intersection_volume", _hull_volume)
         swept = _swept_cells_uncached(FACE_DIRS[0], FACE_DIRS[1])
         assert swept == table[(0, 1)]
+
+    def test_swept_roll_literal(self):
+        # the one swept roll, FACE_DIRS[0] -> FACE_DIRS[1], written out
+        assert blocker_table()[(0, 1)] == {
+            (-2, -2, 0), (-2, -1, -1), (-2, -1, 1), (-2, 0, -2), (-2, 0, 0),
+            (-2, 1, -1), (-1, -2, -1), (-1, -1, -2), (0, -1, -1),
+        }
