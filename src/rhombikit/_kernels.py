@@ -2,7 +2,8 @@
 
 The swept-volume blocker table is built from one sampled roll: at every
 sampled angle the moving cell is tested for positive-volume overlap with
-each candidate lattice cell that pruning leaves open. The other 47 rolls
+each candidate lattice cell that pruning leaves open; the sweep and this
+kernel run in plain Python floats and need no numpy. The other 47 rolls
 are lattice rotations of that one or of its reverse, so they cost no
 volume calls (see ``geometry.blocker_table``).
 
@@ -12,11 +13,11 @@ Each face is held as a list of directed edges, point pairs, so a cut
 closes its face with one new edge and hands the reverse of that edge to
 the plane's cap; the cap's edges close into a loop in whatever order
 they arrive, and nothing is ever sorted. Each convex polytope is
-described twice over: as face polygons of shape (F, V, 3) with per-face
-vertex counts and outward CCW winding, and as half-spaces of shape
-(F, 4), rows (nx, ny, nz, c) meaning n.x <= c. The tests cross-check it
-against an independent point-collection method with a Qhull convex hull
-and against a Monte-Carlo estimate. Its final sum, ``fan_volume``, is
+described twice over, as nested sequences of numbers: face polygons, F
+lists of V points (x, y, z), with per-face vertex counts and outward CCW
+winding, and half-spaces, F rows (nx, ny, nz, c) meaning n.x <= c. The
+tests cross-check it against an independent point-collection method
+with a Qhull convex hull and against a Monte-Carlo estimate. Its final sum, ``fan_volume``, is
 also the volume of every mesh (``geometry.mesh_volume``).
 """
 
@@ -34,16 +35,18 @@ def intersection_volume(
     the plane's cap, so the cap's edges form a closed loop with no
     ordering. The closing edge is added only when both its points exist,
     so malformed input cannot raise. The volume of what survives is
-    ``fan_volume`` of the faces. Inputs are numpy arrays, read once with
-    ``tolist``. B's polygons and A's planes are not used; they are taken
-    so that the tests' hull oracle, which needs them, can stand in for
-    this function.
+    ``fan_volume`` of the faces. Inputs are nested sequences of numbers
+    (the blocker sweep's lists, or numpy arrays), each number read once
+    as a float, so both give bitwise-equal volumes. B's polygons and A's
+    planes are not used; they are taken so that the tests' hull oracle,
+    which needs them, can stand in for this function.
     """
     faces = []
-    for poly, m in zip(polys_a.tolist(), lens_a.tolist()):
-        loop = poly[:m]
+    for poly, m in zip(polys_a, lens_a):
+        loop = [(float(x), float(y), float(z)) for x, y, z in poly[:m]]
         faces.append(list(zip(loop, loop[1:] + loop[:1])))
-    for nx, ny, nz, c in planes_b.tolist():
+    for plane in planes_b:
+        nx, ny, nz, c = map(float, plane)
         kept = []
         cap = []
         for face in faces:

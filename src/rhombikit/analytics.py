@@ -15,13 +15,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .errors import ValidationError
 from .geometry import ContactType, _frozen
 from .lattice import _as_int, _as_real, _echo
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 class RotationDirection(Enum):
@@ -41,6 +42,8 @@ class Trajectory:
     heading: np.ndarray | None = None
 
     def __post_init__(self) -> None:
+        import numpy as np
+
         trial = f"trial {_echo(self.trial_id)}"
         t = _frozen(self.t)
         xy = _frozen(self.xy)
@@ -69,11 +72,15 @@ class Trajectory:
 
 def path_length(tr: Trajectory) -> float:
     """Total distance traveled: sum of distances between consecutive samples."""
+    import numpy as np
+
     return float(np.linalg.norm(np.diff(tr.xy, axis=0), axis=1).sum())
 
 
 def net_displacement(tr: Trajectory) -> float:
     """Straight-line distance between the first and last sample."""
+    import numpy as np
+
     return float(np.linalg.norm(tr.xy[-1] - tr.xy[0]))
 
 
@@ -101,6 +108,8 @@ def rotation_direction(
     steps shorter than 0.05 cm where the direction estimate would be
     noise. theta_min must be finite and nonnegative.
     """
+    import numpy as np
+
     if _as_real(theta_min, "theta_min") < 0.0:
         raise ValidationError(
             f"theta_min must be finite and >= 0, got {_echo(theta_min)}"
@@ -190,6 +199,8 @@ class DesignSummary:
 
 
 def _mean_sd(values: Sequence[float]) -> tuple[float, float | None]:
+    import numpy as np
+
     arr = np.asarray(values, dtype=float)
     if len(arr) == 1:
         return float(arr[0]), None

@@ -28,9 +28,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Sequence
 
 from .errors import PairingError, UnsupportedSymmetry, ValidationError
 from .geometry import face_frame
@@ -46,6 +44,9 @@ from .lattice import (
     _echo,
     _mat_apply,
 )
+
+if TYPE_CHECKING:
+    import numpy as np
 
 EPS_MATCH = 1e-6  # in-plane coincidence tolerance for magnet pairing
 
@@ -86,6 +87,8 @@ class MagnetSpec:
 
 def _rot2(angle: float) -> np.ndarray:
     """2D rotation matrix by angle (radians)."""
+    import numpy as np
+
     c, s = math.cos(angle), math.sin(angle)
     return np.array([[c, -s], [s, c]])
 
@@ -108,6 +111,8 @@ def _partners(pa: np.ndarray, pb: np.ndarray) -> list[int]:
     Raises PairingError when some point of pa has no partner within
     EPS_MATCH or two points share one partner.
     """
+    import numpy as np
+
     d2 = ((pa[:, None, :] - pb[None, :, :]) ** 2).sum(axis=2)
     partner = np.argmin(d2, axis=1).tolist()
     for i, j in enumerate(partner):
@@ -130,6 +135,8 @@ def _check_face(points: np.ndarray, k: int) -> None:
     centre pairs with itself. The separation makes that pairing unique;
     the last rule keeps a click too small to move any magnet out of the
     tolerance, under a huge k, from passing every face."""
+    import numpy as np
+
     for i in range(len(points)):
         for j in range(i + 1, len(points)):
             if np.linalg.norm(points[i] - points[j]) <= 2 * EPS_MATCH:
@@ -168,6 +175,8 @@ class FaceLayout:
         _check_face(self.positions(), self.symmetry)
 
     def positions(self) -> np.ndarray:
+        import numpy as np
+
         return np.array([m.pos for m in self.magnets], dtype=float)
 
     def polarities(self) -> tuple[Polarity, ...]:
@@ -232,6 +241,8 @@ def _mate(uv: np.ndarray, s: int, turn: int, k: int) -> np.ndarray:
     then (u, v) maps to (s*u, -s*v): s = +1 when the two long axes are
     parallel, and the short axes oppose because the normals do.
     """
+    import numpy as np
+
     if turn % k:  # turn may pass the float range; the click is an int ratio
         uv = uv @ _rot2(2.0 * math.pi * (turn % k / k)).T
     return uv * np.array([s, -s])
@@ -363,12 +374,19 @@ def enumerate_valid_layouts(
     The positions follow FaceLayout's rules (finite, separated, k-fold
     symmetric).
     """
-    # each position obeys MagnetSpec's rule (two finite real numbers)
-    pts = np.array(
-        [MagnetSpec(p, Polarity.N).pos for p in face_positions], dtype=float
-    )
+    import numpy as np
+
+    try:  # each position obeys MagnetSpec's rule (two finite real numbers)
+        pts = np.array(
+            [MagnetSpec(p, Polarity.N).pos for p in face_positions], dtype=float
+        )
+    except TypeError:  # raised only by iterating face_positions
+        pts = ()
     if len(pts) == 0:
-        raise ValidationError("face positions must be a nonempty list of 2D points")
+        raise ValidationError(
+            "face positions must be a nonempty list of 2D points, "
+            f"got {_echo(face_positions)}"
+        )
     k = _check_symmetry(k)
     _check_face(pts, k)
     maps = _partner_maps(pts, k)

@@ -11,17 +11,26 @@ Besides the static solid (mesh, frames, dihedral angle, packing density)
 this module covers the two geometric queries the rest of the package
 needs: ground-contact classification of a rotated structure, and the
 swept-volume blocker table for 120-degree edge rolls.
+
+numpy is imported only inside the functions that build or read arrays
+(the face frames, meshes, ground contact and the array-valued
+rotations), so importing this module, building the blocker table and
+everything that only plans or replays (the validate, plan and replay
+commands) never load it; export, contact, dock-check and analyze load
+it on first use. The blocker sweep runs in plain floats: one Rodrigues
+rule, _rodrigues, gives its poses, and rotation_from_axis_angle and
+roll_transform wrap the same rule as arrays.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import numbers
 from dataclasses import dataclass
 from enum import Enum
 from functools import cache
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from . import _kernels
 from .errors import ValidationError
@@ -34,11 +43,16 @@ from .lattice import (
     _check_dir,
     _dir_index,
     _echo,
+    _mat_apply,
     _require_nonempty,
     _roll_faces,
     add,
     apply_rotation,
+    sub,
 )
+
+if TYPE_CHECKING:
+    import numpy as np
 
 # --------------------------------------------------------------------------
 # canonical solid
@@ -65,10 +79,21 @@ def _frozen(a) -> np.ndarray:
     """A read-only float copy of the array-like a, the one conversion of
     array input: every array a frozen dataclass holds (so that neither it
     nor its caller's array can change the other), a world rotation and a
-    rotation axis. Input numpy cannot read as floats (ragged, not numbers,
-    an int past the float range) raises ValidationError."""
+    rotation axis. Its entries must be real numbers by lattice._as_real's
+    rule for their type: ints and floats, numpy ones too, but no strings
+    (numeric or not), bools, complex numbers or other objects. Input that
+    breaks the rule, is ragged or holds an int past the float range raises
+    ValidationError."""
+    import numpy as np
+
     try:
-        out = np.array(a, dtype=float)
+        src = np.asarray(a)
+        kind = src.dtype.kind
+        if kind not in "iufO" or (kind == "O" and not all(
+            isinstance(x, numbers.Real) and not isinstance(x, bool) for x in src.flat
+        )):
+            raise TypeError
+        out = src.astype(float)
     except (TypeError, ValueError, OverflowError):
         raise ValidationError(f"not an array of numbers: {_echo(a)}") from None
     out.setflags(write=False)
@@ -90,44 +115,31 @@ class FaceFrame:
     short_axis: np.ndarray
 
 
-def _build_frames() -> tuple[FaceFrame, ...]:
-    frames = []
-    for d in FACE_DIRS:
-        verts = [v for v in CANONICAL_VERTICES if np.dot(v, d) == 2]
-        octa = sorted(v for v in verts if 2 in v or -2 in v)
-        center = np.array(d, dtype=float)
-        normal = center / math.sqrt(2.0)
-        long_axis = np.array(octa[1], dtype=float) - center
-        long_axis /= np.linalg.norm(long_axis)
-        short_axis = np.cross(normal, long_axis)
-        frames.append(FaceFrame(*map(_frozen, (center, normal, long_axis, short_axis))))
-    return tuple(frames)
+def _dot(a, b):
+    return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
 
 
-_FRAMES = _build_frames()
-
-
-def face_frame(d: Pos | int) -> FaceFrame:
-    """Frame of the face whose outward normal points along d, given as a
-    direction vector or as an index into FACE_DIRS."""
-    if not isinstance(d, (tuple, list, np.ndarray)):
-        return _FRAMES[_check_dir(d)]
-    return _FRAMES[_dir_index(d)]
+def _cross(a, b):
+    return (
+        a[1] * b[2] - a[2] * b[1],
+        a[2] * b[0] - a[0] * b[2],
+        a[0] * b[1] - a[1] * b[0],
+    )
 
 
 def _face_vertex_cycle(d: Pos) -> tuple[int, ...]:
     """Vertex indices of face d, CCW from outside, starting at the
-    positive long-axis endpoint."""
-    fr = face_frame(d)
-    verts = [v for v in CANONICAL_VERTICES if np.dot(v, d) == 2]
-
-    def angle(v):
-        rel = np.array(v, dtype=float) - fr.center
-        a = math.atan2(float(rel @ fr.short_axis), float(rel @ fr.long_axis))
-        return a % (2.0 * math.pi)
-
-    ordered = sorted(verts, key=angle)
-    return tuple(_VERT_INDEX[v] for v in ordered)
+    positive long-axis endpoint: that endpoint (the lexicographically
+    larger of the two axis-type vertices), the cube-type vertex on the
+    side of the short axis d x long, the other endpoint and the other
+    cube-type vertex. The face center is d, so this is integer work."""
+    verts = [v for v in CANONICAL_VERTICES if _dot(v, d) == 2]
+    lo, hi = sorted(v for v in verts if 2 in v or -2 in v)
+    short = _cross(d, sub(hi, d))
+    left, right = sorted(
+        (v for v in verts if v not in (lo, hi)), key=lambda v: -_dot(sub(v, d), short)
+    )
+    return tuple(_VERT_INDEX[v] for v in (hi, left, lo, right))
 
 
 FACE_VERTICES: tuple[tuple[int, ...], ...] = tuple(
@@ -144,6 +156,32 @@ CELL_EDGES: tuple[tuple[int, int], ...] = tuple(
         }
     )
 )
+
+
+@cache
+def _frames() -> tuple[FaceFrame, ...]:
+    """The 12 face frames, in FACE_DIRS order, built on first use."""
+    import numpy as np
+
+    frames = []
+    for d, cycle in zip(FACE_DIRS, FACE_VERTICES):
+        center = np.array(d, dtype=float)
+        normal = center / math.sqrt(2.0)
+        long_axis = np.array(CANONICAL_VERTICES[cycle[0]], dtype=float) - center
+        long_axis /= np.linalg.norm(long_axis)
+        short_axis = np.cross(normal, long_axis)
+        frames.append(FaceFrame(*map(_frozen, (center, normal, long_axis, short_axis))))
+    return tuple(frames)
+
+
+def face_frame(d: Pos | int) -> FaceFrame:
+    """Frame of the face whose outward normal points along d, given as a
+    direction vector or as an index into FACE_DIRS."""
+    import numpy as np
+
+    if not isinstance(d, (tuple, list, np.ndarray)):
+        return _frames()[_check_dir(d)]
+    return _frames()[_dir_index(d)]
 
 
 @dataclass(frozen=True)
@@ -171,6 +209,8 @@ def mesh_volume(m: Mesh) -> float:
 
 
 def mesh_surface_area(m: Mesh) -> float:
+    import numpy as np
+
     area = 0.0
     v = m.vertices
     for face in m.faces:
@@ -184,6 +224,8 @@ def mesh_surface_area(m: Mesh) -> float:
 
 def _face_plane(m: Mesh, face: tuple[int, ...]) -> tuple[np.ndarray, float]:
     """Outward unit normal and offset (n.x = c) of a planar mesh face."""
+    import numpy as np
+
     v = m.vertices
     n = np.cross(v[face[1]] - v[face[0]], v[face[2]] - v[face[1]])
     n = n / np.linalg.norm(n)
@@ -198,6 +240,8 @@ def dihedral_angle() -> float:
     The solid is face-transitive, so all 24 edges agree; the spread is
     checked here and the common value returned.
     """
+    import numpy as np
+
     m = canonical_cell_mesh()
     planes = [_face_plane(m, f) for f in m.faces]
     angles = []
@@ -261,6 +305,8 @@ _BY_COUNT = {
 
 
 def check_world_rotation(world_rot) -> np.ndarray:
+    import numpy as np
+
     rot = _frozen(world_rot)
     if rot.shape != (3, 3):
         raise ValidationError(f"rotation must be 3x3, got shape {rot.shape}")
@@ -289,6 +335,8 @@ def classify_ground_contact(c: Configuration, world_rot) -> GroundContact:
     the tolerance can lift vertices of cells further along out of it, so
     the cells' own classes may differ.
     """
+    import numpy as np
+
     _require_nonempty(c)
     rot = check_world_rotation(world_rot)
 
@@ -363,25 +411,48 @@ def shared_face_edge(d1: Pos, d2: Pos) -> tuple[Pos, Pos]:
     return a, b
 
 
-def _rodrigues(axis: np.ndarray, theta: float) -> np.ndarray:
-    u = axis / np.linalg.norm(axis)
-    k = np.array(
-        [[0.0, -u[2], u[1]], [u[2], 0.0, -u[0]], [-u[1], u[0], 0.0]]
+def _rodrigues(axis, theta: float) -> tuple[tuple[float, float, float], ...]:
+    """Rows of the rotation by theta radians about axis, a nonzero finite
+    3-vector: cos(theta) I + sin(theta) [u]x + (1 - cos(theta)) u u^T for
+    the unit axis u. The one rotation rule: the blocker sweep reads it in
+    plain floats, rotation_from_axis_angle and roll_transform as arrays."""
+    n = math.hypot(*axis)
+    x, y, z = axis[0] / n, axis[1] / n, axis[2] / n
+    c, s = math.cos(theta), math.sin(theta)
+    t = 1.0 - c
+    return (
+        (c + t * (x * x), t * (x * y) - s * z, t * (x * z) + s * y),
+        (t * (y * x) + s * z, c + t * (y * y), t * (y * z) - s * x),
+        (t * (z * x) - s * y, t * (z * y) + s * x, c + t * (z * z)),
     )
-    return np.eye(3) * math.cos(theta) + math.sin(theta) * k + (
-        1.0 - math.cos(theta)
-    ) * np.outer(u, u)
 
 
 def rotation_from_axis_angle(axis, degrees: float) -> np.ndarray:
     """Proper rotation matrix about an arbitrary axis through the origin."""
+    import numpy as np
+
     a = _frozen(axis)
     if a.shape != (3,) or not np.isfinite(a).all() or math.hypot(*a) < 1e-12:
         raise ValidationError("rotation axis must be a finite nonzero 3-vector")
     # a power-of-two scale is exact, so it changes no bit of the unit axis,
     # and it keeps the norm of a huge axis from overflowing
-    a = np.ldexp(a, -math.frexp(np.abs(a).max())[1])
-    return _rodrigues(a, math.radians(_as_real(degrees, "rotation angle")))
+    v = a.tolist()
+    e = math.frexp(max(map(abs, v)))[1]
+    theta = math.radians(_as_real(degrees, "rotation angle"))
+    return np.array(_rodrigues([math.ldexp(x, -e) for x in v], theta))
+
+
+def _roll_axis(from_dir: Pos, to_dir: Pos) -> tuple[Pos, Pos]:
+    """A point on the edge a roll turns about (the edge's smaller end) and
+    the edge's direction, signed so that a positive turn carries the mover
+    from from_dir toward to_dir. Integers, so the sign is exact."""
+    e0, e1 = shared_face_edge(from_dir, to_dir)
+    axis = sub(e1, e0)
+    start = sub(add(from_dir, from_dir), e0)
+    target = sub(add(to_dir, to_dir), e0)
+    if _dot(axis, _cross(start, target)) < 0:
+        axis = sub((0, 0, 0), axis)
+    return e0, axis
 
 
 def roll_transform(from_dir: Pos, to_dir: Pos, theta: float):
@@ -392,88 +463,84 @@ def roll_transform(from_dir: Pos, to_dir: Pos, theta: float):
     +2*pi/3 when the mover reaches to_dir. The rotation axis is the edge
     shared by the substrate faces from_dir and to_dir.
     """
-    e0, e1 = shared_face_edge(from_dir, to_dir)
-    axis = np.array(e1, dtype=float) - np.array(e0, dtype=float)
-    a0 = np.array(e0, dtype=float)
-    start = 2.0 * np.array(from_dir, dtype=float)
-    target = 2.0 * np.array(to_dir, dtype=float)
-    # a positive turn about axis carries start toward target (exact: integers)
-    sgn = 1.0 if axis @ np.cross(start - a0, target - a0) > 0 else -1.0
-    r = _rodrigues(axis, sgn * theta)
+    import numpy as np
+
+    a0, axis = _roll_axis(from_dir, to_dir)
+    r = np.array(_rodrigues(axis, theta))
+    a0 = np.array(a0, dtype=float)
     return r, a0 - r @ a0
 
 
 _SQRT2 = math.sqrt(2.0)
-_DIRS_ARR = np.array(FACE_DIRS, dtype=float)
-_BASE_POLYS = np.array(
-    [[CANONICAL_VERTICES[i] for i in loop] for loop in FACE_VERTICES], dtype=float
-)
-_POLY_LENS = np.full(12, 4, dtype=np.int64)
 _VOL_EPS = 1e-9  # overlap volume that blocks, canonical units^3
+_BASE_FACES = tuple(tuple(CANONICAL_VERTICES[i] for i in loop) for loop in FACE_VERTICES)
+_LENS = (4,) * 12  # the kernel's polygon lengths
+
+
+def _support(x: float, y: float, z: float) -> float:
+    """Largest (x, y, z).v over the canonical cell's vertices v: |.|_1 at
+    a cube-type vertex or 2 |.|_inf at an axis-type one."""
+    x, y, z = abs(x), abs(y), abs(z)
+    return max(x + y + z, 2.0 * max(x, y, z))
 
 
 def _swept_cells_uncached(
     from_dir: Pos, to_dir: Pos, step_deg: float = 1.0
 ) -> frozenset[Pos]:
     """Sweep one roll directly (blocker_table's builder; the tests also
-    run it at a finer step_deg to check convergence)."""
-    fd = np.array(from_dir, dtype=float)
+    run it at a finer step_deg to check convergence).
+
+    At each sampled angle the mover's rest-pose point x sits at
+    R (x - a0) + a0, R from _rodrigues. A candidate cell is settled by
+    the first test that can: no overlap where the circumspheres miss, a
+    hit where the inscribed spheres meet, no overlap where a face plane
+    of either cell separates them, and otherwise the volume kernel. The
+    plane test needs no vertices: the candidate at w lies beyond a face
+    plane with normal a when a.(w - c) exceeds the two cells' supports
+    along a, for a = -d over the candidate's faces d and a = R d over the
+    mover's, and the cell's support is _support in closed form."""
+    a0, axis = _roll_axis(from_dir, to_dir)
     n_steps = int(math.ceil(120.0 / step_deg))
-    thetas = np.linspace(0.0, 2.0 * math.pi / 3.0, n_steps + 1)
+    step = 2.0 * math.pi / 3.0 / n_steps
+    home = add(from_dir, from_dir)  # the mover's rest-pose center
+    rest = [sub(add(v, home), a0) for v in CANONICAL_VERTICES]
 
-    rots = []
-    shifts = []
-    for th in thetas:
-        r, t = roll_transform(from_dir, to_dir, th)
-        rots.append(r)
-        shifts.append(t)
-    rots = np.array(rots)
-    shifts = np.array(shifts)
-
-    start_polys = _BASE_POLYS + 2.0 * fd  # (12, 4, 3) at rest pose
-    # mover face polygons, centers, and half-spaces for every sampled angle
-    movers = np.einsum("tij,fvj->tfvi", rots, start_polys) + shifts[:, None, None, :]
-    centers = np.einsum("tij,j->ti", rots, 2.0 * fd) + shifts
-    normals = np.einsum("tij,fj->tfi", rots, _DIRS_ARR)
-    offsets = np.einsum("tfi,ti->tf", normals, centers) + 2.0
-    planes_a = np.concatenate([normals, offsets[:, :, None]], axis=2)
-
-    # separating-plane precomputation: mover support values along the fixed
-    # candidate normals, and canonical-cell support values along the mover
-    # normals, for every angle. A candidate can only overlap at angles
-    # where no face plane of either body separates them.
-    verts_t = movers.reshape(len(thetas), -1, 3)  # (T, 48, 3)
-    min_av = np.einsum("tvi,di->tvd", verts_t, _DIRS_ARR).min(axis=1)  # (T, 12)
-    base_v = np.array(CANONICAL_VERTICES, dtype=float)
-    min_bv = np.einsum("tfi,vi->tfv", normals, base_v).min(axis=2)  # (T, 12)
+    poses = []  # per angle: center, mover polygons, face planes, separating axes
+    for th in [k * step for k in range(n_steps)] + [2.0 * math.pi / 3.0]:
+        rot = _rodrigues(axis, th)
+        rot_t = tuple(zip(*rot))
+        c = add(_mat_apply(rot, sub(home, a0)), a0)
+        verts = [add(_mat_apply(rot, x), a0) for x in rest]
+        polys = [[verts[i] for i in loop] for loop in FACE_VERTICES]
+        planes = [(*n, _dot(n, c) + 2.0) for n in (_mat_apply(rot, d) for d in FACE_DIRS)]
+        axes = [(*n, off + _support(*n) + 1e-12) for *n, off in planes] + [
+            (-d[0], -d[1], -d[2], 2.0 + _support(*_mat_apply(rot_t, d)) - _dot(d, c) + 1e-12)
+            for d in FACE_DIRS
+        ]
+        poses.append((c, polys, planes, axes))
 
     skip = {(0, 0, 0), tuple(from_dir), tuple(to_dir)}
     blockers: set[Pos] = set()
-
     for q in itertools.product(range(-3, 4), repeat=3):
         if sum(q) % 2 != 0 or q in skip:
             continue
-        w = 2.0 * np.array(q, dtype=float)
-        dist = np.linalg.norm(centers - w, axis=1)
-        near = dist < 4.0  # circumspheres must overlap
-        if not near.any():
-            continue
-        if np.any(dist[near] < 2.0 * _SQRT2 - 1e-9):
+        w = (2.0 * q[0], 2.0 * q[1], 2.0 * q[2])
+        dists = [math.dist(pose[0], w) for pose in poses]
+        if min(dists) < 2.0 * _SQRT2 - 1e-9:
             blockers.add(q)  # inscribed spheres overlap: definite hit
             continue
-        sep_b = np.any(min_av > (2.0 + _DIRS_ARR @ w) + 1e-12, axis=1)
-        sep_a = np.any(
-            np.einsum("tfi,i->tf", normals, w) + min_bv > offsets + 1e-12, axis=1
-        )
-        near &= ~(sep_a | sep_b)
-        if not near.any():
-            continue
-        planes_b = np.hstack([_DIRS_ARR, (2.0 + _DIRS_ARR @ w)[:, None]])
-        polys_b = _BASE_POLYS + w
-        for k in np.nonzero(near)[0]:
+        cell = None  # the candidate's polygons and planes, once needed
+        for k in [k for k, dist in enumerate(dists) if dist < 4.0]:
+            _, polys_a, planes_a, axes = poses[k]  # circumspheres overlap
+            if any(nx * w[0] + ny * w[1] + nz * w[2] > lim for nx, ny, nz, lim in axes):
+                continue
+            if cell is None:
+                cell = (
+                    [[add(v, w) for v in face] for face in _BASE_FACES],
+                    [(*d, 2.0 + _dot(d, w)) for d in FACE_DIRS],
+                )
             vol = _kernels.intersection_volume(
-                movers[k], _POLY_LENS, planes_a[k],
-                polys_b, _POLY_LENS, planes_b, 1e-9,
+                polys_a, _LENS, planes_a, cell[0], _LENS, cell[1], 1e-9
             )
             if vol > _VOL_EPS:
                 blockers.add(q)

@@ -184,6 +184,11 @@ class TestLayoutValidation:
         with pytest.raises(ValidationError, match="2D point"):
             enumerate_valid_layouts([pos, (-0.3, -0.2)])
 
+    @pytest.mark.parametrize("positions", [5, None, 0.3])
+    def test_position_list_must_be_a_sequence(self, positions):
+        with pytest.raises(ValidationError, match="nonempty list of 2D points"):
+            enumerate_valid_layouts(positions)
+
     def test_magnet_position_accepts_numpy_scalars(self):
         m = MagnetSpec((np.float64(0.3), np.int64(1)), N)
         assert m.pos == (0.3, 1.0) and type(m.pos[1]) is float

@@ -99,6 +99,14 @@ class TestCanonicalMesh:
             d2 = np.linalg.norm(pts[3] - pts[1])
             assert max(d1, d2) / min(d1, d2) == pytest.approx(math.sqrt(2), abs=1e-12)
 
+    def test_face_vertices_literal(self):
+        # each face's loop, CCW from outside from the positive long-axis end
+        assert FACE_VERTICES == (
+            (5, 2, 0, 1), (6, 1, 0, 3), (7, 4, 0, 2), (8, 3, 0, 4),
+            (6, 9, 5, 1), (7, 2, 5, 10), (8, 11, 6, 3), (8, 4, 7, 12),
+            (13, 10, 5, 9), (13, 9, 6, 11), (13, 12, 7, 10), (13, 11, 8, 12),
+        )
+
     def test_face_example_1_1_0(self):
         # long diagonal of face (1,1,0) runs (2,0,0) <-> (0,2,0), length 2*sqrt2
         loop = FACE_VERTICES[FACE_DIR_INDEX[(1, 1, 0)]]
@@ -609,29 +617,51 @@ _ONE_CELL = Configuration.from_positions([(0, 0, 0)])
 
 
 class TestArrayInputs:
-    # input numpy cannot read as a float array is a ValidationError,
-    # not a leaked ValueError or TypeError
+    # input that is not an array of real numbers (ragged, or holding
+    # strings, numeric ones too, bools, complex numbers or None) is a
+    # ValidationError, not a leaked ValueError or TypeError
     @pytest.mark.parametrize(
         "call",
         [
             lambda: classify_ground_contact(_ONE_CELL, "abc"),
             lambda: classify_ground_contact(_ONE_CELL, [[1, 0, 0], [0, 1], [0, 0, 1]]),
             lambda: classify_ground_contact(_ONE_CELL, [[1j, 0, 0]] * 3),
+            lambda: classify_ground_contact(_ONE_CELL, np.eye(3).astype(str)),
+            lambda: classify_ground_contact(_ONE_CELL, np.eye(3, dtype=bool)),
             lambda: rotation_from_axis_angle([1, [0, 1]], 3),
             lambda: rotation_from_axis_angle((10**400, 0, 0), 3),
+            lambda: rotation_from_axis_angle(("1", 0, 0), 3),
             lambda: Trajectory("a", [0, 1], [[0, 0], [1]]),
+            lambda: Trajectory("a", ["0", "1"], [["0", "0"], ["1", "2"]]),
+            lambda: Trajectory("a", [0, 1], [[0, 0], [1, None]]),
             lambda: Mesh([[0, 0, 0], [1]], ()),
+            lambda: Mesh([["0", "0", "0"], ["1", "1", "1"]], ()),
+            lambda: Mesh([[True, False, False]], ()),
         ],
         ids=[
             "contact-str",
             "contact-ragged",
             "contact-complex",
+            "contact-numeric-str",
+            "contact-bool",
             "axis-ragged",
             "axis-huge-int",
+            "axis-numeric-str",
             "trajectory-ragged",
+            "trajectory-numeric-str",
+            "trajectory-none",
             "mesh-ragged",
+            "mesh-numeric-str",
+            "mesh-bool",
         ],
     )
     def test_unreadable_array_raises_validation_error(self, call):
         with pytest.raises(ValidationError, match="array of numbers"):
             call()
+
+    def test_numbers_of_any_width_accepted(self):
+        # numpy scalars, and ints past int64 inside the float range
+        tr = Trajectory("a", [np.int32(0), 2**70], [[np.float32(0.5), 0], [1, 2]])
+        assert tr.t.tolist() == [0.0, 2.0**70] and tr.xy[0, 0] == 0.5
+        rot = classify_ground_contact(_ONE_CELL, np.eye(3, dtype=np.int64))
+        assert rot.contact_type is ContactType.POINT

@@ -816,13 +816,17 @@ class TestCli:
             ["plan", "--from", line, "--to", bent, "--plan-out", plan_path],
             ["replay", "--plan", plan_path],
         ]
+        # numpy too stays unloaded: by the imports, and by the three
+        # commands, the blocker-table sweep included
         code = (
             "import json, sys\n"
-            "from rhombikit import cli, geometry\n"
+            "def loaded():\n"
+            "    return sorted(m for m in sys.modules if m.split('.')[0] in ('numpy', 'scipy'))\n"
+            "from rhombikit import cli, geometry, io\n"
+            "imported = loaded()\n"
             "codes = [cli.cli_main(a) for a in json.loads(sys.argv[1])]\n"
-            "loaded = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
             "built = geometry.blocker_table.cache_info().currsize == 1\n"
-            "print(json.dumps([codes, loaded, built]))\n"
+            "print(json.dumps([codes, imported, loaded(), built]))\n"
         )
         package_root = str(Path(rhombikit.__file__).resolve().parents[1])
         pythonpath = os.pathsep.join(
@@ -836,9 +840,10 @@ class TestCli:
             timeout=120,
         )
         assert out.returncode == 0, out.stderr
-        codes, loaded, table_built = json.loads(out.stdout.splitlines()[-1])
+        codes, imported, loaded, table_built = json.loads(out.stdout.splitlines()[-1])
         assert codes == [0, 0, 0]
         assert table_built  # plan and replay ran the volume kernel
+        assert imported == []
         assert loaded == []
 
     def test_analyze_end_to_end(self, files, capsys):

@@ -65,8 +65,12 @@ def _hull_volume(polys_a, lens_a, planes_a, polys_b, lens_b, planes_b, eps):
     The intersection of two convex polytopes is the convex hull of: A's
     vertices inside B, B's vertices inside A, and every edge-facet
     crossing point that lies inside both. Degenerate (flat or empty)
-    collections have zero volume.
+    collections have zero volume. The inputs may be any nested sequences,
+    as the kernel's may: the blocker sweep passes lists.
     """
+    polys_a, lens_a, planes_a, polys_b, lens_b, planes_b = map(
+        np.asarray, (polys_a, lens_a, planes_a, polys_b, lens_b, planes_b)
+    )
     pa, qa = _loop_edges(polys_a, lens_a)
     pb, qb = _loop_edges(polys_b, lens_b)
 
