@@ -14,7 +14,7 @@ closes its face with one new edge and hands the reverse of that edge to
 the plane's cap; the cap's edges close into a loop in whatever order
 they arrive, and nothing is ever sorted. Each convex polytope is
 described twice over, as nested sequences of numbers: face polygons, F
-lists of V points (x, y, z), with per-face vertex counts and outward CCW
+lists of points (x, y, z), each as long as its face, in outward CCW
 winding, and half-spaces, F rows (nx, ny, nz, c) meaning n.x <= c. The
 tests cross-check it against an independent point-collection method
 with a Qhull convex hull and against a Monte-Carlo estimate. Its final sum, ``fan_volume``, is
@@ -23,10 +23,10 @@ also the volume of every mesh (``geometry.mesh_volume``).
 
 from __future__ import annotations
 
+_EPS = 1e-9  # how far outside a plane a point may lie and still count as in
 
-def intersection_volume(
-    polys_a, lens_a, planes_a, polys_b, lens_b, planes_b, eps=1e-9
-):
+
+def intersection_volume(polys_a, planes_a, polys_b, planes_b):
     """Volume of the intersection by clipping A against B's half-spaces.
 
     Each plane of B keeps the inner part of every edge of A. A face the
@@ -42,8 +42,8 @@ def intersection_volume(
     which needs them, can stand in for this function.
     """
     faces = []
-    for poly, m in zip(polys_a, lens_a):
-        loop = [(float(x), float(y), float(z)) for x, y, z in poly[:m]]
+    for poly in polys_a:
+        loop = [(float(x), float(y), float(z)) for x, y, z in poly]
         faces.append(list(zip(loop, loop[1:] + loop[:1])))
     for plane in planes_b:
         nx, ny, nz, c = map(float, plane)
@@ -55,7 +55,7 @@ def intersection_volume(
             for p, q in face:
                 dp = nx * p[0] + ny * p[1] + nz * p[2] - c
                 dq = nx * q[0] + ny * q[1] + nz * q[2] - c
-                if (dp <= eps) != (dq <= eps):
+                if (dp <= _EPS) != (dq <= _EPS):
                     # the edge keeps its inner part: x replaces its outer point
                     t = min(max(dp / (dp - dq), 0.0), 1.0)
                     x = [
@@ -63,11 +63,11 @@ def intersection_volume(
                         p[1] + t * (q[1] - p[1]),
                         p[2] + t * (q[2] - p[2]),
                     ]
-                    if dp <= eps:
+                    if dp <= _EPS:
                         leave = q = x
                     else:
                         enter = p = x
-                if dp <= eps or dq <= eps:
+                if dp <= _EPS or dq <= _EPS:
                     out.append((p, q))
             if leave is not None and enter is not None:
                 out.append((leave, enter))

@@ -20,6 +20,12 @@ symmetry no assignment can survive a flipped alignment and the scheme
 does not apply. Pairing tolerance is the constant EPS_MATCH: _partners,
 the one point matcher, applies it both to docking and to the check that
 a face's positions are k-fold symmetric.
+
+Magnets pair as plain 2-D float points, and the long-axis sign of a
+contact is the sign of an integer dot product of two rotated integer
+long axes (geometry._LONG_AXES), so it is exact. numpy is imported only
+by FaceLayout.positions, which returns an array: validating, searching
+and the dock-check command never load it.
 """
 
 from __future__ import annotations
@@ -31,7 +37,7 @@ from enum import Enum
 from typing import TYPE_CHECKING, Sequence
 
 from .errors import PairingError, UnsupportedSymmetry, ValidationError
-from .geometry import face_frame
+from .geometry import _LONG_AXES, _dot
 from .lattice import (
     DIR_PERM,
     OPPOSITE_DIR,
@@ -85,12 +91,10 @@ class MagnetSpec:
             raise ValidationError(f"bad polarity {_echo(self.polarity)}")
 
 
-def _rot2(angle: float) -> np.ndarray:
-    """2D rotation matrix by angle (radians)."""
-    import numpy as np
-
+def _turned(points, angle: float) -> list[tuple[float, float]]:
+    """2D points turned by angle (radians) about the face centre."""
     c, s = math.cos(angle), math.sin(angle)
-    return np.array([[c, -s], [s, c]])
+    return [(c * u - s * v, s * u + c * v) for u, v in points]
 
 
 def _check_symmetry(k) -> int:
@@ -105,27 +109,26 @@ def _check_symmetry(k) -> int:
     return k
 
 
-def _partners(pa: np.ndarray, pb: np.ndarray) -> list[int]:
-    """Index into pb of the point coincident with each point of pa.
+def _partners(pa, pb) -> list[int]:
+    """Index into pb of the point nearest each point of pa (the first such
+    on a tie); the points are sequences of numbers of any one dimension.
 
     Raises PairingError when some point of pa has no partner within
     EPS_MATCH or two points share one partner.
     """
-    import numpy as np
-
-    d2 = ((pa[:, None, :] - pb[None, :, :]) ** 2).sum(axis=2)
-    partner = np.argmin(d2, axis=1).tolist()
-    for i, j in enumerate(partner):
-        if d2[i, j] > EPS_MATCH * EPS_MATCH:
-            raise PairingError(
-                f"magnet {i} of face A has no partner within {EPS_MATCH}"
-            )
+    partner = []
+    for i, p in enumerate(pa):
+        d2 = [sum((x - y) * (x - y) for x, y in zip(p, q)) for q in pb]
+        j = min(range(len(d2)), key=d2.__getitem__)
+        if d2[j] > EPS_MATCH * EPS_MATCH:
+            raise PairingError(f"magnet {i} of face A has no partner within {EPS_MATCH}")
+        partner.append(j)
     if len(set(partner)) != len(partner):
         raise PairingError("magnet pairing is not one-to-one")
     return partner
 
 
-def _check_face(points: np.ndarray, k: int) -> None:
+def _check_face(points, k: int) -> None:
     """The rules for the magnet positions of one k-fold face, shared by
     FaceLayout and the layout search, once k has passed _check_symmetry:
     the positions are pairwise separated by more than twice the pairing
@@ -134,23 +137,33 @@ def _check_face(points: np.ndarray, k: int) -> None:
     within EPS_MATCH), and only a magnet within EPS_MATCH of the face
     centre pairs with itself. The separation makes that pairing unique;
     the last rule keeps a click too small to move any magnet out of the
-    tolerance, under a huge k, from passing every face."""
-    import numpy as np
-
+    tolerance, under a huge k, from passing every face. The points are
+    2D sequences of numbers."""
     for i in range(len(points)):
         for j in range(i + 1, len(points)):
-            if np.linalg.norm(points[i] - points[j]) <= 2 * EPS_MATCH:
+            if math.dist(points[i], points[j]) <= 2 * EPS_MATCH:
                 raise ValidationError(
                     f"magnets {i} and {j} are closer than the pairing tolerance"
                 )
     try:
-        partner = _partners(points @ _rot2(2.0 * math.pi / k).T, points)
-        if any(i == j and np.linalg.norm(points[i]) > EPS_MATCH for i, j in enumerate(partner)):
+        partner = _partners(_turned(points, 2.0 * math.pi / k), points)
+        if any(i == j and math.hypot(*points[i]) > EPS_MATCH for i, j in enumerate(partner)):
             raise PairingError("an off-centre magnet pairs with itself")
     except PairingError:
         raise ValidationError(
             f"magnet positions are not {_echo(k)}-fold symmetric"
         ) from None
+
+
+def _tuple_of(kind: type, items, what: str) -> tuple:
+    """items as a tuple, each of them a kind; ValidationError otherwise."""
+    try:
+        out = tuple(items)
+        if all(isinstance(x, kind) for x in out):
+            return out
+    except TypeError:
+        pass
+    raise ValidationError(f"{what} must be a sequence of {kind.__name__}s, got {_echo(items)}")
 
 
 @dataclass(frozen=True)
@@ -167,12 +180,12 @@ class FaceLayout:
     symmetry: int = 2
 
     def __post_init__(self) -> None:
-        mags = tuple(self.magnets)
+        mags = _tuple_of(MagnetSpec, self.magnets, "face layout magnets")
         object.__setattr__(self, "magnets", mags)
         if not mags:
             raise ValidationError("face layout has no magnets")
         object.__setattr__(self, "symmetry", _check_symmetry(self.symmetry))
-        _check_face(self.positions(), self.symmetry)
+        _check_face([m.pos for m in mags], self.symmetry)
 
     def positions(self) -> np.ndarray:
         import numpy as np
@@ -190,8 +203,10 @@ class CellLayout:
     faces: tuple[FaceLayout, ...]
 
     def __post_init__(self) -> None:
-        if len(self.faces) != 12:
-            raise ValidationError(f"cell layout needs 12 faces, got {len(self.faces)}")
+        faces = _tuple_of(FaceLayout, self.faces, "cell layout faces")
+        if len(faces) != 12:
+            raise ValidationError(f"cell layout needs 12 faces, got {len(faces)}")
+        object.__setattr__(self, "faces", faces)
 
     @classmethod
     def uniform(cls, face: FaceLayout) -> "CellLayout":
@@ -234,18 +249,16 @@ class ContactAlignment:
         return db == OPPOSITE_DIR[self.world_dir()]
 
 
-def _mate(uv: np.ndarray, s: int, turn: int, k: int) -> np.ndarray:
-    """Partner magnet positions (n, 2) in our face frame.
+def _mate(uv, s: int, turn: int, k: int) -> list[tuple[float, float]]:
+    """Partner magnet positions, 2D points, in our face frame.
 
     The partner's pattern turns by turn clicks of its k-fold symmetry,
     then (u, v) maps to (s*u, -s*v): s = +1 when the two long axes are
     parallel, and the short axes oppose because the normals do.
     """
-    import numpy as np
-
     if turn % k:  # turn may pass the float range; the click is an int ratio
-        uv = uv @ _rot2(2.0 * math.pi * (turn % k / k)).T
-    return uv * np.array([s, -s])
+        uv = _turned(uv, 2.0 * math.pi * (turn % k / k))
+    return [(s * u, -s * v) for u, v in uv]
 
 
 def contact_map(
@@ -254,11 +267,11 @@ def contact_map(
     """Pair up magnets of two faces brought into contact.
 
     Maps B's magnets into A's face frame with _mate, s being the sign of
-    the two long axes turned by their cells' orientations (exact: the
-    rotations are signed permutations), and matches magnets whose
-    positions coincide within EPS_MATCH. Returns index pairs (i_a, i_b);
-    raises PairingError when any magnet lacks a partner or the faces
-    cannot coincide at all.
+    the dot product of the two faces' integer long axes (_LONG_AXES)
+    turned by their cells' orientations, exact in integers, and matches
+    magnets whose positions coincide within EPS_MATCH. Returns index
+    pairs (i_a, i_b); raises PairingError when any magnet lacks a partner
+    or the faces cannot coincide at all.
     """
     if not align.is_coincident():
         raise PairingError(
@@ -268,11 +281,11 @@ def contact_map(
         raise PairingError(
             f"magnet counts differ: {len(a.magnets)} vs {len(b.magnets)}"
         )
-    la = _mat_apply(ROTATIONS[align.orient_a], face_frame(align.face_a).long_axis)
-    lb = _mat_apply(ROTATIONS[align.orient_b], face_frame(align.face_b).long_axis)
-    s = 1 if la[0] * lb[0] + la[1] * lb[1] + la[2] * lb[2] > 0 else -1
-    pb = _mate(b.positions(), s, align.turn, b.symmetry)
-    return list(enumerate(_partners(a.positions(), pb)))
+    la = _mat_apply(ROTATIONS[align.orient_a], _LONG_AXES[align.face_a])
+    lb = _mat_apply(ROTATIONS[align.orient_b], _LONG_AXES[align.face_b])
+    s = 1 if _dot(la, lb) > 0 else -1
+    pb = _mate([m.pos for m in b.magnets], s, align.turn, b.symmetry)
+    return list(enumerate(_partners([m.pos for m in a.magnets], pb)))
 
 
 def is_attractive_contact(
@@ -336,7 +349,7 @@ def default_face_positions() -> tuple[tuple[float, float], ...]:
     return tuple(sorted({(-u, -v), (-u, v), (u, -v), (u, v)}))
 
 
-def _partner_maps(positions: np.ndarray, k: int) -> list[list[int]] | None:
+def _partner_maps(positions, k: int) -> list[list[int]] | None:
     """The partner index of each magnet under each in-plane alignment of
     two copies of one k-fold symmetric face, or None when some alignment
     leaves a magnet without a partner.
@@ -374,15 +387,11 @@ def enumerate_valid_layouts(
     The positions follow FaceLayout's rules (finite, separated, k-fold
     symmetric).
     """
-    import numpy as np
-
     try:  # each position obeys MagnetSpec's rule (two finite real numbers)
-        pts = np.array(
-            [MagnetSpec(p, Polarity.N).pos for p in face_positions], dtype=float
-        )
+        pts = [MagnetSpec(p, Polarity.N).pos for p in face_positions]
     except TypeError:  # raised only by iterating face_positions
-        pts = ()
-    if len(pts) == 0:
+        pts = []
+    if not pts:
         raise ValidationError(
             "face positions must be a nonempty list of 2D points, "
             f"got {_echo(face_positions)}"

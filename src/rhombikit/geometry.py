@@ -12,14 +12,17 @@ this module covers the two geometric queries the rest of the package
 needs: ground-contact classification of a rotated structure, and the
 swept-volume blocker table for 120-degree edge rolls.
 
-numpy is imported only inside the functions that build or read arrays
-(the face frames, meshes, ground contact and the array-valued
-rotations), so importing this module, building the blocker table and
-everything that only plans or replays (the validate, plan and replay
-commands) never load it; export, contact, dock-check and analyze load
-it on first use. The blocker sweep runs in plain floats: one Rodrigues
-rule, _rodrigues, gives its poses, and rotation_from_axis_angle and
-roll_transform wrap the same rule as arrays.
+numpy is imported only inside the functions that build or read public
+arrays (the face frames, the Mesh and GroundContact arrays, and the
+array-valued rotations); every other vector job, the mesh measures
+included, runs in plain floats and ints through _dot, _cross, _rodrigues
+and lattice's _mat_apply. So importing this module, building the blocker
+table and the validate, plan, replay and dock-check commands never load
+it; export, contact and analyze load it on first use, since their
+results are arrays. The blocker sweep takes its poses from one Rodrigues
+rule, _rodrigues, which rotation_from_axis_angle and roll_transform wrap
+as arrays. Each face's long axis is stated once, in
+integers, by _LONG_AXES; the float frames normalise it.
 """
 
 from __future__ import annotations
@@ -158,17 +161,23 @@ CELL_EDGES: tuple[tuple[int, int], ...] = tuple(
 )
 
 
+# each face's long axis, centre to positive endpoint, in integers: the
+# one statement of the frame's orientation, exact under lattice rotations
+_LONG_AXES: tuple[Pos, ...] = tuple(
+    sub(CANONICAL_VERTICES[cycle[0]], d) for d, cycle in zip(FACE_DIRS, FACE_VERTICES)
+)
+
+
 @cache
 def _frames() -> tuple[FaceFrame, ...]:
     """The 12 face frames, in FACE_DIRS order, built on first use."""
     import numpy as np
 
     frames = []
-    for d, cycle in zip(FACE_DIRS, FACE_VERTICES):
+    for d, long_axis in zip(FACE_DIRS, _LONG_AXES):
         center = np.array(d, dtype=float)
         normal = center / math.sqrt(2.0)
-        long_axis = np.array(CANONICAL_VERTICES[cycle[0]], dtype=float) - center
-        long_axis /= np.linalg.norm(long_axis)
+        long_axis = np.array(long_axis, dtype=float) / math.hypot(*long_axis)
         short_axis = np.cross(normal, long_axis)
         frames.append(FaceFrame(*map(_frozen, (center, normal, long_axis, short_axis))))
     return tuple(frames)
@@ -209,27 +218,25 @@ def mesh_volume(m: Mesh) -> float:
 
 
 def mesh_surface_area(m: Mesh) -> float:
-    import numpy as np
-
+    v = m.vertices.tolist()
     area = 0.0
-    v = m.vertices
     for face in m.faces:
         v0 = v[face[0]]
-        for i in range(1, len(face) - 1):
-            area += 0.5 * float(
-                np.linalg.norm(np.cross(v[face[i]] - v0, v[face[i + 1]] - v0))
-            )
+        for i, j in zip(face[1:-1], face[2:]):
+            area += 0.5 * math.hypot(*_cross(sub(v[i], v0), sub(v[j], v0)))
     return area
 
 
-def _face_plane(m: Mesh, face: tuple[int, ...]) -> tuple[np.ndarray, float]:
-    """Outward unit normal and offset (n.x = c) of a planar mesh face."""
-    import numpy as np
-
-    v = m.vertices
-    n = np.cross(v[face[1]] - v[face[0]], v[face[2]] - v[face[1]])
-    n = n / np.linalg.norm(n)
-    return n, float(n @ v[face[0]])
+def _face_planes(m: Mesh) -> list[tuple[tuple[float, ...], float]]:
+    """Outward unit normal and offset (n.x = c) of each planar mesh face."""
+    v = m.vertices.tolist()
+    planes = []
+    for f in m.faces:
+        n = _cross(sub(v[f[1]], v[f[0]]), sub(v[f[2]], v[f[1]]))
+        r = math.hypot(*n)
+        n = (n[0] / r, n[1] / r, n[2] / r)
+        planes.append((n, _dot(n, v[f[0]])))
+    return planes
 
 
 def dihedral_angle() -> float:
@@ -240,15 +247,13 @@ def dihedral_angle() -> float:
     The solid is face-transitive, so all 24 edges agree; the spread is
     checked here and the common value returned.
     """
-    import numpy as np
-
     m = canonical_cell_mesh()
-    planes = [_face_plane(m, f) for f in m.faces]
+    planes = _face_planes(m)
     angles = []
     for i in range(12):
         for j in range(i + 1, 12):
             if len(set(m.faces[i]) & set(m.faces[j])) == 2:
-                cosang = float(np.clip(planes[i][0] @ planes[j][0], -1.0, 1.0))
+                cosang = min(max(_dot(planes[i][0], planes[j][0]), -1.0), 1.0)
                 angles.append(180.0 - math.degrees(math.acos(cosang)))
     if max(angles) - min(angles) > 1e-9:
         raise AssertionError("mesh dihedral angles disagree")
@@ -257,8 +262,7 @@ def dihedral_angle() -> float:
 
 def inradius() -> float:
     """Distance from the cell center to each face plane (from the mesh)."""
-    m = canonical_cell_mesh()
-    return min(abs(_face_plane(m, f)[1]) for f in m.faces)
+    return min(abs(c) for _, c in _face_planes(canonical_cell_mesh()))
 
 
 def packing_density() -> float:
@@ -474,7 +478,6 @@ def roll_transform(from_dir: Pos, to_dir: Pos, theta: float):
 _SQRT2 = math.sqrt(2.0)
 _VOL_EPS = 1e-9  # overlap volume that blocks, canonical units^3
 _BASE_FACES = tuple(tuple(CANONICAL_VERTICES[i] for i in loop) for loop in FACE_VERTICES)
-_LENS = (4,) * 12  # the kernel's polygon lengths
 
 
 def _support(x: float, y: float, z: float) -> float:
@@ -539,10 +542,7 @@ def _swept_cells_uncached(
                     [[add(v, w) for v in face] for face in _BASE_FACES],
                     [(*d, 2.0 + _dot(d, w)) for d in FACE_DIRS],
                 )
-            vol = _kernels.intersection_volume(
-                polys_a, _LENS, planes_a, cell[0], _LENS, cell[1], 1e-9
-            )
-            if vol > _VOL_EPS:
+            if _kernels.intersection_volume(polys_a, planes_a, *cell) > _VOL_EPS:
                 blockers.add(q)
                 break
     return frozenset(blockers)

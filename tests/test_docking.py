@@ -199,6 +199,26 @@ class TestLayoutValidation:
             CellLayout((f,) * 11)
         assert CellLayout.uniform(f).magnet_count() == 48
 
+    @pytest.mark.parametrize("magnets", [((0.5, 0.2), (-0.5, -0.2)), (None,), 5, "NS"])
+    def test_face_layout_needs_magnet_specs(self, magnets):
+        with pytest.raises(ValidationError, match="sequence of MagnetSpecs"):
+            FaceLayout(magnets)
+
+    @pytest.mark.parametrize("faces", [(None,) * 12, 5, ("face",) * 12])
+    def test_cell_layout_needs_face_layouts(self, faces):
+        with pytest.raises(ValidationError, match="sequence of FaceLayouts"):
+            CellLayout(faces)
+
+    def test_cell_layout_holds_its_own_tuple(self):
+        # a list input is copied, so the frozen layout is hashable and the
+        # caller's list cannot change it
+        f = _face(GOLDEN_VALID[0])
+        faces = [f] * 12
+        layout = CellLayout(faces)
+        faces[0] = _face(GOLDEN_VALID[1])
+        assert layout.faces == (f,) * 12
+        assert hash(layout) == hash(CellLayout.uniform(f))
+
 
 class TestContactMap:
     def test_identity_alignment_four_pairs(self):

@@ -29,6 +29,7 @@ from rhombikit.geometry import (
     structure_mesh,
     swept_cells,
     blocker_table,
+    _LONG_AXES,
     _swept_cells_uncached,
 )
 from rhombikit import lattice
@@ -174,6 +175,14 @@ class TestFaceFrames:
         assert np.allclose(
             fr.center + math.sqrt(2) * fr.long_axis, (2, 0, 0), atol=1e-12
         )
+
+    def test_integer_long_axes_normalise_to_the_frames(self):
+        # the one integer statement of each long axis, which docking's
+        # long-axis sign reads, against the float frames
+        for f, axis in enumerate(_LONG_AXES):
+            assert all(type(c) is int for c in axis)
+            unit = np.array(axis) / np.linalg.norm(axis)
+            assert np.allclose(unit, face_frame(f).long_axis, rtol=0.0, atol=1e-15)
 
     def test_short_axis_hits_cube_vertices(self):
         for d in FACE_DIRS:

@@ -808,16 +808,20 @@ class TestCli:
         for name, cells in shapes.items():
             doc = {"cells": [{"pos": list(p), "kind": "passive"} for p in cells]}
             (tmp_path / f"{name}.json").write_text(json.dumps(doc), encoding="utf-8")
-        line, bent, plan_path = (
-            str(tmp_path / f) for f in ("line.json", "bent.json", "plan.json")
+        line, bent, plan_path, layout = (
+            str(tmp_path / f)
+            for f in ("line.json", "bent.json", "plan.json", "layout.json")
         )
+        rio.save_layout(default_cell_layout(), layout)
         runs = [
             ["validate", line],
             ["plan", "--from", line, "--to", bent, "--plan-out", plan_path],
             ["replay", "--plan", plan_path],
+            ["dock-check", "--enumerate"],
+            ["dock-check", "--layout", layout],
         ]
-        # numpy too stays unloaded: by the imports, and by the three
-        # commands, the blocker-table sweep included
+        # numpy too stays unloaded: by the imports, and by the five
+        # commands, the blocker-table sweep and the docking checks included
         code = (
             "import json, sys\n"
             "def loaded():\n"
@@ -841,7 +845,7 @@ class TestCli:
         )
         assert out.returncode == 0, out.stderr
         codes, imported, loaded, table_built = json.loads(out.stdout.splitlines()[-1])
-        assert codes == [0, 0, 0]
+        assert codes == [0, 0, 0, 0, 0]
         assert table_built  # plan and replay ran the volume kernel
         assert imported == []
         assert loaded == []

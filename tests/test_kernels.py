@@ -24,20 +24,15 @@ from rhombikit.geometry import (
 from rhombikit.lattice import FACE_DIRS
 
 
-def _loop_edges(polys, lens):
-    """Endpoints (P, Q) of every polygon boundary edge, vectorized.
+def _loop_edges(polys):
+    """Endpoints (P, Q) of every polygon boundary edge, the polygons being
+    of any lengths.
 
     Edges shared by two faces appear twice; duplicates only add repeated
     candidate points, which the hull does not mind.
     """
-    ps = []
-    qs = []
-    for m in np.unique(lens):
-        rows = np.nonzero(lens == m)[0]
-        pts = polys[rows, :m]  # (R, m, 3)
-        ps.append(pts.reshape(-1, 3))
-        qs.append(np.roll(pts, -1, axis=1).reshape(-1, 3))
-    return np.vstack(ps), np.vstack(qs)
+    loops = [np.asarray(poly, dtype=float) for poly in polys]
+    return np.vstack(loops), np.vstack([np.roll(p, -1, axis=0) for p in loops])
 
 
 def _edge_crossings(p, q, planes_cut, planes_a, planes_b, eps):
@@ -59,7 +54,10 @@ def _edge_crossings(p, q, planes_cut, planes_a, planes_b, eps):
     return x[inside]
 
 
-def _hull_volume(polys_a, lens_a, planes_a, polys_b, lens_b, planes_b, eps):
+_EPS = 1e-9  # the kernel's in-plane tolerance
+
+
+def _hull_volume(polys_a, planes_a, polys_b, planes_b):
     """Volume of the intersection via point collection + convex hull.
 
     The intersection of two convex polytopes is the convex hull of: A's
@@ -68,17 +66,15 @@ def _hull_volume(polys_a, lens_a, planes_a, polys_b, lens_b, planes_b, eps):
     collections have zero volume. The inputs may be any nested sequences,
     as the kernel's may: the blocker sweep passes lists.
     """
-    polys_a, lens_a, planes_a, polys_b, lens_b, planes_b = map(
-        np.asarray, (polys_a, lens_a, planes_a, polys_b, lens_b, planes_b)
-    )
-    pa, qa = _loop_edges(polys_a, lens_a)
-    pb, qb = _loop_edges(polys_b, lens_b)
+    planes_a, planes_b = np.asarray(planes_a), np.asarray(planes_b)
+    pa, qa = _loop_edges(polys_a)
+    pb, qb = _loop_edges(polys_b)
 
     chunks = [
-        pa[np.all(pa @ planes_b[:, :3].T - planes_b[:, 3] <= eps, axis=1)],
-        pb[np.all(pb @ planes_a[:, :3].T - planes_a[:, 3] <= eps, axis=1)],
-        _edge_crossings(pa, qa, planes_b, planes_a, planes_b, eps),
-        _edge_crossings(pb, qb, planes_a, planes_a, planes_b, eps),
+        pa[np.all(pa @ planes_b[:, :3].T - planes_b[:, 3] <= _EPS, axis=1)],
+        pb[np.all(pb @ planes_a[:, :3].T - planes_a[:, 3] <= _EPS, axis=1)],
+        _edge_crossings(pa, qa, planes_b, planes_a, planes_b, _EPS),
+        _edge_crossings(pb, qb, planes_a, planes_a, planes_b, _EPS),
     ]
     arr = np.vstack(chunks)
     if len(arr) < 4:
@@ -94,7 +90,6 @@ def _hull_volume(polys_a, lens_a, planes_a, polys_b, lens_b, planes_b, eps):
 _BASE_POLYS = np.array(
     [[CANONICAL_VERTICES[i] for i in loop] for loop in FACE_VERTICES], dtype=float
 )
-_LENS = np.full(12, 4, dtype=np.int64)
 _DIRS = np.array(FACE_DIRS, dtype=float)
 
 
@@ -108,8 +103,8 @@ def _cell(rot: np.ndarray, shift: np.ndarray):
 
 def _both(a, b):
     """(oracle, kernel) volumes of the same pair."""
-    va = _hull_volume(a[0], _LENS, a[1], b[0], _LENS, b[1], 1e-9)
-    vb = _kernels.intersection_volume(a[0], _LENS, a[1], b[0], _LENS, b[1], 1e-9)
+    va = _hull_volume(*a, *b)
+    vb = _kernels.intersection_volume(*a, *b)
     return va, vb
 
 
@@ -174,9 +169,7 @@ class TestCrossValidation:
                 disagreements.append((shift, va, vb))
             a = _cell(rot_a, offset)
             b = _cell(rot_b, shift + offset)
-            moved = _kernels.intersection_volume(
-                a[0], _LENS, a[1], b[0], _LENS, b[1], 1e-9
-            )
+            moved = _kernels.intersection_volume(*a, *b)
             if abs(moved - vb) > 1e-9:
                 disagreements.append((offset, vb, moved))
         assert not disagreements
@@ -195,19 +188,17 @@ class TestCrossValidation:
 
     def test_scaled_tetrahedron_pair(self):
         # non-cell convex inputs: clipped tetra against a cell, as given
-        # and with both moved off the origin; faces CCW from outside (the
-        # padding row repeats the first vertex of each triangle)
+        # and with both moved off the origin; faces CCW from outside
         tet = np.array(
             [
-                [[0, 3, 0], [3, 0, 0], [0, 0, 0], [0, 3, 0]],
-                [[3, 0, 0], [0, 0, 3], [0, 0, 0], [3, 0, 0]],
-                [[0, 0, 3], [0, 3, 0], [0, 0, 0], [0, 0, 3]],
-                [[0, 3, 0], [0, 0, 3], [3, 0, 0], [0, 3, 0]],
+                [[0, 3, 0], [3, 0, 0], [0, 0, 0]],
+                [[3, 0, 0], [0, 0, 3], [0, 0, 0]],
+                [[0, 0, 3], [0, 3, 0], [0, 0, 0]],
+                [[0, 3, 0], [0, 0, 3], [3, 0, 0]],
             ],
             dtype=float,
         )
-        lens = np.full(4, 3, dtype=np.int64)
-        loops = [face[:3].tolist() for face in tet]
+        loops = tet.tolist()
         edges = [list(zip(loop, loop[1:] + loop[:1])) for loop in loops]
         assert _kernels.fan_volume(edges) == pytest.approx(4.5)  # 27/6
         # half-space form of the tetra
@@ -224,10 +215,8 @@ class TestCrossValidation:
             planes = planes_t.copy()
             planes[:, 3] += planes_t[:, :3] @ shift
             cell = _cell(np.eye(3), shift)
-            va = _hull_volume(polys, lens, planes, cell[0], _LENS, cell[1], 1e-9)
-            vb = _kernels.intersection_volume(
-                polys, lens, planes, cell[0], _LENS, cell[1], 1e-9
-            )
+            va = _hull_volume(polys, planes, *cell)
+            vb = _kernels.intersection_volume(polys, planes, *cell)
             assert va == pytest.approx(vb, abs=1e-9)
             assert va == pytest.approx(2.0, abs=1e-9)  # partially outside
 
