@@ -2,7 +2,9 @@
 
 The swept-volume blocker table is built from one sampled roll: at every
 sampled angle the moving cell is tested for positive-volume overlap with
-each candidate lattice cell that pruning leaves open; the sweep and this
+each candidate lattice cell that pruning leaves open. The sweep's sphere
+and plane tests settle every grazing contact, so only the three real
+overlaps the inscribed spheres miss reach this kernel; the sweep and the
 kernel run in plain Python floats and need no numpy. The other 47 rolls
 are lattice rotations of that one or of its reverse, so they cost no
 volume calls (see ``geometry.blocker_table``).

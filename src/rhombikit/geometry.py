@@ -477,6 +477,12 @@ def roll_transform(from_dir: Pos, to_dir: Pos, theta: float):
 
 _SQRT2 = math.sqrt(2.0)
 _VOL_EPS = 1e-9  # overlap volume that blocks, canonical units^3
+# depth along a face normal (d.x units, |d| = sqrt 2) below which two
+# cells count as separated: their overlap then lies in a slab narrower
+# than _GRAZE / sqrt 2, and every cross-section of a cell fits in its
+# circumscribed disc of radius 2, area 4 pi, so the overlap volume is
+# below 4 pi _GRAZE / sqrt 2 < 1e-10, under _VOL_EPS
+_GRAZE = 1e-11
 _BASE_FACES = tuple(tuple(CANONICAL_VERTICES[i] for i in loop) for loop in FACE_VERTICES)
 
 
@@ -485,6 +491,24 @@ def _support(x: float, y: float, z: float) -> float:
     a cube-type vertex or 2 |.|_inf at an axis-type one."""
     x, y, z = abs(x), abs(y), abs(z)
     return max(x + y + z, 2.0 * max(x, y, z))
+
+
+def _planes_and_axes(rot, c):
+    """The face planes (nx, ny, nz, off), n.x <= off, of the cell turned
+    by rot (rows) about its centre c, and the axes (nx, ny, nz, lim) of
+    the plane test: an unturned cell centred at w is separated from it
+    when n.w > lim on some axis. That is when a face plane of either cell
+    has the other beyond it, or overlapping it by less than _GRAZE: a.(w
+    - c) exceeds the two cells' supports along a, less _GRAZE, for a = R d
+    over the turned cell's faces d and a = -d over the other's. It needs
+    no vertices, since the support is _support in closed form."""
+    rot_t = tuple(zip(*rot))
+    planes = [(*n, _dot(n, c) + 2.0) for n in (_mat_apply(rot, d) for d in FACE_DIRS)]
+    axes = [(*n, off + _support(*n) - _GRAZE) for *n, off in planes] + [
+        (-d[0], -d[1], -d[2], 2.0 + _support(*_mat_apply(rot_t, d)) - _dot(d, c) - _GRAZE)
+        for d in FACE_DIRS
+    ]
+    return planes, axes
 
 
 def _swept_cells_uncached(
@@ -497,30 +521,21 @@ def _swept_cells_uncached(
     R (x - a0) + a0, R from _rodrigues. A candidate cell is settled by
     the first test that can: no overlap where the circumspheres miss, a
     hit where the inscribed spheres meet, no overlap where a face plane
-    of either cell separates them, and otherwise the volume kernel. The
-    plane test needs no vertices: the candidate at w lies beyond a face
-    plane with normal a when a.(w - c) exceeds the two cells' supports
-    along a, for a = -d over the candidate's faces d and a = R d over the
-    mover's, and the cell's support is _support in closed form."""
+    of either cell separates them or they meet only in a grazing contact
+    (_planes_and_axes), and otherwise the volume kernel. The plane test
+    settles every grazing contact, so the kernel runs only for the real
+    overlaps the inscribed spheres miss: three in the whole table."""
     a0, axis = _roll_axis(from_dir, to_dir)
     n_steps = int(math.ceil(120.0 / step_deg))
     step = 2.0 * math.pi / 3.0 / n_steps
     home = add(from_dir, from_dir)  # the mover's rest-pose center
     rest = [sub(add(v, home), a0) for v in CANONICAL_VERTICES]
 
-    poses = []  # per angle: center, mover polygons, face planes, separating axes
+    poses = []  # per angle: center, rotation, face planes, separating axes
     for th in [k * step for k in range(n_steps)] + [2.0 * math.pi / 3.0]:
         rot = _rodrigues(axis, th)
-        rot_t = tuple(zip(*rot))
         c = add(_mat_apply(rot, sub(home, a0)), a0)
-        verts = [add(_mat_apply(rot, x), a0) for x in rest]
-        polys = [[verts[i] for i in loop] for loop in FACE_VERTICES]
-        planes = [(*n, _dot(n, c) + 2.0) for n in (_mat_apply(rot, d) for d in FACE_DIRS)]
-        axes = [(*n, off + _support(*n) + 1e-12) for *n, off in planes] + [
-            (-d[0], -d[1], -d[2], 2.0 + _support(*_mat_apply(rot_t, d)) - _dot(d, c) + 1e-12)
-            for d in FACE_DIRS
-        ]
-        poses.append((c, polys, planes, axes))
+        poses.append((c, rot, *_planes_and_axes(rot, c)))
 
     skip = {(0, 0, 0), tuple(from_dir), tuple(to_dir)}
     blockers: set[Pos] = set()
@@ -534,7 +549,7 @@ def _swept_cells_uncached(
             continue
         cell = None  # the candidate's polygons and planes, once needed
         for k in [k for k, dist in enumerate(dists) if dist < 4.0]:
-            _, polys_a, planes_a, axes = poses[k]  # circumspheres overlap
+            _, rot, planes_a, axes = poses[k]  # circumspheres overlap
             if any(nx * w[0] + ny * w[1] + nz * w[2] > lim for nx, ny, nz, lim in axes):
                 continue
             if cell is None:
@@ -542,6 +557,8 @@ def _swept_cells_uncached(
                     [[add(v, w) for v in face] for face in _BASE_FACES],
                     [(*d, 2.0 + _dot(d, w)) for d in FACE_DIRS],
                 )
+            verts = [add(_mat_apply(rot, x), a0) for x in rest]  # the mover's polygons
+            polys_a = [[verts[i] for i in loop] for loop in FACE_VERTICES]
             if _kernels.intersection_volume(polys_a, planes_a, *cell) > _VOL_EPS:
                 blockers.add(q)
                 break

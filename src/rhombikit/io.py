@@ -14,6 +14,11 @@ bare traceback. The parse_* functions take the decoded document and
 only locate errors; the rule itself belongs to the type that owns it.
 Every saver, and the CLI's OBJ export, writes through _write: UTF-8
 with LF line ends, so the bytes are the same on every platform.
+
+Importing this module loads only lattice and errors: each parser
+imports the module that owns the types it builds (analytics, docking,
+geometry, kinematics) when it first runs, so a process that reads only
+structures never loads them.
 """
 
 from __future__ import annotations
@@ -23,12 +28,9 @@ import io as _io
 import json
 from dataclasses import dataclass
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-from .analytics import DesignMeta, Trajectory
-from .docking import CellLayout, FaceLayout, MagnetSpec, Polarity
 from .errors import ParseError, ValidationError
-from .geometry import ContactType, Mesh
-from .kinematics import PivotMove
 from .lattice import (
     FACE_DIR_INDEX,
     FACE_DIRS,
@@ -41,11 +43,15 @@ from .lattice import (
     check_pos,
 )
 
+if TYPE_CHECKING:
+    from .analytics import DesignMeta, Trajectory
+    from .docking import CellLayout
+    from .geometry import Mesh
+    from .kinematics import PivotMove
+
 FORMAT_VERSION = 1
 
 _KINDS = {k.value: k for k in CellKind}
-_CONTACTS = {c.value: c for c in ContactType}
-_POLARITIES = {p.value: p for p in Polarity}
 
 
 @dataclass(frozen=True)
@@ -69,12 +75,14 @@ class StructureDoc:
 
 def _read(path: str | Path, parse, kind: str = "JSON"):
     """parse(document) of the UTF-8 file at path, the document being the
-    decoded JSON value, or the text itself for a CSV file. The one reader
-    of every loader: a file that does not decode, and every ParseError the
-    parser raises, comes out as a ParseError naming the file."""
+    decoded JSON value, or the text itself for a CSV file. A leading
+    byte-order mark, which Excel and Notepad write, is dropped; the
+    writers write none. The one reader of every loader: a file that does
+    not decode, and every ParseError the parser raises, comes out as a
+    ParseError naming the file."""
     try:
         try:
-            text = Path(path).read_text(encoding="utf-8")
+            text = Path(path).read_text(encoding="utf-8-sig")
             document = json.loads(text) if kind == "JSON" else text
         except json.JSONDecodeError as exc:
             raise ParseError(
@@ -228,6 +236,8 @@ class PlanDoc:
 
 
 def parse_plan(data: object) -> PlanDoc:
+    from .kinematics import PivotMove
+
     data = _document(data, "plan")
     start = parse_structure(_field(data, "start", dict, ""))
     raw_moves = _field(data, "moves", list, "")
@@ -277,6 +287,9 @@ def save_plan(doc: PlanDoc, path: str | Path) -> None:
 
 
 def parse_layout(data: object) -> CellLayout:
+    from .docking import CellLayout, FaceLayout, MagnetSpec, Polarity
+
+    polarities = {p.value: p for p in Polarity}
     data = _document(data, "layout")
     raw_faces = _field(data, "faces", list, "")
     faces = []
@@ -293,12 +306,12 @@ def parse_layout(data: object) -> CellLayout:
         for mwhere, rmag in _items(raw_magnets, f"{where}.magnets", "magnet"):
             pos = _field(rmag, "pos", list, mwhere)
             pol = _field(rmag, "polarity", str, mwhere)
-            if pol not in _POLARITIES:
+            if pol not in polarities:
                 raise ParseError(
                     "polarity must be 'N' or 'S'", location=f"{mwhere}.polarity"
                 )
             magnets.append(
-                _owned(f"{mwhere}.pos", MagnetSpec, tuple(pos), _POLARITIES[pol])
+                _owned(f"{mwhere}.pos", MagnetSpec, tuple(pos), polarities[pol])
             )
         faces.append(_owned(where, FaceLayout, tuple(magnets), symmetry))
     return _owned(None, CellLayout, tuple(faces))
@@ -336,6 +349,8 @@ def save_layout(layout: CellLayout, path: str | Path) -> None:
 def parse_positions(data: object) -> list[tuple[float, float]]:
     """2D magnet positions for the layout search: {"positions": [[u, v], ...]},
     each by MagnetSpec's position rule."""
+    from .docking import MagnetSpec, Polarity
+
     data = _document(data, "positions")
     raw_positions = _field(data, "positions", list, "")
     return [
@@ -368,6 +383,8 @@ def parse_trajectories(text: str) -> list[Trajectory]:
     Trials appear in order of first occurrence; timestamps must increase
     strictly within each trial.
     """
+    from .analytics import Trajectory
+
     reader = csv.reader(_io.StringIO(text))
     records = _records(reader)
     header = next(records, None)
@@ -427,6 +444,10 @@ class DesignSpec:
 
 
 def parse_designs(data: object) -> list[DesignSpec]:
+    from .analytics import DesignMeta
+    from .geometry import ContactType
+
+    contacts = {c.value: c for c in ContactType}
     data = _document(data, "design")
     if "designs" in data:
         raw_list = _field(data, "designs", list, "")
@@ -435,9 +456,9 @@ def parse_designs(data: object) -> list[DesignSpec]:
     out = []
     for where, rd in _items(raw_list, "designs", "design"):
         contact_raw = _field(rd, "contact", str, where).lower()
-        if contact_raw not in _CONTACTS:
+        if contact_raw not in contacts:
             raise ParseError(
-                f"contact must be one of {sorted(_CONTACTS)}", location=f"{where}.contact"
+                f"contact must be one of {sorted(contacts)}", location=f"{where}.contact"
             )
         meta = _owned(
             where,
@@ -447,7 +468,7 @@ def parse_designs(data: object) -> list[DesignSpec]:
             active=_field(rd, "active", int, where),
             body_length_cm=_field(rd, "body_length_cm", (int, float), where),
             body_weight_g=_field(rd, "body_weight_g", (int, float), where),
-            contact=_CONTACTS[contact_raw],
+            contact=contacts[contact_raw],
         )
         trials = _field(rd, "trials", list, where, required=False)
         if trials is not None:

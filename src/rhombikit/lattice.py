@@ -97,6 +97,8 @@ def _echo(v) -> str:
 def _as_int(v, name: str = "value") -> int:
     """v as an int: ints and numpy integers, not bools (bool subclasses
     int) or floats. Raises ValidationError naming v otherwise."""
+    if type(v) is int:  # the common case, settled without a call
+        return v
     try:
         if isinstance(v, bool):
             raise TypeError
@@ -109,6 +111,8 @@ def _as_real(v, name: str) -> float:
     """v as a float, if it is a finite real number: ints (numpy ones too)
     and floats, not bools (bool subclasses int), NaN, infinities or ints
     too large for a float. Raises ValidationError naming v otherwise."""
+    if type(v) is float and math.isfinite(v):  # the common case
+        return v
     if isinstance(v, numbers.Real) and not isinstance(v, bool):
         try:
             f = float(v)
@@ -143,6 +147,13 @@ def is_valid_pos(p: Sequence[int]) -> bool:
 
 def check_pos(p: Sequence[int]) -> Pos:
     """Validate and normalize a lattice position, raising ValidationError."""
+    if (
+        type(p) is tuple
+        and len(p) == 3
+        and type(p[0]) is type(p[1]) is type(p[2]) is int
+        and not (p[0] + p[1] + p[2]) % 2
+    ):
+        return p  # already normal: a tuple of three ints with an even sum
     try:
         if len(p) != 3:
             raise ValidationError

@@ -30,6 +30,23 @@ from rhombikit.planner import SearchStats, plan
 from conftest import random_connected_positions
 
 
+def _fresh_python(code: str, *argv: str) -> str:
+    """stdout of code run by a fresh interpreter that imports the same
+    rhombikit as this process, from an uninstalled checkout
+    (PYTHONPATH=src) as well as from site-packages."""
+    package_root = str(Path(rhombikit.__file__).resolve().parents[1])
+    pythonpath = os.pathsep.join(p for p in (package_root, os.environ.get("PYTHONPATH")) if p)
+    out = subprocess.run(
+        [sys.executable, "-c", code, *argv],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=pythonpath),
+        timeout=120,
+    )
+    assert out.returncode == 0, out.stderr
+    return out.stdout
+
+
 def _random_doc(rng, n=6):
     cells = [
         Cell(p, rng.choice([CellKind.ACTIVE, CellKind.PASSIVE]), int(rng.integers(24)))
@@ -443,6 +460,27 @@ class TestFileDoors:
         assert (err.source, err.location, err.message) == (str(path), location, message)
         assert str(err) == f"{path}: {location}: {message}"
 
+    def test_byte_order_mark_dropped_from_csv(self, files, capsys):
+        # Excel's "CSV UTF-8" and Notepad start the file with a BOM, which
+        # is no part of the header's first name
+        tmp = files["tmp"]
+        rows = "trial_id,t,x,y\r\nA,0,0,0\r\nA,30,50,0\r\nA,60,10,0\r\n"
+        (tmp / "t.csv").write_bytes(b"\xef\xbb\xbf" + rows.encode("utf-8"))
+        (tmp / "d.json").write_text(json.dumps(TestDesignFiles.DESIGN), encoding="utf-8")
+        args = ["analyze", "--csv", str(tmp / "t.csv"), "--design", str(tmp / "d.json")]
+        assert cli_main(args + ["--json"]) == 0
+        (design,) = json.loads(capsys.readouterr().out)["designs"]
+        assert (design["name"], design["trials"], design["mean_distance_cm"]) == (
+            "Design A", 1, 90.0
+        )
+
+    def test_byte_order_mark_dropped_from_json(self, files, capsys):
+        path = files["tmp"] / "bom.json"
+        path.write_bytes(b"\xef\xbb\xbf" + Path(files["line"]).read_bytes())
+        assert cli_main(["validate", str(path), "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["connected"] is True
+        assert rio.load_structure(path) == rio.load_structure(files["line"])
+
     def test_every_writer_writes_lf_utf8(self, files):
         tmp = files["tmp"]
         doc = rio.load_structure(files["line"])
@@ -514,8 +552,10 @@ class TestTrajectoryFiles:
         ],
     )
     def test_non_finite_values_rejected(self, text):
-        with pytest.raises(ParseError, match="line 3"):
+        # the field's value rule names it, and the row's line is kept
+        with pytest.raises(ParseError, match="must be a finite number, got ") as info:
             rio.parse_trajectories(text)
+        assert info.value.location == "line 3"
 
     def test_empty(self):
         with pytest.raises(ParseError):
@@ -832,23 +872,45 @@ class TestCli:
             "built = geometry.blocker_table.cache_info().currsize == 1\n"
             "print(json.dumps([codes, imported, loaded(), built]))\n"
         )
-        package_root = str(Path(rhombikit.__file__).resolve().parents[1])
-        pythonpath = os.pathsep.join(
-            p for p in (package_root, os.environ.get("PYTHONPATH")) if p
-        )
-        out = subprocess.run(
-            [sys.executable, "-c", code, json.dumps(runs)],
-            capture_output=True,
-            text=True,
-            env=dict(os.environ, PYTHONPATH=pythonpath),
-            timeout=120,
-        )
-        assert out.returncode == 0, out.stderr
-        codes, imported, loaded, table_built = json.loads(out.stdout.splitlines()[-1])
+        out = _fresh_python(code, json.dumps(runs))
+        codes, imported, loaded, table_built = json.loads(out.splitlines()[-1])
         assert codes == [0, 0, 0, 0, 0]
         assert table_built  # plan and replay ran the volume kernel
         assert imported == []
         assert loaded == []
+
+    def test_each_module_loads_what_it_uses(self, files):
+        # in a fresh interpreter: io loads the modules that own the types
+        # a parser builds only when that parser runs, the planner needs
+        # neither docking nor analytics, and the commands that do not
+        # plan load neither the planner nor kinematics
+        tmp = files["tmp"]
+        rio.save_layout(default_cell_layout(), tmp / "layout.json")
+        (tmp / "t.csv").write_text("trial_id,t,x,y\nA,0,0,0\nA,30,50,0\n", encoding="utf-8")
+        (tmp / "d.json").write_text(json.dumps(TestDesignFiles.DESIGN), encoding="utf-8")
+        line = files["line"]
+        commands = [
+            ["validate", line],
+            ["dock-check", "--layout", str(tmp / "layout.json")],
+            ["dock-check", "--enumerate"],
+            ["export", "--structure", line, "--obj", str(tmp / "m.obj")],
+            ["contact", "--structure", line, "--rot", "0,0,1,30"],
+            ["analyze", "--csv", str(tmp / "t.csv"), "--design", str(tmp / "d.json")],
+        ]
+
+        def loaded(module, argv=None):
+            code = (
+                f"import json, sys\nfrom rhombikit import {module}\n"
+                + ("assert cli.cli_main(json.loads(sys.argv[1])) == 0\n" if argv else "")
+                + "print(json.dumps([m for m in sys.modules if m.startswith('rhombikit.')]))\n"
+            )
+            out = _fresh_python(code, json.dumps(argv))
+            return {m.split(".")[1] for m in json.loads(out.splitlines()[-1])}
+
+        assert loaded("io").isdisjoint({"analytics", "docking", "geometry", "kinematics"})
+        assert loaded("planner").isdisjoint({"analytics", "docking"})
+        for argv in commands:
+            assert loaded("cli", argv).isdisjoint({"planner", "kinematics"}), argv
 
     def test_analyze_end_to_end(self, files, capsys):
         csv_path = files["tmp"] / "trials.csv"

@@ -7,6 +7,7 @@ agreement on random poses is strong evidence for both; a Monte-Carlo
 estimate referees a few cases from a third direction.
 """
 
+import itertools
 import math
 
 import numpy as np
@@ -15,13 +16,18 @@ from scipy.spatial import ConvexHull, QhullError
 
 from rhombikit import _kernels
 from rhombikit.geometry import (
+    _VOL_EPS,
     CANONICAL_VERTICES,
     FACE_VERTICES,
+    _planes_and_axes,
+    _rodrigues,
     _swept_cells_uncached,
     blocker_table,
+    roll_transform,
     rotation_from_axis_angle,
+    shared_face_edge,
 )
-from rhombikit.lattice import FACE_DIRS
+from rhombikit.lattice import FACE_DIRS, ROLLS
 
 
 def _loop_edges(polys):
@@ -236,3 +242,90 @@ class TestBlockerTable:
             (-2, -2, 0), (-2, -1, -1), (-2, -1, 1), (-2, 0, -2), (-2, 0, 0),
             (-2, 1, -1), (-1, -2, -1), (-1, -1, -2), (0, -1, -1),
         }
+
+    def test_swept_roll_by_the_kernel_alone(self):
+        # the reference sweep: the kernel at every 1-degree pose on every
+        # candidate whose circumsphere meets the mover's, with no sphere
+        # or plane test; the mover built by roll_transform in numpy
+        f, t = FACE_DIRS[0], FACE_DIRS[1]
+        home = 2.0 * np.array(f, dtype=float)
+        angles = [k * math.radians(1.0) for k in range(120)] + [2.0 * math.pi / 3.0]
+        movers = []
+        for theta in angles:
+            rot, trans = roll_transform(f, t, theta)
+            centre = rot @ home + trans
+            movers.append((centre, _cell(rot, centre)))
+        skip = {(0, 0, 0), f, t}
+        blockers, calls = set(), 0
+        for q in itertools.product(range(-3, 4), repeat=3):
+            if sum(q) % 2 or q in skip:
+                continue
+            w = 2.0 * np.array(q, dtype=float)
+            cell = _cell(np.eye(3), w)
+            for centre, mover in movers:
+                if np.linalg.norm(centre - w) < 4.0:
+                    calls += 1
+                    if _kernels.intersection_volume(*mover, *cell) > _VOL_EPS:
+                        blockers.add(q)
+        assert calls == 1641
+        assert blockers == blocker_table()[(0, 1)]
+
+    def test_build_calls_the_kernel_only_for_real_overlaps(self, monkeypatch):
+        # 3 calls today; at least one, so that a traced build still
+        # times the kernel
+        calls = []
+        kernel = _kernels.intersection_volume
+        monkeypatch.setattr(
+            _kernels, "intersection_volume", lambda *a: calls.append(a) or kernel(*a)
+        )
+        _swept_cells_uncached(FACE_DIRS[0], FACE_DIRS[1])
+        assert 1 <= len(calls) <= 9
+
+
+def _grazing_poses(rng):
+    """(rotation rows, centre, must clear) of a mover posed against the
+    cell at the origin, for the plane test's hardest cases: the neighbour
+    across each face, slid along the face normal so that the two overlap
+    by depths from 1e-13 to 1e-5 (d.x units) or part by as much; that
+    neighbour turned about each edge of the shared face by angles from
+    1e-13 to 1 radian either way, which lifts it off the face onto the
+    edge alone when it turns toward the next face; and seeded random
+    poses near the contact distance. Exact contacts and gaps must clear."""
+    depths = [0.0] + [s * 10.0**e for e in np.arange(-13.0, -4.9, 0.5) for s in (1, -1)]
+    eye = ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0))
+    for d in FACE_DIRS:
+        for depth in depths:
+            yield eye, tuple((2.0 - depth / 2.0) * x for x in d), depth <= 0.0
+    for i, d in enumerate(FACE_DIRS):
+        for j in ROLLS[i]:
+            e0, e1 = shared_face_edge(d, FACE_DIRS[j])  # an edge of face d
+            axis = tuple(b - a for a, b in zip(e0, e1))
+            home = tuple(2.0 * x - a for x, a in zip(d, e0))
+            for theta in [0.0] + [s * 10.0**e for e in range(-13, 1) for s in (1, -1)]:
+                rot = _rodrigues(axis, theta)
+                c = tuple(sum(r * x for r, x in zip(row, home)) + a for row, a in zip(rot, e0))
+                lifts = sum(x * (ci - 2.0 * di) for x, ci, di in zip(FACE_DIRS[j], c, d)) >= 0
+                yield rot, c, theta == 0.0 or lifts
+    for _ in range(300):
+        rot = _rodrigues(rng.normal(size=3).tolist(), rng.uniform(0.0, 2.0 * math.pi))
+        u = rng.normal(size=3)
+        c = tuple((rng.uniform(2.0 * math.sqrt(2.0), 4.0) * u / np.linalg.norm(u)).tolist())
+        yield rot, c, False
+
+
+def test_plane_test_clears_only_what_carries_no_volume():
+    # the sweep's plane test counts two cells as separated when they
+    # overlap by less than its tolerance along a face normal; wherever it
+    # does, the overlap's volume must be below the blocking threshold
+    origin = _cell(np.eye(3), np.zeros(3))
+    cleared = settled = 0
+    for rot, c, must_clear in _grazing_poses(np.random.default_rng(29)):
+        _, axes = _planes_and_axes(rot, c)
+        clear = any(lim < 0.0 for *_, lim in axes)  # n.w > lim at w = 0
+        settled += must_clear
+        assert clear or not must_clear, (rot, c)
+        if clear:
+            cleared += 1
+            mover = _cell(np.array(rot), np.array(c))
+            assert _hull_volume(*mover, *origin) <= _VOL_EPS, (rot, c)
+    assert settled > 100 and cleared > settled

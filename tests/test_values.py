@@ -4,6 +4,9 @@ int or float; and an error message echoes an offending value without
 raising, however large it is. Each case below builds a value in code,
 as a library caller would, not through a file parser."""
 
+import math
+from enum import IntEnum
+
 import numpy as np
 import pytest
 
@@ -20,7 +23,15 @@ from rhombikit.errors import ValidationError
 from rhombikit.geometry import ContactType, canonical_cell_mesh
 from rhombikit.io import StructureDoc, export_obj
 from rhombikit.kinematics import legal_moves
-from rhombikit.lattice import Cell, Configuration, check_pos, is_connected
+from rhombikit.lattice import (
+    Cell,
+    Configuration,
+    _as_int,
+    _as_real,
+    _echo,
+    check_pos,
+    is_connected,
+)
 from rhombikit.planner import PlannerOptions, goal_matches
 
 HUGE = 10**5000  # past the 4,300 digits str() of an int allows
@@ -132,3 +143,119 @@ def test_unprintable_value_echoed_by_type():
         check_pos((HUGE, 1, 0))
     with pytest.raises(ValidationError, match=r"got <unprintable int>"):
         PlannerOptions(max_states=-HUGE)
+
+
+# the rules take a plain int, float or int triple by a shortcut on its
+# exact type; every other value, subclasses included, goes the long way
+class _Two(IntEnum):
+    TWO = 2
+
+
+class _Real(float):
+    pass
+
+
+class _Triple(tuple):
+    pass
+
+
+class _Row(list):
+    pass
+
+
+@pytest.mark.parametrize(
+    "value, want",
+    [(2, 2), (-HUGE, -HUGE), (np.int64(2), 2), (np.uint8(2), 2), (_Two.TWO, 2)],
+    ids=_echo,
+)
+def test_as_int_gives_a_plain_int(value, want):
+    got = _as_int(value)
+    assert got == want and type(got) is int
+
+
+@pytest.mark.parametrize(
+    "value", [True, np.bool_(True), 2.0, np.float64(2.0), _Real(2.0), "2", None], ids=_echo
+)
+def test_as_int_refuses_what_is_not_an_int(value):
+    with pytest.raises(ValidationError, match="must be an int"):
+        _as_int(value)
+
+
+@pytest.mark.parametrize(
+    "value, want",
+    [
+        (2.5, 2.5),
+        (-0.0, -0.0),
+        (_Real(2.5), 2.5),
+        (np.float64(2.5), 2.5),
+        (np.float32(0.5), 0.5),
+        (2, 2.0),
+        (np.int64(2), 2.0),
+        (_Two.TWO, 2.0),
+    ],
+    ids=_echo,
+)
+def test_as_real_gives_a_plain_float(value, want):
+    got = _as_real(value, "v")
+    assert type(got) is float and repr(got) == repr(want)
+
+
+@pytest.mark.parametrize(
+    "value",
+    [
+        math.nan,
+        math.inf,
+        -math.inf,
+        _Real("nan"),
+        _Real("inf"),
+        np.float64("nan"),
+        True,
+        np.bool_(True),
+        HUGE,
+        "2.5",
+        None,
+    ],
+    ids=_echo,
+)
+def test_as_real_refuses_what_is_not_a_finite_number(value):
+    with pytest.raises(ValidationError, match="v must be a finite number"):
+        _as_real(value, "v")
+
+
+@pytest.mark.parametrize(
+    "pos",
+    [
+        (1, 1, 0),
+        [1, 1, 0],
+        _Triple((1, 1, 0)),
+        _Row([1, 1, 0]),
+        (np.int64(1), 1, 0),
+        (_Two.TWO, 0, 0),
+        (-HUGE, HUGE, 0),
+    ],
+    ids=_echo,
+)
+def test_check_pos_gives_a_plain_int_tuple(pos):
+    got = check_pos(pos)
+    assert type(got) is tuple and [type(x) for x in got] == [int] * 3
+    assert got == tuple(int(x) for x in pos)
+
+
+@pytest.mark.parametrize(
+    "pos, message",
+    [
+        ((1, 1, 1), "odd coordinate sum"),
+        (_Triple((1, 0, 0)), "odd coordinate sum"),
+        (_Row([0, 0, _Two.TWO - 1]), "odd coordinate sum"),
+        ((True, 1, 0), "integer triple"),
+        ((1.0, 1, 0), "integer triple"),
+        (_Triple((1, 1)), "integer triple"),
+        ((1, 1, 0, 0), "integer triple"),
+        ((1, 1, None), "integer triple"),
+    ],
+    ids=_echo,
+)
+def test_check_pos_refuses_what_is_not_a_position(pos, message):
+    with pytest.raises(ValidationError, match=message):
+        check_pos(pos)
+
