@@ -7,9 +7,10 @@ roll in your hand). A move is described by the mover, the substrate, and
 the substrate faces it leaves and lands on; legality additionally demands
 that the destination is free, the structure stays connected without the
 mover (lattice.removable_cells, the one articulation pass both check_move
-and the move generator use), and nothing occupies the volume the mover
-sweeps through. The one generator, _legal_rolls, takes the sorted
-occupied positions packed as ints (lattice.pack) and returns plain
+and the move generator use, run on the contact lists of lattice.contacts),
+and nothing occupies the volume the mover sweeps through. The one
+generator, _legal_rolls, takes the sorted occupied positions packed as
+ints (lattice.pack) and returns plain
 (index, substrate, from_index, to_index) tuples: the mover's index in
 the positions it was given, the substrate packed and the faces as
 FACE_DIRS indices, so a caller that holds the positions reads the mover
@@ -19,12 +20,16 @@ and unpack the result, so they take and return ordinary coordinates of
 any size; the planner memoizes successor ids only and runs the
 generator again for the steps of the plan it returns, and both it and
 legal_moves turn a roll back into a PivotMove with _pivot. The faces a
-roll may go between are lattice.ROLLS. The generator tests a
-candidate's destination and swept volume together, as one set test of
-the occupied positions relative to the substrate against the roll's
-shadow (destination plus blocker offsets, a frozenset of packed ints);
-check_move tests the same shadow (its to index's entry of the face's
-rolls, whose order is that of lattice.ROLLS).
+roll may go between are lattice.ROLLS. The generator finds each state's
+contacts once and walks only the removable movers' real contacts, not
+all 12 faces of every cell. It tests a candidate's destination and
+swept volume together, as one set test of the occupied positions
+relative to the substrate against the roll's shadow (destination plus
+blocker offsets, a frozenset of packed ints), and strict stability as
+one more, against the roll's support (the destination's neighbors
+other than the substrate and the mover's start). check_move tests the
+same two sets (its to index's entry of the face's rolls, whose order is
+that of lattice.ROLLS).
 """
 
 from __future__ import annotations
@@ -52,6 +57,7 @@ from .lattice import (
     add,
     check_pos,
     compose,
+    contacts,
     pack,
     pack_frame,
     removable_cells,
@@ -166,17 +172,17 @@ def check_move(
     if move.destination in c:
         return MoveLegality.DESTINATION_OCCUPIED
     origin, packed = _frame(c)
-    occupied = set(packed)
-    mover = pack(sub(move.mover, origin))
-    if mover not in removable_cells(occupied):
+    at = packed.index(pack(sub(move.mover, origin)))
+    if at not in removable_cells(contacts(packed)):
         return MoveLegality.DISCONNECTS_STRUCTURE
     s = pack(sub(move.substrate, origin))
+    rel = {p - s for p in packed}
     fi = FACE_DIR_INDEX[move.from_dir]
-    ti = FACE_DIR_INDEX[move.to_dir]
-    # the generator's shadow of the roll; its destination is known free
-    if any(s + o in occupied for o in _roll_table()[fi][2][ROLLS[fi].index(ti)][1]):
+    _, shadow, support = _roll_table()[fi][ROLLS[fi].index(FACE_DIR_INDEX[move.to_dir])]
+    # the generator's two set tests of the roll; its destination is known free
+    if not rel.isdisjoint(shadow):
         return MoveLegality.SWEPT_VOLUME_BLOCKED
-    if strict_stability and not _supported(occupied, s + PACKED_DIRS[ti], s, mover):
+    if strict_stability and rel.isdisjoint(support):
         return MoveLegality.UNSTABLE
     return MoveLegality.LEGAL
 
@@ -188,14 +194,6 @@ def _frame(c: Configuration) -> tuple[Pos, tuple[int, ...]]:
     positions = c.positions
     origin = min(positions, default=(0, 0, 0))
     return origin, pack_frame(positions, origin, margin=2)
-
-
-def _supported(occupied, dest: int, substrate: int, mover: int) -> bool:
-    """Does dest touch an occupied cell other than the substrate and the mover?"""
-    return any(
-        (n := dest + d) in occupied and n != substrate and n != mover
-        for d in PACKED_DIRS
-    )
 
 
 def apply_move(
@@ -233,10 +231,18 @@ def legal_moves(
     ]
 
 
-def _pivot(origin: Pos, mover: int, substrate: int, fi: int, ti: int) -> PivotMove:
+def _pivot(
+    origin: Pos, mover: int, substrate: int, fi: int, ti: int, seen: dict | None = None
+) -> PivotMove:
     """The PivotMove of a packed roll, in the coordinates where the
-    frame's origin is origin: the one way back from a roll to a move."""
+    frame's origin is origin: the one way back from a roll to a move.
+    A caller that keeps the moves passes seen, a dict of the positions
+    it has handed out, and each position is taken from there when an
+    equal one is, so equal positions share one tuple."""
     mover_pos, substrate_pos = add(unpack(mover), origin), add(unpack(substrate), origin)
+    if seen is not None:
+        mover_pos = seen.setdefault(mover_pos, mover_pos)
+        substrate_pos = seen.setdefault(substrate_pos, substrate_pos)
     return PivotMove(mover_pos, substrate_pos, FACE_DIRS[fi], FACE_DIRS[ti])
 
 
@@ -244,20 +250,24 @@ Roll = tuple[int, int, int, int]  # (mover's index, substrate, from index, to in
 
 
 @cache
-def _roll_table() -> list[tuple[int, int, list[tuple[int, frozenset[int]]]]]:
-    """[(from index, from step, [(to index, shadow), ...]), ...] in
-    FACE_DIRS order, the to indices those of lattice.ROLLS, the steps and
-    shadows packed.
+def _roll_table() -> list[list[tuple[int, frozenset[int], frozenset[int]]]]:
+    """Per from index, in FACE_DIRS order, [(to index, shadow, support),
+    ...] with the to indices of lattice.ROLLS, the sets packed and
+    relative to the substrate.
 
-    A roll's shadow is its destination offset plus its blocker offsets,
-    all relative to the substrate: the roll is free exactly when no
-    occupied cell lies in it.
+    A roll's shadow is its destination offset plus its blocker offsets:
+    the roll is free exactly when no occupied cell lies in it. Its
+    support is the destination's neighbors other than the substrate (0)
+    and the mover's start: in strict mode the roll must land next to an
+    occupied cell there.
     """
-    table = blocker_table()
+    table, step = blocker_table(), PACKED_DIRS
     return [
-        (fi, PACKED_DIRS[fi], [
-            (ti, frozenset((PACKED_DIRS[ti], *map(pack, table[fi, ti])))) for ti in tis
-        ])
+        [
+            (ti, frozenset((step[ti], *map(pack, table[fi, ti]))),
+             frozenset(step[ti] + d for d in step) - {0, step[fi]})
+            for ti in tis
+        ]
         for fi, tis in enumerate(ROLLS)
     ]
 
@@ -265,29 +275,24 @@ def _roll_table() -> list[tuple[int, int, list[tuple[int, frozenset[int]]]]]:
 def _legal_rolls(positions: tuple[int, ...], strict: bool) -> list[Roll]:
     """The legal moves of sorted packed positions, in legal_moves' order.
 
-    The connectivity analysis (removable_cells, the expensive part) runs
-    once per call. Per substrate, the occupied positions are taken
-    relative to it once, so that each candidate roll costs one set test
-    against its shadow.
+    One contact pass (lattice.contacts) finds each cell's neighbors, and
+    the articulation pass (removable_cells) and the candidate rolls read
+    it: a removable mover rolls only over the cells it rests on. Per
+    substrate, the occupied positions are taken relative to it once, so
+    that each candidate roll costs one set test against its shadow, and
+    in strict mode one more against its support.
     """
-    occupied = set(positions)
-    removable = removable_cells(occupied)
-    around: dict[int, set[int]] = {}  # substrate -> occupied offsets from it
+    adj = contacts(positions)
+    table = _roll_table()
+    around: dict[int, set[int]] = {}  # substrate index -> occupied offsets from it
     out = []
-    for index, mover in enumerate(positions):
-        if mover not in removable:
-            continue
-        for fi, f, rolls in _roll_table():
-            s = mover - f
-            if s not in occupied:
-                continue
-            rel = around.get(s)
+    for index in sorted(removable_cells(adj)):
+        for fi, j in adj[index]:
+            s = positions[j]
+            rel = around.get(j)
             if rel is None:
-                rel = around[s] = {p - s for p in positions}
-            for ti, shadow in rolls:
-                if not rel.isdisjoint(shadow):
-                    continue
-                if strict and not _supported(occupied, s + PACKED_DIRS[ti], s, mover):
-                    continue
-                out.append((index, s, fi, ti))
+                rel = around[j] = {p - s for p in positions}
+            for ti, shadow, support in table[fi]:
+                if rel.isdisjoint(shadow) and not (strict and rel.isdisjoint(support)):
+                    out.append((index, s, fi, ti))
     return out

@@ -5,9 +5,11 @@ has 12 nearest neighbors reached by the signed permutations of (1, 1, 0).
 The module also carries the 24 proper rotations of the cell shape (the
 chiral octahedral group) as exact signed-permutation matrices, so cell
 orientations compose without any floating point. Connectivity is decided
-here too: is_connected for a configuration, and removable_cells for the
-positions that can leave a set of occupied ones without splitting the
-rest (the legality test a roll needs; no Configuration is required).
+here too: is_connected for a configuration; contacts, which finds each
+packed position's face neighbors once, by index; and removable_cells,
+one lowlink pass over those contacts for the cells that can leave
+without splitting the rest (the legality test a roll needs; no
+Configuration is required).
 
 The move generator and the planner hold a position as one int,
 ``pack((x, y, z)) = x * 2**(2*PACK_BITS) + y * 2**PACK_BITS + z``. The
@@ -369,8 +371,11 @@ class Cell:
     orient: int = IDENTITY
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "pos", check_pos(self.pos))
-        object.__setattr__(self, "orient", _check_rot(self.orient))
+        # the value rules return a normal value itself, which needs no set
+        if (pos := check_pos(self.pos)) is not self.pos:
+            object.__setattr__(self, "pos", pos)
+        if (orient := _check_rot(self.orient)) is not self.orient:
+            object.__setattr__(self, "orient", orient)
         if not isinstance(self.kind, CellKind):
             raise ValidationError(f"bad cell kind {_echo(self.kind)}")
 
@@ -466,6 +471,82 @@ def _one_piece(occupied: AbstractSet[int]) -> bool:
     return len(seen) == len(occupied)
 
 
+Contacts = list[list[tuple[int, int]]]
+
+# (f, PACKED_DIRS[f], opposite of f) for the six faces whose packed
+# direction is negative; the other six are their opposites
+_LOWER_FACES = tuple((f, d, OPPOSITE_DIR[f]) for f, d in enumerate(PACKED_DIRS) if d < 0)
+
+
+def contacts(positions: Sequence[int]) -> Contacts:
+    """Per index of sorted packed positions (one pack_frame frame), the
+    cells it rests on, as (face index, neighbor index) pairs in FACE_DIRS
+    order: positions[i] == positions[j] + PACKED_DIRS[f].
+
+    Each cell i looks up, in a position -> index dict, the six cells j
+    it could rest on by a face f whose packed direction is negative
+    (faces 0-5; such a j comes later in the order), and enters each
+    contact found for both cells: (f, j) for i and (opposite of f, i)
+    for j. So there are six lookups per cell and the cost stays linear
+    in n. The cells are taken in descending order, so a cell's own
+    contacts (faces 0-5) come first, and the others (faces 6-11) arrive
+    afterwards from ever smaller cells, which is ascending face order.
+    """
+    index = {p: i for i, p in enumerate(positions)}
+    get = index.get
+    adj: Contacts = [[] for _ in positions]
+    for i in range(len(positions) - 1, -1, -1):
+        p, on = positions[i], adj[i]
+        for f, d, g in _LOWER_FACES:
+            j = get(p - d)
+            if j is not None:
+                on.append((f, j))
+                adj[j].append((g, i))
+    return adj
+
+
+def _lowlink(adj: Contacts, root: int) -> tuple[int, set[int]]:
+    """(cells reached from root, articulation cells of root's piece):
+    one iterative lowlink pass (Hopcroft & Tarjan, CACM 1973) over the
+    contact lists of contacts().
+
+    The edge back to a cell's DFS parent needs no skip: it lowers low[v]
+    to at most disc[parent], which the cut test low[v] >= disc[parent]
+    still passes, and low[parent] <= disc[parent] already.
+    """
+    disc = [-1] * len(adj)
+    low = [0] * len(adj)
+    disc[root] = 0
+    reached = 1
+    artic: set[int] = set()
+    root_children = 0
+    stack = [(root, iter(adj[root]))]
+    while stack:
+        v, it = stack[-1]
+        for _, w in it:
+            dw = disc[w]
+            if dw < 0:
+                disc[w] = low[w] = reached
+                reached += 1
+                stack.append((w, iter(adj[w])))
+                break
+            if dw < low[v]:
+                low[v] = dw
+        else:
+            stack.pop()
+            if stack:
+                u = stack[-1][0]
+                if low[v] < low[u]:
+                    low[u] = low[v]
+                if len(stack) == 1:
+                    root_children += 1
+                elif low[v] >= disc[u]:
+                    artic.add(u)
+    if root_children >= 2:
+        artic.add(root)
+    return reached, artic
+
+
 def is_connected(c: Configuration) -> bool:
     """True when the face-adjacency graph of the cells has one component."""
     _require_nonempty(c)
@@ -478,58 +559,21 @@ def is_connected(c: Configuration) -> bool:
     return _one_piece(set(packed))
 
 
-def removable_cells(positions: AbstractSet[int]) -> set[int]:
-    """The packed positions whose removal leaves the rest in one piece.
+def removable_cells(adj: Contacts) -> set[int]:
+    """The indices of the cells whose removal leaves the rest in one
+    piece, from the contact lists of contacts().
 
     A single cell is removable. For a connected set these are the
-    non-articulation cells, found in one iterative lowlink pass; in a
-    disconnected one, only an isolated cell can be, and only when the
-    cells without it are connected. Neighbors are found by adding the
-    PACKED_DIRS, so the set must come from one pack_frame frame.
+    non-articulation cells, found in one lowlink pass; in a disconnected
+    one, only an isolated cell can be, and only when the cells without
+    it are connected.
     """
-    if len(positions) <= 1:
-        return set(positions)
-    adj = {
-        p: [q for d in PACKED_DIRS if (q := p + d) in positions]
-        for p in positions
-    }
-    root = next(iter(positions))
-    disc: dict[int, int] = {root: 0}
-    low: dict[int, int] = {root: 0}
-    counter = 1
-    artic: set[int] = set()
-    root_children = 0
-    stack = [(root, None, iter(adj[root]))]
-    while stack:
-        v, parent, it = stack[-1]
-        child = None
-        for w in it:
-            if w == parent:
-                continue
-            dw = disc.get(w)
-            if dw is not None:
-                if dw < low[v]:
-                    low[v] = dw
-            else:
-                child = w
-                break
-        if child is None:
-            stack.pop()
-            if stack:
-                u = stack[-1][0]
-                if low[v] < low[u]:
-                    low[u] = low[v]
-                if stack[-1][1] is None:
-                    root_children += 1
-                elif low[v] >= disc[u]:
-                    artic.add(u)
-        else:
-            disc[child] = low[child] = counter
-            counter += 1
-            stack.append((child, v, iter(adj[child])))
-    if root_children >= 2:
-        artic.add(root)
-
-    if len(disc) == len(positions):  # connected
-        return set(positions) - artic
-    return {p for p in positions if not adj[p] and _one_piece(positions - {p})}
+    n = len(adj)
+    if n <= 1:
+        return set(range(n))
+    reached, artic = _lowlink(adj, 0)
+    if reached == n:
+        return set(range(n)) - artic
+    # the rest of an isolated cell i is one piece when a pass from
+    # another root reaches all of it
+    return {i for i in range(n) if not adj[i] and _lowlink(adj, int(i == 0))[0] == n - 1}

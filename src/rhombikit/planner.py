@@ -53,6 +53,9 @@ generator on the parent again and takes the roll at the child's first
 index in the parent's memo entry, which is the one the search recorded
 (a later roll to the same child is no shorter and is skipped), builds
 its PivotMove with kinematics._pivot, and takes the shift from _step.
+The Planner hands out one tuple per distinct position across the plans
+it returns (_emitted, kept like the axis tuples), so the results a
+caller keeps hold each position once.
 
 The exact-position heuristic is an optimal assignment between cell
 positions under the lattice step metric (each move relocates one cell by
@@ -392,13 +395,15 @@ class Planner:
     that the cyclic GC untracks, and per id, once first evaluated, the
     bound input (_inputs, see _bound_input). _emit regenerates the rolls
     of each step on the returned path and takes the one at the child's
-    first index. None of these depends on a goal, so they serve every
-    query of the instance. The states are
+    first index, and _emitted holds one tuple per position the
+    returned plans use. None of these depends on a goal, so they serve
+    every query of the instance. The states are
     canonical under the instance's options, so strict_stability, kind
     sensitivity and the translation quotient are all fixed by the
     options it is built with; queries that differ in any of them need
     separate instances. The registry, the memo and the position table
-    hold frame-relative values only.
+    hold frame-relative values only; _emitted holds the caller's
+    coordinates.
     """
 
     def __init__(self, opts: PlannerOptions | None = None):
@@ -410,6 +415,7 @@ class Planner:
         self._succ: dict[int, tuple[int, ...]] = {}  # id -> successor ids
         self._pos = _Positions(self._kind_bits)
         self._axis: dict[tuple, tuple] = {}  # axis tuples, one object each
+        self._emitted: dict[Pos, Pos] = {}  # plan positions, one tuple each
 
     def _id(self, state: _State) -> int:
         """The id of a canonical state, numbered on first sight."""
@@ -472,8 +478,9 @@ class Planner:
             raise ValidationError("goal configuration is not connected")
         ks = self.opts.kind_sensitive
         translate = self.opts.match_up_to_translation
-        kinds = [sorted(cell.kind.value for cell in c) for c in (start, goal)]
-        if len(start) != len(goal) or ks and kinds[0] != kinds[1]:
+        # only kind-sensitive mode reads the kinds
+        kinds = ks and [sorted(cell.kind.value for cell in c) for c in (start, goal)]
+        if len(start) != len(goal) or kinds and kinds[0] != kinds[1]:
             return PlanResult(  # a move never changes a cell's kind
                 PlanStatus.NO_PATH,
                 reason="size_mismatch" if len(start) != len(goal) else "kind_mismatch",
@@ -606,7 +613,7 @@ class Planner:
             state = self._states[parent]
             at, substrate, fi, ti = self._rolls_of(state)[self._succ[parent].index(child)]
             mover = state[at] >> k
-            moves.append(_pivot(origin, mover + offset, substrate + offset, fi, ti))
+            moves.append(_pivot(origin, mover + offset, substrate + offset, fi, ti, self._emitted))
             offset += _step(state, at, substrate + PACKED_DIRS[ti], k, translate)[1]
         final = stats()
         plan = Plan(

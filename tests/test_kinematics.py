@@ -1,3 +1,5 @@
+import hashlib
+import itertools
 from collections import Counter
 
 import numpy as np
@@ -10,6 +12,8 @@ from rhombikit.geometry import FACE_VERTICES, CANONICAL_VERTICES, shared_face_ed
 from rhombikit.kinematics import (
     MoveLegality,
     PivotMove,
+    _legal_rolls,
+    _roll_table,
     apply_move,
     check_move,
     legal_moves,
@@ -20,6 +24,7 @@ from rhombikit.lattice import (
     FACE_DIRS,
     FACE_DIR_INDEX,
     IDENTITY,
+    ROLLS,
     ROTATIONS,
     Cell,
     CellKind,
@@ -27,6 +32,8 @@ from rhombikit.lattice import (
     add,
     compose,
     is_connected,
+    lattice_distance,
+    pack,
     sub,
 )
 
@@ -360,6 +367,8 @@ class TestLegalMoves:
         configs.append(
             Configuration.from_positions([(0, 0, 0), (1, 1, 0), (6, 6, 0)])
         )
+        # and one structure of the paper's 48 cells
+        configs.append(Configuration.from_positions(random_connected_positions(rng, 48)))
         for strict in (False, True):
             verdicts = Counter()
             for c in configs:
@@ -376,6 +385,47 @@ class TestLegalMoves:
 
             agrees()
             _assert_filters_exercised(generated)
+
+    # sha256 of repr([_legal_rolls(packed shape, strict) for each shape])
+    # over the 475 four-cell box shapes, recorded at commit dbee4b5, whose
+    # generator probed all 12 faces of every cell for a substrate
+    RECORDED_ROLLS = {
+        False: "cb1fce9135a3970175b0af450b49a9b005da9bcfeeee1f9ffd931d46ac6c51b3",
+        True: "6f66b17d6a99faba6a83a49be3d334ed321e6f3a01f8307a21157fd98a6fd5e0",
+    }
+
+    @pytest.mark.parametrize("strict", [False, True], ids=["plain", "strict"])
+    def test_generator_matches_recorded_rolls(self, shape_graphs, strict):
+        shapes, _, _ = shape_graphs[4]
+        assert len(shapes) == 475
+        rolls = [_legal_rolls(tuple(map(pack, s)), strict) for s in shapes]
+        digest = hashlib.sha256(repr(rolls).encode()).hexdigest()
+        assert digest == self.RECORDED_ROLLS[strict]
+
+
+class TestRollTable:
+    def test_support_sets_match_a_neighbour_scan(self):
+        # the cells next to the destination, found by distance in a box
+        # around the substrate, less the substrate and the mover's start
+        origin = (0, 0, 0)
+        box = [
+            p
+            for p in itertools.product(range(-3, 4), repeat=3)
+            if sum(p) % 2 == 0
+        ]
+        table = _roll_table()
+        assert len(table) == 12
+        for fi, rolls in enumerate(table):
+            assert [ti for ti, _, _ in rolls] == list(ROLLS[fi])
+            for ti, _, support in rolls:
+                dest = FACE_DIRS[ti]
+                scan = {
+                    pack(p)
+                    for p in box
+                    if lattice_distance(p, dest) == 1 and p not in (origin, FACE_DIRS[fi])
+                }
+                assert len(scan) == 10
+                assert support == scan, (fi, ti)
 
 
 def _shifted(m: PivotMove, off) -> PivotMove:

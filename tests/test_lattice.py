@@ -29,6 +29,7 @@ from rhombikit.lattice import (
     apply_rotation_dir,
     canonicalize,
     compose,
+    contacts,
     inverse,
     is_connected,
     lattice_distance,
@@ -364,14 +365,14 @@ def _walk_plus_far_cells(drawn):
     and from each other."""
     steps, far = drawn
     walk = dict.fromkeys(itertools.accumulate(steps, add, initial=(0, 0, 0)))
-    return list(walk) + [(40 * k, 40 * k, 0) for k in range(1, far + 1)]
+    return list(walk) + [(100 * k, 100 * k, 0) for k in range(1, far + 1)]
 
 
-# a walk of up to 8 steps (1-9 distinct cells) plus up to two far cells:
-# one piece, a cluster plus an isolated cell, two isolated cells, or
-# three pieces
+# a walk of up to 40 steps (1-41 distinct cells) plus up to two far
+# cells: one piece, a cluster plus an isolated cell, two isolated cells,
+# or three pieces
 _pieces = st.tuples(
-    st.lists(st.sampled_from(FACE_DIRS), max_size=8), st.integers(0, 2)
+    st.lists(st.sampled_from(FACE_DIRS), max_size=40), st.integers(0, 2)
 ).map(_walk_plus_far_cells)
 
 
@@ -379,18 +380,31 @@ class TestRemovableCells:
     @settings(derandomize=True, deadline=None, max_examples=400)
     @given(_pieces)
     def test_matches_is_connected_without_each_cell(self, positions):
-        # removable_cells works on packed positions; the walk's steps
-        # take y and z negative too, so every field sign is exercised
-        c = Configuration.from_positions(positions)
+        # removable_cells works on the contacts of packed positions; the
+        # walk's steps take y and z negative too, so every field sign is
+        # exercised. The oracle is a union-find over the cells without
+        # each one, which shares no code with the lowlink pass
+        packed = sorted(map(pack, positions))
         expected = {
-            p
-            for p in c.positions
-            if len(c) == 1
-            or is_connected(Configuration(x for x in c.cells if x.pos != p))
+            i
+            for i, p in enumerate(packed)
+            if len(packed) == 1
+            or union_find_connected(unpack(q) for q in packed if q != p)
         }
-        by_packed = {pack(p): p for p in c.positions}
-        got = {by_packed[q] for q in removable_cells(set(by_packed))}
-        assert got == expected
+        assert removable_cells(contacts(packed)) == expected
+
+    @settings(derandomize=True, deadline=None, max_examples=200)
+    @given(_pieces)
+    def test_contacts_are_the_face_neighbours(self, positions):
+        packed = sorted(map(pack, positions))
+        assert contacts(packed) == [
+            [
+                (f, packed.index(q))
+                for f, d in enumerate(FACE_DIRS)
+                if (q := pack(sub(unpack(p), d))) in packed
+            ]
+            for p in packed
+        ]
 
 
 # a position whose y and z lie in the exact range, x anywhere

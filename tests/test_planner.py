@@ -860,6 +860,22 @@ class TestMemoLayout:
             assert type(succ) is tuple and not gc.is_tracked(succ)
             assert all(type(x) is int for x in succ)
 
+    def test_plans_share_one_tuple_per_position(self):
+        # the plans a Planner returns hold each distinct position once,
+        # across moves and across queries, so results a caller keeps
+        # stay small; the positions are those of a fresh Planner's plans
+        line5 = Configuration.from_positions([(k, k, 0) for k in range(5)])
+        bent5 = Configuration.from_positions(
+            [(0, 0, 0), (1, 1, 0), (2, 2, 0), (3, 2, 1), (4, 2, 2)]
+        )
+        planner = Planner()
+        results = [planner.plan(line5, bent5), planner.plan(bent5, line5)]
+        fresh = [Planner().plan(line5, bent5), Planner().plan(bent5, line5)]
+        assert all(r.ok for r in results)
+        assert [r.plan.moves for r in results] == [r.plan.moves for r in fresh]
+        held = [p for r in results for m in r.plan.moves for p in (m.mover, m.substrate)]
+        assert len({id(p) for p in held}) == len(set(held)) < len(held)
+
     @pytest.mark.skipif(
         not Path("/proc/self/status").exists(), reason="reads the RSS from /proc"
     )
