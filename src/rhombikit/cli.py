@@ -309,7 +309,13 @@ def build_parser() -> _Parser:
     p = add("plan", _cmd_plan, "plan a reconfiguration")
     p.add_argument("--from", required=True, help="start structure JSON")
     p.add_argument("--to", required=True, help="goal structure JSON")
-    p.add_argument("--algorithm", choices=["bfs", "astar"], default="astar")
+    p.add_argument(
+        "--algorithm",
+        choices=["bfs", "astar"],
+        default="astar",
+        help="astar grows layers from both ends (forward under --strict), bfs "
+        "from the start only; both give minimal plans",
+    )
     p.add_argument("--max-states", type=int, default=1_000_000)
     p.add_argument("--plan-out", help="write the plan JSON here")
     p.add_argument(

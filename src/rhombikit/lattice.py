@@ -362,7 +362,7 @@ class CellKind(Enum):
     PASSIVE = "passive"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Cell:
     """One unit cell: lattice position, kind, and orientation index."""
 

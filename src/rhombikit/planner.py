@@ -3,14 +3,23 @@
 States are configurations deduplicated up to translation (canonical
 form); a goal is reached when the shapes coincide, optionally also
 matching cell kinds. The search's goal test and goal_matches (which
-replay uses) compare the same canonical key. One best-first loop runs
-both algorithms: A* orders states by depth plus a lower bound, and
-breadth-first search is the same loop with a zero bound, which pops
-states in (depth, discovery) order just as a FIFO queue would. Both
-return minimal plans; A* expands fewer states. Because every bound used
-is consistent (one move changes it by at most 1), the first expansion of
-a state is at its optimal depth, so a single parent table holding each
-state's best depth also serves as the closed set.
+replay uses) compare the same canonical key. Two breadth-first loops
+return minimal plans. Every roll is reversible over the same blockers,
+so without strict stability a state's predecessors are its successors,
+and the default algorithm meets in the middle (Pohl, "Bi-directional
+Search", Machine Intelligence 6, 1971): it keeps one parent map grown
+from the start and one grown from the goal, and each round expands the
+whole current layer of the smaller side (the start's on a tie). Every
+newly discovered state is tested against the other side's map, and the
+first hit ends the search. Until then the two discovered sets are
+disjoint, so the distance exceeds d_start + d_goal, the depths of the
+two current layers; a hit from depth d_start + 1 has length at most
+d_start + 1 + d_goal, so it is optimal. Algorithm.BFS, strict stability
+under either algorithm and a start already at the goal run the forward
+loop: a FIFO queue and one parent map, ending when the goal is
+dequeued. Strict mode stays forward because its predecessors are not its
+successors: a strict roll must land next to a cell besides the
+substrate, while its reverse must start next to one.
 
 A state is a sorted tuple of ints, one per cell: the cell's position
 packed by lattice.pack (x * 2**64 + y * 2**32 + z), which keeps the
@@ -27,9 +36,9 @@ origin per axis, and a move reaches three steps further (one for the
 mover, two for a roll's shadow), so with translation matching plan()
 checks the start and the goal with n + 2 steps of margin, which any
 connected shape passes. Without it no cell drifts more than one step per
-expansion, so plan() checks that every y and z of the start and the goal
-stays inside the range with max_states steps to spare, and raises
-ValidationError naming max_states otherwise.
+expansion from the start or the goal, so plan() checks that every y and
+z of the start and the goal stays inside the range with max_states steps
+to spare, and raises ValidationError naming max_states otherwise.
 
 Each Planner numbers the states it meets: a state gets a small int id
 the first time it is generated (_ids maps the tuple to its id, _states
@@ -40,54 +49,50 @@ a successor is its parent's tuple with the element at that index removed
 and the destination's (same kind bit) inserted in order, shifted when its
 smallest position moved. _step builds it as one list and makes one
 tuple of it; _successors and _emit both take that step. A successor is
-kept once in the registry however many parents reach it. Successors
-are memoized per Planner, so that repeated queries over one state space
-(parameter sweeps, test batteries) stay cheap, in ints only: _succ
-maps an id to the tuple of its successor ids in generator order, and
-nothing else. A tuple of ints refers to nothing the cyclic GC must
+kept once in the registry however many parents reach it, and its
+elements are the Planner's own int objects (_elems, one per value).
+Successors are memoized per Planner, so that repeated queries over one
+state space (parameter sweeps, test batteries) stay cheap, in ints only:
+_succ maps an id to the tuple of its successor ids in generator order,
+and nothing else. A tuple of ints refers to nothing the cyclic GC must
 follow, so the collector untracks it at its first pass and later
-collections skip the memo. The parent table (id -> depth, parent id,
-bound), the heap entries and the goal test key on ids. PivotMoves are
-built only for the returned plan: for each step _emit runs the
-generator on the parent again and takes the roll at the child's first
-index in the parent's memo entry, which is the one the search recorded
-(a later roll to the same child is no shorter and is skipped), builds
-its PivotMove with kinematics._pivot, and takes the shift from _step.
-The Planner hands out one tuple per distinct position across the plans
-it returns (_emitted, kept like the axis tuples), so the results a
-caller keeps hold each position once.
+collections skip the memo. Both sides of the meet-in-the-middle loop
+read it. The parent maps and the goal test key on ids.
 
-The exact-position heuristic is an optimal assignment between cell
-positions under the lattice step metric (each move relocates one cell by
-one step, so the matching cost never overestimates), solved on plain
-ints by shortest augmenting paths. For translation-invariant matching an
+PivotMoves are built only for the returned plan. _emit walks the start
+side's parents to the meeting state and then the goal side's parents to
+the goal; each step is a forward move (on the goal side by
+reversibility). For each step it runs the generator on the parent again
+and steps its rolls in order until one reaches the child: the roll at
+the child's first index in the parent's memo entry, which a meeting
+state only the goal side reached does not have, so _emit reads no memo
+entry and stores none. On the start side that is the roll the search
+recorded, and on either side a later roll to the same child is no
+shorter. The Planner hands out one PivotMove per distinct move,
+looked up by its face indices and mover position before one is built
+(_moves), and one tuple per distinct position (_emitted, seeded with the
+start's and the goal's own), so the results a caller keeps hold each
+move and each position once.
+
+No loop evaluates a bound. heuristic() stays public: a lower bound on
+the number of moves, by an optimal assignment between cell positions
+under the lattice step metric (each move relocates one cell by one step,
+so the matching cost never overestimates), solved on plain ints by
+shortest augmenting paths. For translation-invariant matching an
 assignment at any fixed alignment can overestimate the true quotient
 distance, so the heuristic instead uses a translation-minimized per-axis
 relaxation, which is admissible and consistent on the quotient; see the
 test suite for the counterexample that rules out the aligned-assignment
 variant. That relaxation compares axis profiles (the sorted coordinates
-per axis). What a bound reads of a state, its bound input, does not
-depend on the goal, so each Planner computes it once per id, on the id's
-first evaluation, and keeps it for later plan() calls: the axis profile
-with translation matching (each axis tuple shared with every equal one
-the Planner has seen), else the positions. Positions come from a table
-that decodes each state element once, on first sight (_Positions). The
-bound itself depends on the goal, so it is evaluated once per state per
-plan() call and kept in the state's parent-table entry, where a re-push
-at a shorter depth finds it. The goal's profile is computed once per
-plan() call and carries one memo per axis, which maps a state's sorted
-coordinates on that axis to its bound against the goal's; since one move
-changes at most one coordinate per axis, most evaluations find all three
-axes there. The memos live in the goal profile, so they last one plan()
-call and are never shared between goals.
+per axis).
 """
 
 from __future__ import annotations
 
-import heapq
 import operator
 import time
 from bisect import insort
+from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -102,6 +107,7 @@ from .lattice import (
     _as_int_in,
     _echo,
     _require_nonempty,
+    add,
     is_connected,
     pack_frame,
     unpack,
@@ -109,6 +115,12 @@ from .lattice import (
 
 
 class Algorithm(Enum):
+    """The loop plan() runs. ASTAR, the default, meets in the middle
+    without strict stability and runs the forward loop with it; BFS
+    always runs the forward loop. Both give minimal plans. ASTAR keeps
+    its name for the options and the CLI's --algorithm astar, though no
+    loop evaluates heuristic()."""
+
     BFS = "bfs"
     ASTAR = "astar"
 
@@ -140,13 +152,18 @@ class PlannerOptions:
 
 @dataclass(frozen=True, slots=True)
 class SearchStats:
-    """Counters of one plan() call. generated counts the successors
-    pushed onto the frontier (the start not included); memo_size is the
-    number of states whose successors the Planner holds at return;
-    evaluations counts bound evaluations, one per distinct state in the
-    parent table under A* and 0 under BFS; memo_hits counts the
-    expansions whose successors the memo already held. Those two are
-    derived at return, not counted per state."""
+    """Counters of one plan() call. states_expanded counts expansions on
+    both sides of the meet-in-the-middle loop, and the dequeued states
+    (the goal's included) of the forward loop; frontier_peak is the
+    largest sum of the two current layers at the start of a round, or
+    the forward loop's longest queue; generated counts the states entered
+    into the parent maps, their roots (the start, and the goal in the
+    meet-in-the-middle loop) not included; memo_size is the number of
+    states whose successors the Planner holds at return; evaluations is
+    0, as no loop evaluates a bound (the field stays in the CLI's JSON);
+    memo_hits counts the expansions whose successors the memo already
+    held. generated, memo_size and memo_hits are derived at return, not
+    counted per state."""
 
     states_expanded: int
     frontier_peak: int
@@ -323,10 +340,8 @@ def _bound(goal: tuple[Pos, ...], translate: bool) -> tuple:
     a: its axis profile (see _axes) with translate, else its positions.
     With translate the goal profile is the goal's sorted coordinates per
     axis, each paired with an empty memo of state bounds on that axis;
-    else the goal's positions. plan() calls this once per call, so the
-    memos last that call and hold one goal's values, and a wrapper
-    installed on the bound's module name before then sees every
-    evaluation."""
+    else the goal's positions. heuristic() calls this once per call, and
+    a wrapper installed on the bound's module name sees the call."""
     if not translate:
         return _assignment_bound, goal
     return _translation_bound, tuple((g, {}) for g in _axes(goal))
@@ -372,38 +387,22 @@ def _step(
     return tuple([e - d for e in nxt]), m
 
 
-class _Positions(dict):
-    """State element -> position, decoded on first sight: bound inputs are
-    built from Pos tuples, and looking an element up is cheaper than
-    unpacking it."""
-
-    __slots__ = ("kind_bits",)
-
-    def __init__(self, kind_bits: int):
-        self.kind_bits = kind_bits
-
-    def __missing__(self, e: int) -> Pos:
-        p = self[e] = unpack(e >> self.kind_bits)
-        return p
-
-
 class Planner:
     """Reusable search engine; memoizes successor expansion per state.
 
-    Each instance numbers the canonical states it meets (_ids, _states)
-    and keeps per expanded id the successor ids (_succ), a tuple of ints
-    that the cyclic GC untracks, and per id, once first evaluated, the
-    bound input (_inputs, see _bound_input). _emit regenerates the rolls
-    of each step on the returned path and takes the one at the child's
-    first index, and _emitted holds one tuple per position the
+    Each instance numbers the canonical states it meets (_ids, _states),
+    with one int object per state element (_elems), and keeps per
+    expanded id the successor ids (_succ), a tuple of ints that the
+    cyclic GC untracks. _emit regenerates the rolls of each step on the
+    returned path and takes the first that reaches the child; _moves
+    holds one PivotMove per move and _emitted one tuple per position the
     returned plans use. None of these depends on a goal, so they serve
-    every query of the instance. The states are
-    canonical under the instance's options, so strict_stability, kind
-    sensitivity and the translation quotient are all fixed by the
-    options it is built with; queries that differ in any of them need
-    separate instances. The registry, the memo and the position table
-    hold frame-relative values only; _emitted holds the caller's
-    coordinates.
+    every query of the instance. The states are canonical under the
+    instance's options, so strict_stability, kind sensitivity and the
+    translation quotient are all fixed by the options it is built with;
+    queries that differ in any of them need separate instances. The
+    registry and the memo hold frame-relative values only; _moves and
+    _emitted hold the caller's coordinates.
     """
 
     def __init__(self, opts: PlannerOptions | None = None):
@@ -411,19 +410,18 @@ class Planner:
         self._kind_bits = int(self.opts.kind_sensitive)
         self._ids: dict[_State, int] = {}
         self._states: list[_State] = []
-        self._inputs: list = []  # id -> bound input, None until evaluated
+        self._elems: dict[int, int] = {}  # state elements, one int object each
         self._succ: dict[int, tuple[int, ...]] = {}  # id -> successor ids
-        self._pos = _Positions(self._kind_bits)
-        self._axis: dict[tuple, tuple] = {}  # axis tuples, one object each
+        self._moves: dict[int, dict] = {}  # from * 12 + to -> mover -> plan move
         self._emitted: dict[Pos, Pos] = {}  # plan positions, one tuple each
 
     def _id(self, state: _State) -> int:
         """The id of a canonical state, numbered on first sight."""
         i = self._ids.get(state)
         if i is None:
+            state = tuple(map(self._elems.setdefault, state, state))
             i = self._ids[state] = len(self._states)
             self._states.append(state)
-            self._inputs.append(None)
         return i
 
     # -- successor generation ----------------------------------------------
@@ -442,30 +440,72 @@ class Planner:
         state = self._states[i]
         k = self._kind_bits
         translate = self.opts.match_up_to_translation
-        ids, states, inputs = self._ids, self._states, self._inputs
+        ids, states, elem = self._ids, self._states, self._elems.setdefault
         out = []
         for at, substrate, _, ti in self._rolls_of(state):
             canon, _ = _step(state, at, substrate + PACKED_DIRS[ti], k, translate)
             j = ids.get(canon)
             if j is None:  # _id inlined: a call here costs ~4 % of a one-shot search
+                canon = tuple(map(elem, canon, canon))
                 j = ids[canon] = len(states)
                 states.append(canon)
-                inputs.append(None)
             out.append(j)
         out = self._succ[i] = tuple(out)
         return out
 
-    def _bound_input(self, i: int) -> tuple:
-        """What the bound compares with a goal profile for state id i:
-        with translation matching its axis profile (see _axes), each axis
-        tuple shared with every equal one this instance has seen; else
-        its positions."""
-        positions = tuple(map(self._pos.__getitem__, self._states[i]))
-        if not self.opts.match_up_to_translation:
-            return positions
-        xs, ys, zs = _axes(positions)
-        seen = self._axis.setdefault
-        return seen(xs, xs), seen(ys, ys), seen(zs, zs)
+    # -- the two loops ------------------------------------------------------
+    # each returns (meeting id or None, the start side's parent map, the
+    # goal side's, expansions, expansions that took successors, frontier
+    # peak); a parent map takes an id to its parent's, its root to None
+
+    def _forward(self, start_id: int, goal_id: int, budget: int) -> tuple:
+        """Breadth-first from the start, ending when the goal is dequeued
+        or the budget's last expansion is reached: neither takes
+        successors."""
+        parents = {start_id: None}
+        goal_side = {goal_id: None}
+        queue = deque([start_id])
+        successors = self._successors
+        expanded = 0
+        peak = 1
+        while queue:
+            i = queue.popleft()
+            expanded += 1
+            if i == goal_id or expanded >= budget:
+                meet = i if i == goal_id else None
+                return meet, parents, goal_side, expanded, expanded - 1, peak
+            for j in successors(i):
+                if j not in parents:
+                    parents[j] = i
+                    queue.append(j)
+            peak = max(peak, len(queue))
+        return None, parents, goal_side, expanded, expanded, peak
+
+    def _meet(self, start_id: int, goal_id: int, budget: int) -> tuple:
+        """Layers grown from both ends until a discovered state is in
+        both maps (see the module docstring). The budget's last
+        expansion takes no successors."""
+        sides = ({start_id: None}, {goal_id: None})
+        layers = [[start_id], [goal_id]]
+        successors = self._successors
+        expanded = peak = 0
+        while layers[0] and layers[1]:
+            peak = max(peak, len(layers[0]) + len(layers[1]))
+            s = len(layers[1]) < len(layers[0])  # the smaller side, the start's on a tie
+            near, far = sides[s], sides[not s]
+            grown = []
+            for i in layers[s]:
+                expanded += 1
+                if expanded >= budget:
+                    return None, *sides, expanded, expanded - 1, peak
+                for j in successors(i):
+                    if j not in near:
+                        near[j] = i
+                        if j in far:
+                            return j, *sides, expanded, expanded, peak
+                        grown.append(j)
+            layers[s] = grown
+        return None, *sides, expanded, expanded, peak
 
     # -- public entry -------------------------------------------------------
 
@@ -493,7 +533,7 @@ class Planner:
         # a move reaches one step further for the mover and two for the
         # roll's shadow, so n + 2 steps of margin keep every state exact.
         # Without it no cell drifts further than one step per expansion from
-        # where it started, so the margin is the budget
+        # the start or the goal, so the margin is the budget
         budget = self.opts.max_states
         k = self._kind_bits
         origin = start.cells[0].pos
@@ -510,120 +550,85 @@ class Planner:
                 f"max_states ({_echo(budget)}) steps"
             ) from None
         start_id, goal_id = self._id(start_state), self._id(goal_state)
-        astar = self.opts.algorithm is Algorithm.ASTAR
         memo_before = len(self._succ)
-
-        if astar:
-            inputs, bound_input = self._inputs, self._bound_input
-            goal_positions = tuple(map(self._pos.__getitem__, goal_state))
-            bound, goal_profile = _bound(goal_positions, translate)
-
-            def h(i: int) -> int:
-                a = inputs[i]
-                if a is None:
-                    a = inputs[i] = bound_input(i)
-                return bound(a, goal_profile)
-        else:
-            def h(i: int) -> int:
-                return 0
-
-        # id -> (depth, parent id, bound); the depth is the best found so
-        # far and is optimal once the state is expanded, because both
-        # bounds (and zero) are consistent
-        b = h(start_id)
-        parents: dict[int, tuple] = {start_id: (0, None, b)}
-        # (f, -g, push counter): lower f first, then the deeper entry; a
-        # zero bound makes this the (depth, discovery) order of BFS
-        heap: list = [(b, 0, 0, start_id)]
-        counter = 0
-        expanded = 0
-        peak = 1
-        i = None
-        pop, push, entry = heapq.heappop, heapq.heappush, parents.get
-        successors = self._successors
-        while heap:
-            _, negg, _, i = pop(heap)
-            g = -negg
-            if g > parents[i][0]:
-                continue  # stale entry: a shorter path was pushed later
-            expanded += 1
-            if i == goal_id or expanded >= budget:
-                break
-            g += 1
-            for nxt in successors(i):
-                old = entry(nxt)
-                if old is None:
-                    b = h(nxt)
-                elif old[0] <= g:
-                    continue  # covers expanded states too
-                else:
-                    b = old[2]  # a shorter path to a state already bounded
-                parents[nxt] = (g, i, b)
-                counter += 1
-                push(heap, (g + b, -g, counter, nxt))
-            peak = max(peak, len(heap))
-
-        def stats() -> SearchStats:
-            # the goal's or the budget's last expansion takes no successors
-            searched = expanded - (i == goal_id or expanded >= budget)
-            return SearchStats(
-                expanded,
-                peak,
-                time.perf_counter() - t0,
-                counter,
-                len(self._succ),
-                len(parents) if astar else 0,
-                searched - (len(self._succ) - memo_before),
+        forward = (
+            self.opts.algorithm is Algorithm.BFS
+            or self.opts.strict_stability
+            or start_id == goal_id
+        )
+        search = self._forward if forward else self._meet
+        meet, parents, goal_side, expanded, searched, peak = search(start_id, goal_id, budget)
+        memo_size = len(self._succ)
+        moves = None if meet is None else self._emit(start, goal, meet, parents, goal_side)
+        stats = SearchStats(
+            expanded,
+            peak,
+            time.perf_counter() - t0,
+            len(parents) + len(goal_side) - 2,
+            memo_size,
+            0,
+            searched - (memo_size - memo_before),
+        )
+        if moves is not None:
+            plan = Plan(
+                moves,
+                stats,
+                goal=goal,
+                match_up_to_translation=translate,
+                kind_sensitive=ks,
             )
-
-        # a search that runs dry ends without a break: its last state is
-        # not the goal and the budget is not spent
-        if i == goal_id:
-            return self._emit(start, goal, i, parents, stats)
+            return PlanResult(PlanStatus.SUCCESS, plan=plan, stats=stats)
         if expanded >= budget:
             return PlanResult(
                 PlanStatus.BUDGET_EXHAUSTED,
                 reason=f"expanded {expanded} states",
-                stats=stats(),
+                stats=stats,
             )
         return PlanResult(
-            PlanStatus.NO_PATH, reason="state space exhausted", stats=stats()
+            PlanStatus.NO_PATH, reason="state space exhausted", stats=stats
         )
 
-    def _emit(self, start, goal, goal_id, parents, stats) -> PlanResult:
-        # walk back to the start, collecting the ids of the path
-        path = [goal_id]
-        while (parent := parents[path[-1]][1]) is not None:
+    def _emit(self, start, goal, meet, parents, goal_side) -> tuple[PivotMove, ...]:
+        # the ids of the path: the start side's parents back from the
+        # meeting state, reversed, then the goal side's on to the goal
+        path = [meet]
+        while (parent := parents[path[-1]]) is not None:
             path.append(parent)
         path.reverse()
+        while (parent := goal_side[path[-1]]) is not None:
+            path.append(parent)
 
-        # regenerate each step's rolls as _successors did: the search
-        # recorded the first roll that reaches the child (a later one to
-        # the same child is no shorter), the one at the first index of the
-        # child's id in the parent's memo entry. The packed offset maps
+        # regenerate each step's rolls as _successors did and take the
+        # first roll that reaches the child (its first index in the
+        # parent's successors) and its shift. The packed offset maps
         # each canonical frame back onto the start's frame, and the
         # start's smallest position maps that frame back to the caller's
         # coordinates
         k = self._kind_bits
         translate = self.opts.match_up_to_translation
         origin = start.cells[0].pos
+        seen, known = self._emitted, self._moves
+        for p in start.positions + goal.positions:
+            seen.setdefault(p, p)
         offset = 0
         moves = []
         for parent, child in zip(path, path[1:]):
-            state = self._states[parent]
-            at, substrate, fi, ti = self._rolls_of(state)[self._succ[parent].index(child)]
-            mover = state[at] >> k
-            moves.append(_pivot(origin, mover + offset, substrate + offset, fi, ti, self._emitted))
-            offset += _step(state, at, substrate + PACKED_DIRS[ti], k, translate)[1]
-        final = stats()
-        plan = Plan(
-            tuple(moves),
-            final,
-            goal=goal,
-            match_up_to_translation=self.opts.match_up_to_translation,
-            kind_sensitive=self.opts.kind_sensitive,
-        )
-        return PlanResult(PlanStatus.SUCCESS, plan=plan, stats=final)
+            state, target = self._states[parent], self._states[child]
+            for at, substrate, fi, ti in self._rolls_of(state):
+                canon, shift = _step(state, at, substrate + PACKED_DIRS[ti], k, translate)
+                if canon == target:
+                    break
+            else:  # pragma: no cover - each step of a path is a roll
+                raise AssertionError(f"no roll leads from state {parent} to {child}")
+            mover = (state[at] >> k) + offset
+            pos = add(unpack(mover), origin)
+            by_pos = known.setdefault(fi * 12 + ti, {})  # moves by faces, then mover
+            move = by_pos.get(pos)
+            if move is None:
+                move = by_pos[pos] = _pivot(origin, mover, substrate + offset, fi, ti, seen)
+            moves.append(move)
+            offset += shift
+        return tuple(moves)
 
 
 def plan(

@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import itertools
 import math
@@ -10,13 +11,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from rhombikit.errors import IllegalMove, ValidationError
 from rhombikit.io import PlanDoc, StructureDoc, dumps_plan
 from rhombikit.kinematics import PivotMove, apply_move, legal_moves
 from rhombikit.lattice import (
+    FACE_DIRS,
     IDENTITY,
     PACK_LIMIT,
     PACKED_DIRS,
@@ -545,9 +547,9 @@ class TestPlan:
 
     def test_bound_called_once_per_evaluation(self, monkeypatch):
         # the benchmark's tracer wraps _translation_bound and reports its
-        # calls as bound evaluations, so memo hits must still be calls:
-        # one for the start and one per first push of a state (115 pushes,
-        # 6 of them re-pushing a state at a shorter depth)
+        # calls as bound evaluations: the search evaluates none (its
+        # layers grow from both ends, 18 expansions over both sides), and
+        # heuristic() calls it once
         calls = [0]
         original = rhombikit.planner._translation_bound
 
@@ -556,11 +558,12 @@ class TestPlan:
             return original(*args)
 
         monkeypatch.setattr(rhombikit.planner, "_translation_bound", counted)
-        start = Configuration.from_positions(LINE4)
-        res = Planner().plan(start, Configuration.from_positions(TETRA4))
+        start, goal = Configuration.from_positions(LINE4), Configuration.from_positions(TETRA4)
+        res = Planner().plan(start, goal)
         assert res.ok and len(res.plan.moves) == 4
-        assert (res.stats.states_expanded, res.stats.frontier_peak) == (23, 94)
-        assert calls[0] == res.stats.evaluations == 110
+        assert (res.stats.states_expanded, res.stats.frontier_peak) == (18, 52)
+        assert calls[0] == res.stats.evaluations == 0
+        assert heuristic(start, goal, True) <= 4 and calls[0] == 1
 
     def test_strict_stability_option(self):
         res = plan(LINE3, TRI3, PlannerOptions(strict_stability=True))
@@ -707,15 +710,15 @@ class TestPackedStates:
         planner = Planner()
         start, goal = Configuration.from_positions(LINE4), Configuration.from_positions(TETRA4)
         first = planner.plan(start, goal).stats
-        # 115 pushes after the start (see test_bound_called_once_per_evaluation);
-        # every expanded state but the goal went through the memo
-        assert (first.states_expanded, first.generated, first.memo_size) == (23, 115, 22)
-        assert (first.evaluations, first.memo_hits) == (110, 0)
+        # 126 states entered into the two parent maps besides the start and
+        # the goal; every expansion on either side went through the memo
+        assert (first.states_expanded, first.generated, first.memo_size) == (18, 126, 18)
+        assert (first.evaluations, first.memo_hits) == (0, 0)
         again = planner.plan(start, goal).stats
-        assert (again.generated, again.memo_size) == (115, 22)
-        # the goal's expansion takes no successors; the other 22 hit
-        assert (again.evaluations, again.memo_hits) == (110, 22)
-        assert len(planner._succ) == 22
+        # _emit adds no memo entry, not even for the meeting state
+        assert (again.generated, again.memo_size) == (126, 18)
+        assert (again.evaluations, again.memo_hits) == (0, 18)
+        assert len(planner._succ) == 18
         bfs = Planner(PlannerOptions(algorithm=Algorithm.BFS)).plan(start, goal).stats
         assert bfs.evaluations == 0
         assert bfs.memo_hits == 0 and bfs.memo_size == bfs.states_expanded - 1
@@ -773,30 +776,143 @@ class TestStateIds:
         assert a._states == before  # b's states went to b alone
 
     def test_repushed_state_is_bounded_once(self, monkeypatch):
-        inputs, calls = [], [0]
-        bound_input, bound = Planner._bound_input, rhombikit.planner._translation_bound
+        # no loop bounds a state or pushes one twice: each side enters a
+        # state into its map once and expands it at most once, and the two
+        # sides never expand the same state. _emit expands none: it reads
+        # the memo, and steps the rolls of a meeting state the search
+        # never expanded forward
+        expanded = []
+        successors = Planner._successors
 
-        def spy_input(self, i):
-            inputs.append(i)
-            return bound_input(self, i)
+        def spy(self, i):
+            expanded.append(i)
+            return successors(self, i)
 
-        def spy_bound(*args):
-            calls[0] += 1
-            return bound(*args)
-
-        monkeypatch.setattr(Planner, "_bound_input", spy_input)
-        monkeypatch.setattr(rhombikit.planner, "_translation_bound", spy_bound)
+        monkeypatch.setattr(Planner, "_successors", spy)
         planner = Planner()
-        stats = planner.plan(self.START, self.GOAL).stats
-        # 6 of the 115 pushes go to a state already bounded
-        assert stats.generated - (stats.evaluations - 1) == 6
-        assert calls[0] == stats.evaluations == len(inputs) == len(set(inputs))
-        # a second query bounds against its own goal, from the same inputs
-        first, calls[0] = set(inputs), 0
-        stats = planner.plan(self.GOAL, Configuration.from_positions(LINE4)).stats
-        assert calls[0] == stats.evaluations
-        assert first.isdisjoint(inputs[len(first):])
-        assert len(inputs) - len(first) < stats.evaluations
+        for start, goal in ((self.START, self.GOAL), (self.GOAL, Configuration.from_positions(C4))):
+            del expanded[:]
+            res = planner.plan(start, goal)
+            assert res.ok
+            assert len(expanded) == len(set(expanded)) == res.stats.states_expanded
+            assert res.stats.evaluations == 0
+
+
+@st.composite
+def _pair_query(draw):
+    """A mode (translation, exact or kinds) and two connected
+    configurations of one size, each grown cell by cell from the origin:
+    2-5 cells with translation matching, 2-4 in exact positions. With
+    kinds the goal holds the start's kinds in a drawn order."""
+    mode = draw(st.sampled_from(["translation", "exact", "kinds"]))
+    n = draw(st.integers(2, 4 if mode == "exact" else 5))
+
+    steps = st.lists(st.tuples(st.integers(0, 4), st.integers(0, 11)), min_size=3 * n, max_size=3 * n)
+
+    def grown():
+        cells = [(0, 0, 0)]
+        for base, face in draw(steps):
+            q = add(cells[base % len(cells)], FACE_DIRS[face])
+            if q not in cells and len(cells) < n:
+                cells.append(q)
+        assume(len(cells) == n)
+        return cells
+
+    start, goal = grown(), grown()
+    kinds = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    goal_kinds = draw(st.permutations(kinds)) if mode == "kinds" else kinds
+    opts = PlannerOptions(
+        max_states=20_000,
+        match_up_to_translation=mode != "exact",
+        kind_sensitive=mode == "kinds",
+    )
+    def actives(ks):
+        return {i for i, k in enumerate(ks) if k}
+
+    return opts, _with_actives(start, actives(kinds)), _with_actives(goal, actives(goal_kinds))
+
+
+class TestMeetInTheMiddle:
+    @settings(derandomize=True, deadline=None, max_examples=120)
+    @given(_pair_query())
+    def test_default_matches_forward_bfs(self, query):
+        # the default loop against the forward FIFO loop: equal lengths,
+        # both plans replay, and two fresh planners write the same bytes
+        opts, start, goal = query
+        bfs = Planner(dataclasses.replace(opts, algorithm=Algorithm.BFS)).plan(start, goal)
+        assume(bfs.ok)
+        got = [Planner(opts).plan(start, goal) for _ in range(2)]
+        assert all(r.ok for r in got)
+        assert len(got[0].plan) == len(bfs.plan)
+        for res in (bfs, got[0]):
+            replay(start, res.plan)
+        a, b = (dumps_plan(PlanDoc(StructureDoc(start), r.plan.moves)) for r in got)
+        assert a == b
+
+    def test_strict_astar_is_forward_bfs(self):
+        # strict mode keeps the forward loop under either algorithm
+        queries = list(_mode_queries(PlannerOptions(strict_stability=True)))
+        queries += [(LINE3, TRI3), (TRI3, LINE3)]
+        astar = Planner(PlannerOptions(strict_stability=True))
+        bfs = Planner(PlannerOptions(strict_stability=True, algorithm=Algorithm.BFS))
+        for start, goal in queries:
+            a, b = astar.plan(start, goal), bfs.plan(start, goal)
+            assert a.status is b.status
+            assert (a.plan and a.plan.moves) == (b.plan and b.plan.moves)
+            for name in ("states_expanded", "frontier_peak", "generated", "memo_size"):
+                assert getattr(a.stats, name) == getattr(b.stats, name), name
+
+    def test_meeting_lengths_match_the_shape_graph(self, shape_graphs):
+        # every 3-cell pair, both ways, through one reused planner
+        shapes, _, dists = shape_graphs[3]
+        planner = Planner()
+        for s in shapes:
+            cs = Configuration.from_positions(s)
+            for g in shapes:
+                res = planner.plan(cs, Configuration.from_positions(g))
+                want = dists[s].get(g)
+                assert (len(res.plan) if res.ok else None) == want, (s, g)
+                if res.ok:
+                    replay(cs, res.plan)
+
+    def test_one_move_object_per_distinct_move(self, monkeypatch):
+        # a Planner builds a PivotMove once per move and hands the same
+        # object to every plan that makes it; another Planner builds its own
+        start, goal = Configuration.from_positions(LINE4), Configuration.from_positions(TETRA4)
+        planner = Planner()
+        first = planner.plan(start, goal).plan.moves
+        built = [0]
+        post_init = PivotMove.__post_init__
+
+        def counted(self):
+            built[0] += 1
+            post_init(self)
+
+        monkeypatch.setattr(PivotMove, "__post_init__", counted)
+        again = planner.plan(start, goal).plan.moves
+        assert built[0] == 0
+        assert all(a is b for a, b in zip(first, again))
+        fresh = Planner().plan(start, goal).plan.moves
+        assert fresh == first and built[0] == len(fresh)
+        assert not any(a is b for a, b in zip(first, fresh))
+
+    def test_move_positions_are_the_callers_tuples(self):
+        # positions of the start reappear in the moves as the start's own
+        # tuple objects, not equal copies
+        start = Configuration.from_positions([(k + 4, k, 2) for k in range(5)])
+        goal = Configuration.from_positions(
+            [(0, 0, 0), (1, 1, 0), (2, 2, 0), (3, 2, 1), (4, 2, 2)]
+        )
+        res = Planner().plan(start, goal)
+        own = {p: p for p in start.positions}
+        held = [p for m in res.plan.moves for p in (m.mover, m.substrate) if p in own]
+        assert held and all(p is own[p] for p in held)
+
+    def test_equal_state_elements_share_one_int(self):
+        planner = Planner(PlannerOptions(kind_sensitive=True))
+        assert planner.plan(_with_actives(LINE4, {0}), _with_actives(TETRA4, {1})).ok
+        elements = [e for state in planner._states for e in state]
+        assert len({id(e) for e in elements}) == len(set(elements)) < len(elements)
 
 
 def _goal_key(c: Configuration, translate: bool, kinds: bool) -> tuple:
