@@ -5,11 +5,11 @@ has 12 nearest neighbors reached by the signed permutations of (1, 1, 0).
 The module also carries the 24 proper rotations of the cell shape (the
 chiral octahedral group) as exact signed-permutation matrices, so cell
 orientations compose without any floating point. Connectivity is decided
-here too: is_connected for a configuration; contacts, which finds each
-packed position's face neighbors once, by index; and removable_cells,
-one lowlink pass over those contacts for the cells that can leave
-without splitting the rest (the legality test a roll needs; no
-Configuration is required).
+here too, by one lowlink pass over the lists of contacts, which finds
+each packed position's face neighbors once, by index: is_connected asks
+whether the pass from one cell reaches them all, and removable_cells
+which cells can leave without splitting the rest (the legality test a
+roll needs; no Configuration is required).
 
 The move generator and the planner hold a position as one int,
 ``pack((x, y, z)) = x * 2**(2*PACK_BITS) + y * 2**PACK_BITS + z``. The
@@ -50,7 +50,7 @@ import numbers
 import operator
 from dataclasses import dataclass
 from enum import Enum
-from typing import AbstractSet, Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import ValidationError
 
@@ -456,21 +456,6 @@ def canonicalize(c: Configuration) -> Configuration:
     return c.translate((-m[0], -m[1], -m[2]))
 
 
-def _one_piece(occupied: AbstractSet[int]) -> bool:
-    """Do the packed positions of a nonempty set form one face-connected piece?"""
-    start = next(iter(occupied))
-    seen = {start}
-    stack = [start]
-    while stack:
-        p = stack.pop()
-        for d in PACKED_DIRS:
-            n = p + d
-            if n in occupied and n not in seen:
-                seen.add(n)
-                stack.append(n)
-    return len(seen) == len(occupied)
-
-
 Contacts = list[list[tuple[int, int]]]
 
 # (f, PACKED_DIRS[f], opposite of f) for the six faces whose packed
@@ -556,7 +541,7 @@ def is_connected(c: Configuration) -> bool:
         # n connected cells span at most n - 1 steps on every axis, far
         # inside the exact range
         return False
-    return _one_piece(set(packed))
+    return _lowlink(contacts(packed), 0)[0] == len(packed)
 
 
 def removable_cells(adj: Contacts) -> set[int]:

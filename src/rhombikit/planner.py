@@ -62,11 +62,11 @@ read it. The parent maps and the goal test key on ids.
 PivotMoves are built only for the returned plan. _emit walks the start
 side's parents to the meeting state and then the goal side's parents to
 the goal; each step is a forward move (on the goal side by
-reversibility). For each step it runs the generator on the parent again
-and steps its rolls in order until one reaches the child: the roll at
-the child's first index in the parent's memo entry, which a meeting
-state only the goal side reached does not have, so _emit reads no memo
-entry and stores none. On the start side that is the roll the search
+reversibility). Each step takes the roll at the child's first index in
+the parent's successor ids: its memo entry, or, for a meeting state only
+the goal side reached, the ids _successor_ids computes without storing
+them. _emit runs the generator on the parent again and steps only that
+roll, for its shift. On the start side that is the roll the search
 recorded, and on either side a later roll to the same child is no
 shorter. The Planner hands out one PivotMove per distinct move,
 looked up by its face indices and mover position before one is built
@@ -84,7 +84,7 @@ distance, so the heuristic instead uses a translation-minimized per-axis
 relaxation, which is admissible and consistent on the quotient; see the
 test suite for the counterexample that rules out the aligned-assignment
 variant. That relaxation compares axis profiles (the sorted coordinates
-per axis).
+per axis), sorted afresh at each call.
 """
 
 from __future__ import annotations
@@ -264,16 +264,6 @@ def _assignment_bound(a: tuple[Pos, ...], b: tuple[Pos, ...]) -> int:
     return sum(cost[owner[j]][j] for j in cols)
 
 
-def _axes(positions: tuple[Pos, ...]) -> tuple:
-    """The x, y and z coordinates of sorted positions, each a sorted
-    tuple (hashable, so it can key an axis memo).
-
-    The x coordinates of sorted positions come out sorted already.
-    """
-    xs, ys, zs = zip(*positions)
-    return xs, tuple(sorted(ys)), tuple(sorted(zs))
-
-
 def _axis_bound(sa, ga) -> int:
     """min over integer shifts of the optimal 1D matching cost.
 
@@ -288,24 +278,12 @@ def _axis_bound(sa, ga) -> int:
     return sum(d[m + 1:]) - sum(d[:m]) + d[m] * (2 * m + 1 - len(d))
 
 
-def _translation_bound(a_axes: tuple, goal_profile: tuple) -> int:
-    """The translation-minimized per-axis bound between a state's axis
-    profile (see _axes) and a goal profile (see _bound).
-
-    Each axis's bound is looked up in that axis's memo, which belongs to
-    the goal profile, and computed only on a miss: it depends on nothing
-    but the state's and the goal's sorted coordinates on the axis.
-    """
-    (sx, sy, sz), ((gx, mx), (gy, my), (gz, mz)) = a_axes, goal_profile
-    bx = mx.get(sx)
-    if bx is None:
-        bx = mx[sx] = _axis_bound(sx, gx)
-    by = my.get(sy)
-    if by is None:
-        by = my[sy] = _axis_bound(sy, gy)
-    bz = mz.get(sz)
-    if bz is None:
-        bz = mz[sz] = _axis_bound(sz, gz)
+def _translation_bound(a: tuple[Pos, ...], g: tuple[Pos, ...]) -> int:
+    """The translation-minimized per-axis bound between two position
+    sets of the same size: each axis's sorted coordinates are matched by
+    _axis_bound, and the three axis bounds combine as the lattice step
+    metric combines coordinate differences."""
+    bx, by, bz = (_axis_bound(sorted(sa), sorted(ga)) for sa, ga in zip(zip(*a), zip(*g)))
     return max(bx, by, bz, -((bx + by + bz) // -2))
 
 
@@ -321,30 +299,16 @@ def heuristic(
     per-axis matching relaxation over all alignments instead, because no
     single alignment's assignment is a valid lower bound on the
     translation quotient. Zero exactly when the goal criterion already
-    holds.
+    holds. The bound is looked up by its module name at each call, where
+    a wrapper installed on that name sees it.
     """
     _require_nonempty(c, goal)
     if len(c) != len(goal):
         raise ValidationError(
             f"configurations differ in size: {len(c)} vs {len(goal)}"
         )
-    translate = match_up_to_translation
-    a = _axes(c.positions) if translate else c.positions
-    bound, goal_profile = _bound(goal.positions, translate)
-    return bound(a, goal_profile)
-
-
-def _bound(goal: tuple[Pos, ...], translate: bool) -> tuple:
-    """(bound, goal profile) of a matching mode and a goal's positions,
-    the bound called as bound(a, goal_profile) with a state's bound input
-    a: its axis profile (see _axes) with translate, else its positions.
-    With translate the goal profile is the goal's sorted coordinates per
-    axis, each paired with an empty memo of state bounds on that axis;
-    else the goal's positions. heuristic() calls this once per call, and
-    a wrapper installed on the bound's module name sees the call."""
-    if not translate:
-        return _assignment_bound, goal
-    return _translation_bound, tuple((g, {}) for g in _axes(goal))
+    bound = _translation_bound if match_up_to_translation else _assignment_bound
+    return bound(c.positions, goal.positions)
 
 
 # --------------------------------------------------------------------------
@@ -393,8 +357,8 @@ class Planner:
     Each instance numbers the canonical states it meets (_ids, _states),
     with one int object per state element (_elems), and keeps per
     expanded id the successor ids (_succ), a tuple of ints that the
-    cyclic GC untracks. _emit regenerates the rolls of each step on the
-    returned path and takes the first that reaches the child; _moves
+    cyclic GC untracks. _emit takes each step of the returned path at
+    the child's first index in the parent's successor ids; _moves
     holds one PivotMove per move and _emitted one tuple per position the
     returned plans use. None of these depends on a goal, so they serve
     every query of the instance. The states are canonical under the
@@ -433,10 +397,15 @@ class Planner:
         return _legal_rolls(positions, self.opts.strict_stability)
 
     def _successors(self, i: int) -> tuple[int, ...]:
-        """Successor ids of state id i, in move-generator order."""
+        """Successor ids of state id i, in move-generator order, memoized."""
         cached = self._succ.get(i)
-        if cached is not None:
-            return cached
+        if cached is None:
+            cached = self._succ[i] = self._successor_ids(i)
+        return cached
+
+    def _successor_ids(self, i: int) -> tuple[int, ...]:
+        """Successor ids of state id i, in move-generator order, computed
+        without a memo lookup and not stored."""
         state = self._states[i]
         k = self._kind_bits
         translate = self.opts.match_up_to_translation
@@ -450,8 +419,7 @@ class Planner:
                 j = ids[canon] = len(states)
                 states.append(canon)
             out.append(j)
-        out = self._succ[i] = tuple(out)
-        return out
+        return tuple(out)
 
     # -- the two loops ------------------------------------------------------
     # each returns (meeting id or None, the start side's parent map, the
@@ -598,12 +566,12 @@ class Planner:
         while (parent := goal_side[path[-1]]) is not None:
             path.append(parent)
 
-        # regenerate each step's rolls as _successors did and take the
-        # first roll that reaches the child (its first index in the
-        # parent's successors) and its shift. The packed offset maps
-        # each canonical frame back onto the start's frame, and the
-        # start's smallest position maps that frame back to the caller's
-        # coordinates
+        # each step takes the roll at the child's first index in the
+        # parent's successor ids (its memo entry, or computed when the
+        # search never expanded the parent forward) and steps it for its
+        # shift. The packed offset maps each canonical frame back onto the
+        # start's frame, and the start's smallest position maps that frame
+        # back to the caller's coordinates
         k = self._kind_bits
         translate = self.opts.match_up_to_translation
         origin = start.cells[0].pos
@@ -613,13 +581,10 @@ class Planner:
         offset = 0
         moves = []
         for parent, child in zip(path, path[1:]):
-            state, target = self._states[parent], self._states[child]
-            for at, substrate, fi, ti in self._rolls_of(state):
-                canon, shift = _step(state, at, substrate + PACKED_DIRS[ti], k, translate)
-                if canon == target:
-                    break
-            else:  # pragma: no cover - each step of a path is a roll
-                raise AssertionError(f"no roll leads from state {parent} to {child}")
+            state = self._states[parent]
+            succ = self._succ.get(parent) or self._successor_ids(parent)
+            at, substrate, fi, ti = self._rolls_of(state)[succ.index(child)]
+            _, shift = _step(state, at, substrate + PACKED_DIRS[ti], k, translate)
             mover = (state[at] >> k) + offset
             pos = add(unpack(mover), origin)
             by_pos = known.setdefault(fi * 12 + ti, {})  # moves by faces, then mover

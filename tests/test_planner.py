@@ -7,6 +7,7 @@ import subprocess
 import sys
 import textwrap
 from collections import deque
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -37,9 +38,7 @@ from rhombikit.lattice import (
 import rhombikit.planner
 from rhombikit.planner import (
     _assignment_bound,
-    _axes,
     _axis_bound,
-    _bound,
     _step,
     _translation_bound,
     Algorithm,
@@ -104,27 +103,24 @@ def _equal_size_sets(draw, max_n=7):
     return draw(side), draw(side)
 
 
-@st.composite
-def _states_against_goal(draw):
-    """A goal of 1-7 distinct lattice positions and 1-40 sorted states of
-    the same size, some drawn twice."""
-    n = draw(st.integers(1, 7))
-    side = st.lists(_lattice_pos, min_size=n, max_size=n, unique=True).map(
-        lambda ps: tuple(sorted(ps))
-    )
-    goal = draw(side)
-    states = draw(st.lists(side, min_size=1, max_size=40))
-    return goal, states + states[::3]
+def _axis_memo_bound(goal):
+    """_translation_bound against one goal's positions, with each axis's
+    _axis_bound memoized on the state's sorted coordinates: the 4-cell
+    box tests bound hundreds of thousands of states that share a few
+    hundred axis profiles."""
+    axes = [sorted(c) for c in zip(*goal)]
+    memos = ({}, {}, {})
 
+    def bound(positions):
+        b = []
+        for coords, g, memo in zip(zip(*positions), axes, memos):
+            key = tuple(sorted(coords))
+            if key not in memo:
+                memo[key] = _axis_bound(key, g)
+            b.append(memo[key])
+        return max(*b, math.ceil(sum(b) / 2))
 
-def _memo_free_bound(positions, goal):
-    """The translation bound straight from _axis_bound on freshly sorted
-    coordinates, with no memo and no _axes."""
-    b = [
-        _axis_bound(sorted(p[i] for p in positions), sorted(q[i] for q in goal))
-        for i in range(3)
-    ]
-    return max(*b, math.ceil(sum(b) / 2))
+    return bound
 
 
 LINE4 = [(0, 0, 0), (1, 1, 0), (2, 2, 0), (3, 3, 0)]
@@ -267,26 +263,6 @@ class TestHeuristic:
         ca, cb = Configuration.from_positions(a), Configuration.from_positions(b)
         assert heuristic(ca, cb, True) == want
 
-    @settings(derandomize=True, deadline=None, max_examples=150)
-    @given(_states_against_goal())
-    @example(
-        # the same sorted coordinates on x and y, bound 1 against the
-        # goal's x and 2 against its y: a memo shared across axes gives 1
-        pair=(
-            ((0, 0, 0), (0, 2, 0), (2, 4, 0)),
-            [((0, 0, 0), (1, 1, 0), (2, 2, 0))],
-        )
-    )
-    def test_axis_memo_matches_memo_free_bound(self, pair):
-        # one goal profile, so one set of axis memos, serves every draw;
-        # each lookup must give what a fresh computation gives
-        goal, states = pair
-        _, profile = _bound(goal, True)
-        for state in states:
-            assert _translation_bound(_axes(state), profile) == _memo_free_bound(
-                state, goal
-            ), (state, goal)
-
     def test_admissible_on_all_3cell_box_instances(self, shape_graphs):
         shapes, graph, dists = shape_graphs[3]
         for s in shapes:
@@ -314,16 +290,18 @@ class TestHeuristic:
 
     def test_admissible_on_all_4cell_box_pairs(self, shape_graphs):
         # every ordered pair of the 475 four-cell box shapes is reachable;
-        # the bound the search evaluates never exceeds the pair's distance.
-        # One goal profile per goal, so its axis memos serve every state
+        # the translation bound never exceeds the pair's distance. One
+        # memoized bound per goal serves every state; against the first
+        # goal each value is checked with _translation_bound itself
         shapes, _, dists = shape_graphs[4]
-        axes = [_axes(s) for s in shapes]
         pairs = 0
         for g in shapes:
-            _, profile = _bound(g, True)
-            for s, a in zip(shapes, axes):
-                h, d = _translation_bound(a, profile), dists[s][g]
+            bound = _axis_memo_bound(g)
+            for s in shapes:
+                h, d = bound(s), dists[s][g]
                 assert h <= d, (s, g, h, d)
+                if g == shapes[0]:
+                    assert h == _translation_bound(s, g), (s, g, h)
                 pairs += 1
         assert pairs == len(shapes) ** 2 == 225_625
 
@@ -337,21 +315,16 @@ class TestHeuristic:
         goals = []
         for i in rng.choice(len(shapes), size=8, replace=False):
             off = (0, 0, 0) if translate else random_valid_pos(rng, radius=2)
-            bound, profile = _bound(tuple(sorted(add(p, off) for p in shapes[i])), translate)
-            goals.append(profile)
-
-        def bound_input(positions):
-            return _axes(positions) if translate else positions
+            g = tuple(sorted(add(p, off) for p in shapes[i]))
+            goals.append(_axis_memo_bound(g) if translate else partial(_assignment_bound, b=g))
 
         moves = 0
         for s in shapes:
-            here = bound_input(s)
             for move in legal_moves(Configuration.from_positions(s)):
                 nxt = tuple(sorted(move.destination if p == move.mover else p for p in s))
-                there = bound_input(nxt)
-                for g in goals:
-                    d = bound(here, g) - bound(there, g)
-                    assert abs(d) <= 1, (s, move, g, d)
+                for bound in goals:
+                    d = bound(s) - bound(nxt)
+                    assert abs(d) <= 1, (s, move, d)
                 moves += 1
         assert moves > 5 * len(shapes)
 
@@ -532,9 +505,8 @@ class TestPlan:
 
     @_each_mode
     def test_reused_planner_matches_fresh_across_goals(self, opts):
-        # per-goal values (the bound's axis memos, the bounds kept in the
-        # parent table) must not leak from one query into the next through
-        # a reused planner, whose ids, memo and bound inputs carry over
+        # nothing of one query may leak into the next through a reused
+        # planner, whose ids, memo, moves and emitted positions carry over
         reused = Planner(opts)
         for start, goal in _mode_queries(opts):
             assert not goal_matches(start, goal, True, opts.kind_sensitive)
@@ -779,8 +751,8 @@ class TestStateIds:
         # no loop bounds a state or pushes one twice: each side enters a
         # state into its map once and expands it at most once, and the two
         # sides never expand the same state. _emit expands none: it reads
-        # the memo, and steps the rolls of a meeting state the search
-        # never expanded forward
+        # the memo, and computes, without storing, the successor ids of a
+        # meeting state the search never expanded forward
         expanded = []
         successors = Planner._successors
 
