@@ -313,8 +313,8 @@ def build_parser() -> _Parser:
         "--algorithm",
         choices=["bfs", "astar"],
         default="astar",
-        help="astar grows layers from both ends (forward under --strict), bfs "
-        "from the start only; both give minimal plans",
+        help="astar grows layers from both ends (from the start only under "
+        "--strict), bfs from the start only; both give minimal plans",
     )
     p.add_argument("--max-states", type=int, default=1_000_000)
     p.add_argument("--plan-out", help="write the plan JSON here")

@@ -3,23 +3,25 @@
 States are configurations deduplicated up to translation (canonical
 form); a goal is reached when the shapes coincide, optionally also
 matching cell kinds. The search's goal test and goal_matches (which
-replay uses) compare the same canonical key. Two breadth-first loops
-return minimal plans. Every roll is reversible over the same blockers,
-so without strict stability a state's predecessors are its successors,
-and the default algorithm meets in the middle (Pohl, "Bi-directional
-Search", Machine Intelligence 6, 1971): it keeps one parent map grown
-from the start and one grown from the goal, and each round expands the
-whole current layer of the smaller side (the start's on a tie). Every
-newly discovered state is tested against the other side's map, and the
-first hit ends the search. Until then the two discovered sets are
-disjoint, so the distance exceeds d_start + d_goal, the depths of the
-two current layers; a hit from depth d_start + 1 has length at most
-d_start + 1 + d_goal, so it is optimal. Algorithm.BFS, strict stability
-under either algorithm and a start already at the goal run the forward
-loop: a FIFO queue and one parent map, ending when the goal is
-dequeued. Strict mode stays forward because its predecessors are not its
+replay uses) compare the same canonical key. One breadth-first loop
+returns minimal plans: it keeps one parent map rooted at the start and
+one rooted at the goal, and each round expands the whole current layer
+of one side. Every newly discovered state is tested against the other
+side's map, and the first hit ends the search. Every roll is reversible
+over the same blockers, so without strict stability a state's
+predecessors are its successors, and the default algorithm meets in the
+middle (Pohl, "Bi-directional Search", Machine Intelligence 6, 1971):
+each round grows the smaller side (the start's on a tie). Until a hit
+the two discovered sets are disjoint, so the distance exceeds d_start +
+d_goal, the depths of the two current layers; a hit from depth d_start
++ 1 has length at most d_start + 1 + d_goal, so it is optimal.
+Algorithm.BFS, and strict stability under either algorithm, grow the
+start's side only, so the goal's map stays {goal: None} and the test
+against it is the goal test, made as each state is discovered. Strict
+mode cannot grow the goal's side because its predecessors are not its
 successors: a strict roll must land next to a cell besides the
-substrate, while its reverse must start next to one.
+substrate, while its reverse must start next to one. A start already at
+the goal returns at once.
 
 A state is a sorted tuple of ints, one per cell: the cell's position
 packed by lattice.pack (x * 2**64 + y * 2**32 + z), which keeps the
@@ -56,8 +58,8 @@ state space (parameter sweeps, test batteries) stay cheap, in ints only:
 _succ maps an id to the tuple of its successor ids in generator order,
 and nothing else. A tuple of ints refers to nothing the cyclic GC must
 follow, so the collector untracks it at its first pass and later
-collections skip the memo. Both sides of the meet-in-the-middle loop
-read it. The parent maps and the goal test key on ids.
+collections skip the memo. Both sides of the loop read it. The parent
+maps and the goal test key on ids.
 
 PivotMoves are built only for the returned plan. _emit walks the start
 side's parents to the meeting state and then the goal side's parents to
@@ -92,7 +94,6 @@ from __future__ import annotations
 import operator
 import time
 from bisect import insort
-from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -115,11 +116,12 @@ from .lattice import (
 
 
 class Algorithm(Enum):
-    """The loop plan() runs. ASTAR, the default, meets in the middle
-    without strict stability and runs the forward loop with it; BFS
-    always runs the forward loop. Both give minimal plans. ASTAR keeps
-    its name for the options and the CLI's --algorithm astar, though no
-    loop evaluates heuristic()."""
+    """Which sides plan()'s loop grows. ASTAR, the default, grows the
+    start's and the goal's (meets in the middle) without strict
+    stability and the start's only with it; BFS always grows the start's
+    only. Both give minimal plans. ASTAR keeps its name for the options
+    and the CLI's --algorithm astar, though no loop evaluates
+    heuristic()."""
 
     BFS = "bfs"
     ASTAR = "astar"
@@ -153,17 +155,16 @@ class PlannerOptions:
 @dataclass(frozen=True, slots=True)
 class SearchStats:
     """Counters of one plan() call. states_expanded counts expansions on
-    both sides of the meet-in-the-middle loop, and the dequeued states
-    (the goal's included) of the forward loop; frontier_peak is the
-    largest sum of the two current layers at the start of a round, or
-    the forward loop's longest queue; generated counts the states entered
-    into the parent maps, their roots (the start, and the goal in the
-    meet-in-the-middle loop) not included; memo_size is the number of
-    states whose successors the Planner holds at return; evaluations is
-    0, as no loop evaluates a bound (the field stays in the CLI's JSON);
-    memo_hits counts the expansions whose successors the memo already
-    held. generated, memo_size and memo_hits are derived at return, not
-    counted per state."""
+    both sides; frontier_peak is the largest sum of the two current
+    layers at the start of a round, the goal's one state included when
+    the start's side grows alone; a start already at the goal counts 1
+    of each. generated counts the states entered into the parent maps,
+    their roots (the start and the goal) not included; memo_size is the
+    number of states whose successors the Planner holds at return;
+    evaluations is 0, as no loop evaluates a bound (the field stays in
+    the CLI's JSON); memo_hits counts the expansions whose successors the
+    memo already held. generated, memo_size and memo_hits are derived at
+    return, not counted per state."""
 
     states_expanded: int
     frontier_peak: int
@@ -354,7 +355,8 @@ def _step(
 class Planner:
     """Reusable search engine; memoizes successor expansion per state.
 
-    Each instance numbers the canonical states it meets (_ids, _states),
+    One loop, _search, serves both algorithms and every mode. Each
+    instance numbers the canonical states it meets (_ids, _states),
     with one int object per state element (_elems), and keeps per
     expanded id the successor ids (_succ), a tuple of ints that the
     cyclic GC untracks. _emit takes each step of the returned path at
@@ -421,45 +423,25 @@ class Planner:
             out.append(j)
         return tuple(out)
 
-    # -- the two loops ------------------------------------------------------
-    # each returns (meeting id or None, the start side's parent map, the
-    # goal side's, expansions, expansions that took successors, frontier
-    # peak); a parent map takes an id to its parent's, its root to None
+    # -- the search -------------------------------------------------------
 
-    def _forward(self, start_id: int, goal_id: int, budget: int) -> tuple:
-        """Breadth-first from the start, ending when the goal is dequeued
-        or the budget's last expansion is reached: neither takes
-        successors."""
-        parents = {start_id: None}
-        goal_side = {goal_id: None}
-        queue = deque([start_id])
-        successors = self._successors
-        expanded = 0
-        peak = 1
-        while queue:
-            i = queue.popleft()
-            expanded += 1
-            if i == goal_id or expanded >= budget:
-                meet = i if i == goal_id else None
-                return meet, parents, goal_side, expanded, expanded - 1, peak
-            for j in successors(i):
-                if j not in parents:
-                    parents[j] = i
-                    queue.append(j)
-            peak = max(peak, len(queue))
-        return None, parents, goal_side, expanded, expanded, peak
-
-    def _meet(self, start_id: int, goal_id: int, budget: int) -> tuple:
-        """Layers grown from both ends until a discovered state is in
-        both maps (see the module docstring). The budget's last
-        expansion takes no successors."""
+    def _search(self, start_id: int, goal_id: int, budget: int, both: bool) -> tuple:
+        """Layers grown from the start, and with both from the goal too,
+        until a discovered state is in both parent maps (see the module
+        docstring). Returns (meeting id or None, the start side's parent
+        map, the goal side's, expansions, expansions that took successors,
+        frontier peak); a parent map takes an id to its parent's, its root
+        to None. The budget's last expansion takes no successors."""
         sides = ({start_id: None}, {goal_id: None})
+        if start_id == goal_id:
+            return start_id, *sides, 1, 0, 1
         layers = [[start_id], [goal_id]]
         successors = self._successors
         expanded = peak = 0
         while layers[0] and layers[1]:
             peak = max(peak, len(layers[0]) + len(layers[1]))
-            s = len(layers[1]) < len(layers[0])  # the smaller side, the start's on a tie
+            # the smaller side, the start's on a tie or when it grows alone
+            s = both and len(layers[1]) < len(layers[0])
             near, far = sides[s], sides[not s]
             grown = []
             for i in layers[s]:
@@ -519,13 +501,12 @@ class Planner:
             ) from None
         start_id, goal_id = self._id(start_state), self._id(goal_state)
         memo_before = len(self._succ)
-        forward = (
-            self.opts.algorithm is Algorithm.BFS
-            or self.opts.strict_stability
-            or start_id == goal_id
+        # a strict state's predecessors are not its successors, so strict
+        # mode grows the start's side only, as BFS does
+        both = self.opts.algorithm is Algorithm.ASTAR and not self.opts.strict_stability
+        meet, parents, goal_side, expanded, searched, peak = self._search(
+            start_id, goal_id, budget, both
         )
-        search = self._forward if forward else self._meet
-        meet, parents, goal_side, expanded, searched, peak = search(start_id, goal_id, budget)
         memo_size = len(self._succ)
         moves = None if meet is None else self._emit(start, goal, meet, parents, goal_side)
         stats = SearchStats(

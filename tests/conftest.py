@@ -155,16 +155,18 @@ def oracle_successors(state, strict=False):
 
 
 class ShapeGraph:
-    """Full reachable canonical shape graph for a fixed cell count."""
+    """Full reachable canonical shape graph for a fixed cell count, over
+    the strictly stable moves alone with strict. A strict graph is
+    directed: a strict move's reverse need not be strict."""
 
-    def __init__(self, seeds):
+    def __init__(self, seeds, strict=False):
         self.succ: dict[tuple, list] = {}
         queue = deque(seeds)
         while queue:
             s = queue.popleft()
             if s in self.succ:
                 continue
-            nxt = oracle_successors(s)
+            nxt = oracle_successors(s, strict)
             self.succ[s] = nxt
             queue.extend(t for t in nxt if t not in self.succ)
 
@@ -180,17 +182,27 @@ class ShapeGraph:
         return dist
 
 
+def _shape_graphs(sizes, strict=False):
+    out = {}
+    for n in sizes:
+        shapes = enumerate_box_shapes(n)
+        graph = ShapeGraph(shapes, strict)
+        dists = {s: graph.distances_from(s) for s in shapes}
+        out[n] = (shapes, graph, dists)
+    return out
+
+
 @pytest.fixture(scope="session")
 def shape_graphs():
     """(in-box shapes, full graph, all-pairs distances from box shapes)
     for n = 2, 3, 4."""
-    out = {}
-    for n in (2, 3, 4):
-        shapes = enumerate_box_shapes(n)
-        graph = ShapeGraph(shapes)
-        dists = {s: graph.distances_from(s) for s in shapes}
-        out[n] = (shapes, graph, dists)
-    return out
+    return _shape_graphs((2, 3, 4))
+
+
+@pytest.fixture(scope="session")
+def strict_shape_graphs():
+    """shape_graphs over the strictly stable moves, for n = 3, 4."""
+    return _shape_graphs((3, 4), strict=True)
 
 
 @pytest.fixture(scope="session")
