@@ -6,7 +6,7 @@ Subpackages:
 * geometry   - canonical cell mesh, frames, contact classes, swept volumes
 * docking    - magnet layouts and genderless docking validation
 * kinematics - 120-degree edge pivots and their legality
-* planner    - BFS / A* reconfiguration planning
+* planner    - minimal pivot-move plans, breadth-first from one or both ends
 * analytics  - trajectory metrics and design summary tables
 * io         - file formats (JSON structures/plans/layouts, CSV, OBJ)
 * cli        - the ``rhombikit`` command

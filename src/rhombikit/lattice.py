@@ -239,9 +239,13 @@ def lattice_distance(p: Sequence[int], q: Sequence[int]) -> int:
     """
     p = check_pos(p)
     q = check_pos(q)
-    ax = abs(q[0] - p[0])
-    ay = abs(q[1] - p[1])
-    az = abs(q[2] - p[2])
+    return _step_metric(abs(q[0] - p[0]), abs(q[1] - p[1]), abs(q[2] - p[2]))
+
+
+def _step_metric(ax: int, ay: int, az: int) -> int:
+    """The lattice step metric of three non-negative per-axis distances:
+    max(ax, ay, az, ceil((ax + ay + az) / 2)). lattice_distance and the
+    planner's bounds all combine their axes with it."""
     return max(ax, ay, az, -((ax + ay + az) // -2))
 
 

@@ -27,20 +27,21 @@ A state is a sorted tuple of ints, one per cell: the cell's position
 packed by lattice.pack (x * 2**64 + y * 2**32 + z), which keeps the
 (x, y, z) order, so tie-breaks and plans are those of position tuples.
 In kind-sensitive mode each element is 2 * packed + kind bit (active 0,
-passive 1), which sorts the same way. The search runs in the start's
-frame: positions are taken relative to the start's smallest one, and
-with translation matching every state is shifted to its own smallest
-position (one int subtraction per cell, in _step); _emit adds the
-shifts and the start's position back. A packed position is exact while
-its y and z lie within lattice.PACK_LIMIT (2**31) of the frame's origin.
-A canonical connected state of n cells stays within n - 1 steps of its
+passive 1), which sorts the same way. Positions are taken relative to
+the start's smallest one, and with translation matching every state the
+search keys is moved to its own smallest position (one int subtraction
+per cell, in _step), the canonical form. A packed position is exact
+while its y and z lie within lattice.PACK_LIMIT (2**31) of the origin. A
+canonical connected state of n cells stays within n - 1 steps of its
 origin per axis, and a move reaches three steps further (one for the
 mover, two for a roll's shadow), so with translation matching plan()
 checks the start and the goal with n + 2 steps of margin, which any
 connected shape passes. Without it no cell drifts more than one step per
 expansion from the start or the goal, so plan() checks that every y and
 z of the start and the goal stays inside the range with max_states steps
-to spare, and raises ValidationError naming max_states otherwise.
+to spare, and raises ValidationError naming max_states otherwise. _emit
+decodes the plan in the start's frame, and no plan a search can hold in
+memory has the 2**31 moves its cells would need to drift out of range.
 
 Each Planner numbers the states it meets: a state gets a small int id
 the first time it is generated (_ids maps the tuple to its id, _states
@@ -48,18 +49,18 @@ maps it back), and from then on the search handles ids only. The move
 generator kinematics._legal_rolls takes the packed positions and names
 each roll's mover by its index in them, which is its index in the state;
 a successor is its parent's tuple with the element at that index removed
-and the destination's (same kind bit) inserted in order, shifted when its
-smallest position moved. _step builds it as one list and makes one
-tuple of it; _successors and _emit both take that step. A successor is
-kept once in the registry however many parents reach it, and its
-elements are the Planner's own int objects (_elems, one per value).
-Successors are memoized per Planner, so that repeated queries over one
-state space (parameter sweeps, test batteries) stay cheap, in ints only:
-_succ maps an id to the tuple of its successor ids in generator order,
-and nothing else. A tuple of ints refers to nothing the cyclic GC must
-follow, so the collector untracks it at its first pass and later
-collections skip the memo. Both sides of the loop read it. The parent
-maps and the goal test key on ids.
+and the destination's (same kind bit) inserted in order, in canonical
+form. _step builds it as one list and makes one tuple of it; _successors
+and _emit both take that step. A successor is kept once in the registry
+however many parents reach it, and its elements are the Planner's own
+int objects (_elems, one per value). Successors are memoized per
+Planner, so that repeated queries over one state space (parameter
+sweeps, test batteries) stay cheap, in ints only: _succ maps an id to
+the tuple of its successor ids in generator order, and nothing else. A
+tuple of ints refers to nothing the cyclic GC must follow, so the
+collector untracks it at its first pass and later collections skip the
+memo. Both sides of the loop read it. The parent maps and the goal test
+key on ids.
 
 PivotMoves are built only for the returned plan. _emit walks the start
 side's parents to the meeting state and then the goal side's parents to
@@ -67,14 +68,16 @@ the goal; each step is a forward move (on the goal side by
 reversibility). Each step takes the roll at the child's first index in
 the parent's successor ids: its memo entry, or, for a meeting state only
 the goal side reached, the ids _successor_ids computes without storing
-them. _emit runs the generator on the parent again and steps only that
-roll, for its shift. On the start side that is the roll the search
-recorded, and on either side a later roll to the same child is no
-shorter. The Planner hands out one PivotMove per distinct move,
-looked up by its face indices and mover position before one is built
-(_moves), and one tuple per distinct position (_emitted, seeded with the
-start's and the goal's own), so the results a caller keeps hold each
-move and each position once.
+them. On the start side that is the roll the search recorded, and on
+either side a later roll to the same child is no shorter. Rolls do not
+depend on translation, so the generator lists a state's rolls in one
+order wherever the state lies: _emit runs it on the start's own state
+and then on each step's result, kept in the start's frame, and builds
+the move of the roll at that index there. The Planner hands out one
+PivotMove per distinct move, looked up by its mover position and face
+indices before one is built (_moves), and one tuple per distinct
+position (_emitted, seeded with the start's and the goal's own), so the
+results a caller keeps hold each move and each position once.
 
 No loop evaluates a bound. heuristic() stays public: a lower bound on
 the number of moves, by an optimal assignment between cell positions
@@ -108,6 +111,7 @@ from .lattice import (
     _as_int_in,
     _echo,
     _require_nonempty,
+    _step_metric,
     add,
     is_connected,
     pack_frame,
@@ -221,11 +225,10 @@ def _assignment_bound(a: tuple[Pos, ...], b: tuple[Pos, ...]) -> int:
     for p in a:
         row = [0]
         for q in b:
-            dx = abs(p[0] - q[0])
-            dy = abs(p[1] - q[1])
-            dz = abs(p[2] - q[2])
-            # lattice_distance, inlined: it validates both positions per call
-            row.append(max(dx, dy, dz, -((dx + dy + dz) // -2)))
+            # lattice_distance without its check of both positions per call
+            row.append(
+                _step_metric(abs(p[0] - q[0]), abs(p[1] - q[1]), abs(p[2] - q[2]))
+            )
         cost.append(row)
     n = len(b)
     cols = range(1, n + 1)
@@ -284,8 +287,9 @@ def _translation_bound(a: tuple[Pos, ...], g: tuple[Pos, ...]) -> int:
     sets of the same size: each axis's sorted coordinates are matched by
     _axis_bound, and the three axis bounds combine as the lattice step
     metric combines coordinate differences."""
-    bx, by, bz = (_axis_bound(sorted(sa), sorted(ga)) for sa, ga in zip(zip(*a), zip(*g)))
-    return max(bx, by, bz, -((bx + by + bz) // -2))
+    return _step_metric(
+        *(_axis_bound(sorted(sa), sorted(ga)) for sa, ga in zip(zip(*a), zip(*g)))
+    )
 
 
 def heuristic(
@@ -332,24 +336,18 @@ def _state(c: Configuration, origin: Pos, kind_bits: int, margin: int = 0) -> _S
     return packed
 
 
-def _step(
-    state: _State, at: int, dest: int, kind_bits: int, translate: bool
-) -> tuple[_State, int]:
-    """The goal key of state with its element at index at moved to packed
-    position dest, keeping the element's kind bit. With translate the
-    key is shifted so its smallest position is the origin. Returns the
-    key and the packed shift subtracted (0 when the minimum stays put).
+def _step(state: _State, at: int, dest: int, kind_bits: int, translate: bool) -> _State:
+    """The state with its element at index at moved to packed position
+    dest, keeping the element's kind bit. With translate it is moved
+    so its smallest position is the origin: the canonical form.
 
     Subtracting the minimum keeps a sorted state sorted and leaves each
     kind bit where it is.
     """
     nxt = list(state)
     insort(nxt, (dest << kind_bits) + (nxt.pop(at) & kind_bits))
-    m = nxt[0] >> kind_bits if translate else 0
-    if m == 0:
-        return tuple(nxt), 0
-    d = m << kind_bits
-    return tuple([e - d for e in nxt]), m
+    d = nxt[0] >> kind_bits << kind_bits if translate else 0
+    return tuple([e - d for e in nxt]) if d else tuple(nxt)
 
 
 class Planner:
@@ -360,7 +358,8 @@ class Planner:
     with one int object per state element (_elems), and keeps per
     expanded id the successor ids (_succ), a tuple of ints that the
     cyclic GC untracks. _emit takes each step of the returned path at
-    the child's first index in the parent's successor ids; _moves
+    the child's first index in the parent's successor ids, from the
+    start's state stepped along in the start's frame; _moves
     holds one PivotMove per move and _emitted one tuple per position the
     returned plans use. None of these depends on a goal, so they serve
     every query of the instance. The states are canonical under the
@@ -378,7 +377,7 @@ class Planner:
         self._states: list[_State] = []
         self._elems: dict[int, int] = {}  # state elements, one int object each
         self._succ: dict[int, tuple[int, ...]] = {}  # id -> successor ids
-        self._moves: dict[int, dict] = {}  # from * 12 + to -> mover -> plan move
+        self._moves: dict[tuple, PivotMove] = {}  # (mover, from, to) -> plan move
         self._emitted: dict[Pos, Pos] = {}  # plan positions, one tuple each
 
     def _id(self, state: _State) -> int:
@@ -414,7 +413,7 @@ class Planner:
         ids, states, elem = self._ids, self._states, self._elems.setdefault
         out = []
         for at, substrate, _, ti in self._rolls_of(state):
-            canon, _ = _step(state, at, substrate + PACKED_DIRS[ti], k, translate)
+            canon = _step(state, at, substrate + PACKED_DIRS[ti], k, translate)
             j = ids.get(canon)
             if j is None:  # _id inlined: a call here costs ~4 % of a one-shot search
                 canon = tuple(map(elem, canon, canon))
@@ -549,31 +548,28 @@ class Planner:
 
         # each step takes the roll at the child's first index in the
         # parent's successor ids (its memo entry, or computed when the
-        # search never expanded the parent forward) and steps it for its
-        # shift. The packed offset maps each canonical frame back onto the
-        # start's frame, and the start's smallest position maps that frame
-        # back to the caller's coordinates
+        # search never expanded the parent forward). Rolls do not depend on
+        # translation, so the generator lists the same rolls in the same
+        # order for the parent's state in the start's frame, which is
+        # stepped along without translate, and the start's smallest
+        # position maps that frame back to the caller's coordinates
         k = self._kind_bits
-        translate = self.opts.match_up_to_translation
         origin = start.cells[0].pos
         seen, known = self._emitted, self._moves
         for p in start.positions + goal.positions:
             seen.setdefault(p, p)
-        offset = 0
+        state = self._states[path[0]]
         moves = []
         for parent, child in zip(path, path[1:]):
-            state = self._states[parent]
             succ = self._succ.get(parent) or self._successor_ids(parent)
             at, substrate, fi, ti = self._rolls_of(state)[succ.index(child)]
-            _, shift = _step(state, at, substrate + PACKED_DIRS[ti], k, translate)
-            mover = (state[at] >> k) + offset
-            pos = add(unpack(mover), origin)
-            by_pos = known.setdefault(fi * 12 + ti, {})  # moves by faces, then mover
-            move = by_pos.get(pos)
+            mover = state[at] >> k
+            key = (add(unpack(mover), origin), fi, ti)
+            move = known.get(key)
             if move is None:
-                move = by_pos[pos] = _pivot(origin, mover, substrate + offset, fi, ti, seen)
+                move = known[key] = _pivot(origin, mover, substrate, fi, ti, seen)
             moves.append(move)
-            offset += shift
+            state = _step(state, at, substrate + PACKED_DIRS[ti], k, False)
         return tuple(moves)
 
 

@@ -181,6 +181,40 @@ def _mode_queries(opts):
         yield _with_actives(a, {0}), _with_actives(b, {1})
 
 
+@st.composite
+def _pair_query(draw):
+    """A mode (translation, exact or kinds) and two connected
+    configurations of one size, each grown cell by cell from the origin:
+    2-5 cells with translation matching, 2-4 in exact positions. With
+    kinds the goal holds the start's kinds in a drawn order."""
+    mode = draw(st.sampled_from(["translation", "exact", "kinds"]))
+    n = draw(st.integers(2, 4 if mode == "exact" else 5))
+
+    steps = st.lists(st.tuples(st.integers(0, 4), st.integers(0, 11)), min_size=3 * n, max_size=3 * n)
+
+    def grown():
+        cells = [(0, 0, 0)]
+        for base, face in draw(steps):
+            q = add(cells[base % len(cells)], FACE_DIRS[face])
+            if q not in cells and len(cells) < n:
+                cells.append(q)
+        assume(len(cells) == n)
+        return cells
+
+    start, goal = grown(), grown()
+    kinds = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    goal_kinds = draw(st.permutations(kinds)) if mode == "kinds" else kinds
+    opts = PlannerOptions(
+        max_states=20_000,
+        match_up_to_translation=mode != "exact",
+        kind_sensitive=mode == "kinds",
+    )
+    def actives(ks):
+        return {i for i, k in enumerate(ks) if k}
+
+    return opts, _with_actives(start, actives(kinds)), _with_actives(goal, actives(goal_kinds))
+
+
 class TestOptions:
     @pytest.mark.parametrize("algorithm", ["astar", "bogus", None])
     def test_algorithm_must_be_a_member(self, algorithm):
@@ -544,7 +578,7 @@ class TestPlan:
             for name in ("states_expanded", "frontier_peak", "generated", "evaluations"):
                 assert getattr(got.stats, name) == getattr(want.stats, name), (name, where)
 
-    def test_bound_called_once_per_evaluation(self, monkeypatch):
+    def test_search_calls_no_bound(self, monkeypatch):
         # the benchmark's tracer wraps _translation_bound and reports its
         # calls as bound evaluations: the search evaluates none (its
         # layers grow from both ends, 18 expansions over both sides), and
@@ -658,14 +692,12 @@ class TestPackedStates:
     def test_step_matches_roll_then_shift(self, kind_bits, translate):
         # the two-pass reference _step replaces: move the element (its kind
         # bit kept) and sort, then with translate subtract the smallest
-        # position from every element
+        # position from every element. The reference also gives the shift
         def reference(state, at, dest):
             rest = list(state)
             e = rest.pop(at)
             rolled = tuple(sorted(rest + [(dest << kind_bits) + (e & kind_bits)]))
-            if not translate or rolled[0] >> kind_bits == 0:
-                return rolled, 0
-            m = rolled[0] >> kind_bits
+            m = rolled[0] >> kind_bits if translate else 0
             return tuple(x - (m << kind_bits) for x in rolled), m
 
         rng = np.random.default_rng(23)
@@ -680,9 +712,10 @@ class TestPackedStates:
                 continue
             at = int(rng.integers(n))
             got = _step(state, at, dest, kind_bits, translate)
-            assert got == reference(state, at, dest)
-            assert type(got[0]) is tuple
-            shifts += got[1] != 0
+            want, shift = reference(state, at, dest)
+            assert got == want
+            assert type(got) is tuple and all(type(e) is int for e in got)
+            shifts += shift != 0
         assert shifts > 0 if translate else shifts == 0
 
     @pytest.mark.parametrize("translate", [True, False])
@@ -701,24 +734,25 @@ class TestPackedStates:
             with pytest.raises(ValidationError, match="exact range"):
                 plan(LINE3, goal, opts)
 
-    def test_far_from_origin_plans_shift_with_the_input(self):
-        off = (10**12, -(10**12), 2)
-        for translate in (True, False):
-            opts = PlannerOptions(match_up_to_translation=translate)
-            goal = TRI3.translate((2, 0, 0))
-            near = plan(LINE3, goal, opts)
-            far = plan(LINE3.translate(off), goal.translate(off), opts)
-            assert near.ok and far.ok
-            assert far.plan.moves == tuple(
-                PivotMove(
-                    tuple(a + b for a, b in zip(m.mover, off)),
-                    tuple(a + b for a, b in zip(m.substrate, off)),
-                    m.from_dir,
-                    m.to_dir,
-                )
-                for m in near.plan.moves
-            )
-            replay(LINE3.translate(off), far.plan)
+    @settings(derandomize=True, deadline=None, max_examples=60)
+    @given(_pair_query(), st.data())
+    def test_far_from_origin_plans_shift_with_the_input(self, query, data):
+        # a query translated by an even offset, far from the origin and
+        # still inside the exact range less max_states, plans the plain
+        # query's moves shifted by that offset, in every mode
+        opts, start, goal = query
+        near = plan(start, goal, opts)
+        assume(near.ok)
+        reach = PACK_LIMIT - opts.max_states - 20
+        half = st.integers(-(10**15), 10**15), st.integers(-reach // 2, reach // 2)
+        off = tuple(2 * v for v in data.draw(st.tuples(half[0], half[1], half[1])))
+        far = plan(start.translate(off), goal.translate(off), opts)
+        assert far.ok
+        assert far.plan.moves == tuple(
+            PivotMove(add(m.mover, off), add(m.substrate, off), m.from_dir, m.to_dir)
+            for m in near.plan.moves
+        )
+        replay(start.translate(off), far.plan)
 
     def test_search_counters(self):
         assert SearchStats(0, 0, 0.0) == SearchStats(0, 0, 0.0, 0, 0)
@@ -792,10 +826,10 @@ class TestStateIds:
         b.plan(self.START, self.GOAL)
         assert a._states == before  # b's states went to b alone
 
-    def test_repushed_state_is_bounded_once(self, monkeypatch):
-        # no loop bounds a state or pushes one twice: each side enters a
-        # state into its map once and expands it at most once, and the two
-        # sides never expand the same state. _emit expands none: it reads
+    def test_each_state_expanded_at_most_once(self, monkeypatch):
+        # each side enters a state into its map once and expands it at
+        # most once, and the two sides never expand the same state, so no
+        # state is expanded twice in one search. _emit expands none: it reads
         # the memo, and computes, without storing, the successor ids of a
         # meeting state the search never expanded forward
         expanded = []
@@ -813,40 +847,6 @@ class TestStateIds:
             assert res.ok
             assert len(expanded) == len(set(expanded)) == res.stats.states_expanded
             assert res.stats.evaluations == 0
-
-
-@st.composite
-def _pair_query(draw):
-    """A mode (translation, exact or kinds) and two connected
-    configurations of one size, each grown cell by cell from the origin:
-    2-5 cells with translation matching, 2-4 in exact positions. With
-    kinds the goal holds the start's kinds in a drawn order."""
-    mode = draw(st.sampled_from(["translation", "exact", "kinds"]))
-    n = draw(st.integers(2, 4 if mode == "exact" else 5))
-
-    steps = st.lists(st.tuples(st.integers(0, 4), st.integers(0, 11)), min_size=3 * n, max_size=3 * n)
-
-    def grown():
-        cells = [(0, 0, 0)]
-        for base, face in draw(steps):
-            q = add(cells[base % len(cells)], FACE_DIRS[face])
-            if q not in cells and len(cells) < n:
-                cells.append(q)
-        assume(len(cells) == n)
-        return cells
-
-    start, goal = grown(), grown()
-    kinds = draw(st.lists(st.booleans(), min_size=n, max_size=n))
-    goal_kinds = draw(st.permutations(kinds)) if mode == "kinds" else kinds
-    opts = PlannerOptions(
-        max_states=20_000,
-        match_up_to_translation=mode != "exact",
-        kind_sensitive=mode == "kinds",
-    )
-    def actives(ks):
-        return {i for i, k in enumerate(ks) if k}
-
-    return opts, _with_actives(start, actives(kinds)), _with_actives(goal, actives(goal_kinds))
 
 
 class TestMeetInTheMiddle:
