@@ -157,8 +157,8 @@ def trial_stats(tr: Trajectory, theta_min: float = math.pi) -> TrialStats:
 @dataclass(frozen=True)
 class DesignMeta:
     """Morphology metadata for one design (not derivable from trials):
-    int cell counts, at least one active and no negative passive count,
-    finite body measures kept as floats, and a ContactType."""
+    int cell counts a float can hold, at least one active and no negative
+    passive count, finite body measures kept as floats, and a ContactType."""
 
     name: str
     passive: int
@@ -173,6 +173,8 @@ class DesignMeta:
             ("body_length_cm", _as_real), ("body_weight_g", _as_real),
         ):
             object.__setattr__(self, name, rule(getattr(self, name), name))
+        for name in ("passive", "active"):  # ratio_text divides them as floats
+            _as_real(getattr(self, name), name)
         if self.passive < 0 or self.active < 1:
             raise ValidationError(
                 f"need passive >= 0 and active >= 1, got {_echo(self.passive)} and "

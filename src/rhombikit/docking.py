@@ -18,8 +18,8 @@ for the cell's two-fold faces it gives exactly validate_genderless's
 verdict on the pattern stamped onto all 12 faces. Below two-fold
 symmetry no assignment can survive a flipped alignment and the scheme
 does not apply. Pairing tolerance is the constant EPS_MATCH: _partners,
-the one point matcher, applies it both to docking and to the check that
-a face's positions are k-fold symmetric.
+the one point matcher, applies it both to docking and to FaceLayout's
+check that its positions are k-fold symmetric.
 
 Magnets pair as plain 2-D float points, and the long-axis sign of a
 contact is the sign of an integer dot product of two rotated integer
@@ -97,18 +97,6 @@ def _turned(points, angle: float) -> list[tuple[float, float]]:
     return [(c * u - s * v, s * u + c * v) for u, v in points]
 
 
-def _check_symmetry(k) -> int:
-    """A symmetry order is an int (numpy ints too, not bools) of at least
-    two whose turn, 2*pi/k, a float can hold."""
-    k = _as_int(k, "symmetry order")
-    if k < 2:
-        raise UnsupportedSymmetry(
-            f"genderless docking needs at least two-fold symmetry, got k={_echo(k)}"
-        )
-    _as_real(k, "symmetry order")
-    return k
-
-
 def _partners(pa, pb) -> list[int]:
     """Index into pb of the point nearest each point of pa (the first such
     on a tie); the points are sequences of numbers of any one dimension.
@@ -128,33 +116,6 @@ def _partners(pa, pb) -> list[int]:
     return partner
 
 
-def _check_face(points, k: int) -> None:
-    """The rules for the magnet positions of one k-fold face, shared by
-    FaceLayout and the layout search, once k has passed _check_symmetry:
-    the positions are pairwise separated by more than twice the pairing
-    tolerance, and as a multiset they are invariant under rotation by
-    2*pi/k: the rotated positions pair with the positions (_partners,
-    within EPS_MATCH), and only a magnet within EPS_MATCH of the face
-    centre pairs with itself. The separation makes that pairing unique;
-    the last rule keeps a click too small to move any magnet out of the
-    tolerance, under a huge k, from passing every face. The points are
-    2D sequences of numbers."""
-    for i in range(len(points)):
-        for j in range(i + 1, len(points)):
-            if math.dist(points[i], points[j]) <= 2 * EPS_MATCH:
-                raise ValidationError(
-                    f"magnets {i} and {j} are closer than the pairing tolerance"
-                )
-    try:
-        partner = _partners(_turned(points, 2.0 * math.pi / k), points)
-        if any(i == j and math.hypot(*points[i]) > EPS_MATCH for i, j in enumerate(partner)):
-            raise PairingError("an off-centre magnet pairs with itself")
-    except PairingError:
-        raise ValidationError(
-            f"magnet positions are not {_echo(k)}-fold symmetric"
-        ) from None
-
-
 def _tuple_of(kind: type, items, what: str) -> tuple:
     """items as a tuple, each of them a kind; ValidationError otherwise."""
     try:
@@ -170,10 +131,16 @@ def _tuple_of(kind: type, items, what: str) -> tuple:
 class FaceLayout:
     """The magnets of one face.
 
-    Positions must be pairwise separated by more than twice the pairing
-    tolerance and, as a multiset, invariant under the face's k-fold
-    rotation (otherwise some realizable alignment could not pair all
-    magnets). The rhombic cell faces have k = 2.
+    The symmetry order k is an int (numpy ints too, not bools) of at
+    least two whose turn, 2*pi/k, a float can hold. Positions must be
+    pairwise separated by more than twice the pairing tolerance and, as
+    a multiset, invariant under the face's k-fold rotation (otherwise
+    some realizable alignment could not pair all magnets): the rotated
+    positions pair with the positions (_partners, within EPS_MATCH), and
+    only a magnet within EPS_MATCH of the face centre pairs with itself.
+    The separation makes that pairing unique; the last rule keeps a click
+    too small to move any magnet out of the tolerance, under a huge k,
+    from passing every face. The rhombic cell faces have k = 2.
     """
 
     magnets: tuple[MagnetSpec, ...]
@@ -184,8 +151,28 @@ class FaceLayout:
         object.__setattr__(self, "magnets", mags)
         if not mags:
             raise ValidationError("face layout has no magnets")
-        object.__setattr__(self, "symmetry", _check_symmetry(self.symmetry))
-        _check_face([m.pos for m in mags], self.symmetry)
+        k = _as_int(self.symmetry, "symmetry order")
+        if k < 2:
+            raise UnsupportedSymmetry(
+                f"genderless docking needs at least two-fold symmetry, got k={_echo(k)}"
+            )
+        _as_real(k, "symmetry order")
+        object.__setattr__(self, "symmetry", k)
+        points = [m.pos for m in mags]
+        for i in range(len(points)):
+            for j in range(i + 1, len(points)):
+                if math.dist(points[i], points[j]) <= 2 * EPS_MATCH:
+                    raise ValidationError(
+                        f"magnets {i} and {j} are closer than the pairing tolerance"
+                    )
+        try:
+            partner = _partners(_turned(points, 2.0 * math.pi / k), points)
+            if any(i == j and math.hypot(*points[i]) > EPS_MATCH for i, j in enumerate(partner)):
+                raise PairingError("an off-centre magnet pairs with itself")
+        except PairingError:
+            raise ValidationError(
+                f"magnet positions are not {_echo(k)}-fold symmetric"
+            ) from None
 
     def positions(self) -> np.ndarray:
         import numpy as np
@@ -384,20 +371,20 @@ def enumerate_valid_layouts(
     face, contact_map of each of the 576 alignments maps the partner by
     _mate(uv, s, 0, 2) with s = +1 or -1, which are the in-plane check's
     clicks j = 0 and j = 1, and both signs occur among the alignments.
-    The positions follow FaceLayout's rules (finite, separated, k-fold
+    The positions and k must make a FaceLayout (finite, separated, k-fold
     symmetric).
     """
     try:  # each position obeys MagnetSpec's rule (two finite real numbers)
-        pts = [MagnetSpec(p, Polarity.N).pos for p in face_positions]
+        mags = tuple(MagnetSpec(p, Polarity.N) for p in face_positions)
     except TypeError:  # raised only by iterating face_positions
-        pts = []
-    if not pts:
+        mags = ()
+    if not mags:
         raise ValidationError(
             "face positions must be a nonempty list of 2D points, "
             f"got {_echo(face_positions)}"
         )
-    k = _check_symmetry(k)
-    _check_face(pts, k)
+    k = FaceLayout(mags, k).symmetry  # checks k and the positions
+    pts = [m.pos for m in mags]
     maps = _partner_maps(pts, k)
     if maps is None:
         return ()

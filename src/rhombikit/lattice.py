@@ -160,7 +160,7 @@ def check_pos(p: Sequence[int]) -> Pos:
         if len(p) != 3:
             raise ValidationError
         t = (_as_int(p[0]), _as_int(p[1]), _as_int(p[2]))
-    except (TypeError, ValidationError):
+    except (TypeError, LookupError, ValidationError):
         raise ValidationError(
             f"lattice position must be an integer triple, got {_echo(p)}"
         ) from None
@@ -292,15 +292,12 @@ def _check_dir(d: int) -> int:
 
 
 def _dir_index(d) -> int:
-    """FACE_DIRS index of a direction vector of ints (numpy ints too;
-    bools and floats are rejected like everywhere else)."""
+    """FACE_DIRS index of a direction vector, an integer triple by
+    check_pos's rule."""
     try:
-        i = FACE_DIR_INDEX.get(tuple(_as_int(x) for x in d))
-    except (TypeError, ValidationError):
-        i = None
-    if i is None:
-        raise ValidationError(f"not a face direction: {_echo(d)}")
-    return i
+        return FACE_DIR_INDEX[check_pos(d)]
+    except (KeyError, ValidationError):
+        raise ValidationError(f"not a face direction: {_echo(d)}") from None
 
 
 def _roll_faces(d1, d2) -> tuple[int, int]:

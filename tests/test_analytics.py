@@ -50,6 +50,12 @@ class TestTrajectoryValidation:
         with pytest.raises(ValidationError):
             Trajectory("t", np.array([0.0, 0.0]), np.zeros((2, 2)))
 
+    def test_xy_needs_two_columns(self):
+        with pytest.raises(
+            ValidationError, match=r"^trial 't': need t \(N,\) and xy \(N, 2\) samples$"
+        ):
+            Trajectory("t", np.arange(3.0), np.zeros((3, 3)))
+
     def test_heading_length_checked(self):
         with pytest.raises(ValidationError):
             Trajectory("t", np.array([0.0, 1.0]), np.zeros((2, 2)), np.zeros(3))
@@ -279,6 +285,10 @@ class TestSummarize:
 
 
 class TestReportTable:
+    def test_unknown_format_rejected(self):
+        with pytest.raises(ValidationError, match="^unknown table format 'html'$"):
+            report_table([summarize(_fixture_trials(), DESIGN_A)], "html")
+
     def test_fixture_renders_verbatim_cells(self):
         table = report_table([summarize(_fixture_trials(), DESIGN_A)])
         assert "| No. of passive cells | 2 |" in table

@@ -90,7 +90,7 @@ def _symmetric_position_sets(count, seed):
         if not 2 <= len(pts) <= 10:
             continue
         try:
-            docking._check_face(np.array(pts), k)
+            FaceLayout(tuple(MagnetSpec(p, N) for p in pts), k)
         except ValidationError:
             continue  # two orbits came too close
         out.append((k, pts))
@@ -124,6 +124,14 @@ def _mirror_alignment(d=(1, 1, 0)):
 
 
 class TestLayoutValidation:
+    def test_polarity_must_be_a_polarity(self):
+        with pytest.raises(ValidationError, match="^bad polarity 'N'$"):
+            MagnetSpec((0.5, 0.0), "N")
+
+    def test_no_magnets_rejected(self):
+        with pytest.raises(ValidationError, match="^face layout has no magnets$"):
+            FaceLayout(())
+
     def test_default_positions_inside_face(self):
         for u, v in default_face_positions():
             assert abs(u) / math.sqrt(2) + abs(v) < 1.0
@@ -221,6 +229,11 @@ class TestLayoutValidation:
 
 
 class TestContactMap:
+    def test_magnet_counts_must_match(self):
+        two = FaceLayout((MagnetSpec((0.5, 0.0), N), MagnetSpec((-0.5, 0.0), S)))
+        with pytest.raises(PairingError, match="^magnet counts differ: 4 vs 2$"):
+            contact_map(_face(GOLDEN_VALID[0]), two, _mirror_alignment())
+
     def test_identity_alignment_four_pairs(self):
         f = _face(GOLDEN_VALID[0])
         pairs = contact_map(f, f, _mirror_alignment())

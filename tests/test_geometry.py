@@ -16,6 +16,7 @@ from rhombikit.geometry import (
     GroundContact,
     Mesh,
     canonical_cell_mesh,
+    check_world_rotation,
     classify_ground_contact,
     dihedral_angle,
     face_frame,
@@ -315,6 +316,10 @@ class TestRollTransform:
 
 
 class TestGroundContact:
+    def test_rotation_must_be_3x3(self):
+        with pytest.raises(ValidationError, match=r"^rotation must be 3x3, got shape \(2, 2\)$"):
+            check_world_rotation(np.eye(2))
+
     def test_holds_a_read_only_copy(self):
         pts = np.zeros((1, 3))
         res = GroundContact(ContactType.POINT, pts, {(0, 0, 0): ContactType.POINT})

@@ -785,6 +785,20 @@ class TestCli:
         assert "Traceback" not in captured.err
         assert captured.out == ""
 
+    @pytest.mark.parametrize(
+        "rot, message",
+        [
+            ("1,0,90", "--rot expects 'ax,ay,az,deg'"),
+            ("1,0,x,90", "--rot expects numeric 'ax,ay,az,deg'"),
+        ],
+    )
+    def test_contact_malformed_rotation_exit_1(self, files, capsys, rot, message):
+        code = cli_main(["contact", "--structure", files["two"], f"--rot={rot}"])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.err == message + "\n"
+        assert captured.out == ""
+
     def test_contact_json(self, files, capsys):
         code = cli_main(
             ["contact", "--structure", files["two"], "--rot", "1,-1,0,-90", "--json"]
@@ -964,6 +978,19 @@ class TestCli:
             f"error: {tmp / 'd.json'}: designs[0].trials[1]: "
             "duplicate trial id 'T0' (first at designs[0].trials[0])\n"
         )
+
+    def test_analyze_unknown_trial_exit_1(self, files, capsys):
+        tmp = files["tmp"]
+        (tmp / "t.csv").write_text(
+            "trial_id,t,x,y\nT0,0,0,0\nT0,30,1,1\n", encoding="utf-8"
+        )
+        design = dict(TestDesignFiles.DESIGN, trials=["T0", "T9"])
+        (tmp / "d.json").write_text(json.dumps(design), encoding="utf-8")
+        argv = ["analyze", "--csv", str(tmp / "t.csv"), "--design", str(tmp / "d.json")]
+        assert cli_main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: design 'Design A': unknown trial ids ['T9']\n"
 
     def test_json_outputs_parse(self, files, capsys):
         assert cli_main(["validate", files["line"], "--json"]) == 0

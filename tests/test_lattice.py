@@ -264,6 +264,10 @@ class TestEdgeRule:
 
 
 class TestConfiguration:
+    def test_kind_must_be_a_cell_kind(self):
+        with pytest.raises(ValidationError, match="^bad cell kind 'active'$"):
+            Cell((0, 0, 0), "active")
+
     def test_duplicate_positions_rejected(self):
         with pytest.raises(ValidationError, match="duplicate"):
             Configuration(

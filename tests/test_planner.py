@@ -514,6 +514,12 @@ class TestPlan:
         final = replay(s, res.plan)
         assert goal_matches(final, g, kind_sensitive=True)
 
+    def test_goal_matches_needs_equal_cell_counts(self):
+        two = Configuration.from_positions([(0, 0, 0), (1, 1, 0)])
+        for translate in (True, False):
+            assert not goal_matches(two, LINE3, match_up_to_translation=translate)
+            assert not goal_matches(LINE3, two, match_up_to_translation=translate)
+
     def test_goal_matches_empty_and_translation(self):
         empty = Configuration([])
         for translate in (True, False):

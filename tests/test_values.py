@@ -10,7 +10,14 @@ from enum import IntEnum
 import numpy as np
 import pytest
 
-from rhombikit.analytics import DesignMeta, Trajectory, rotation_direction
+from rhombikit.analytics import (
+    DesignMeta,
+    Trajectory,
+    report_table,
+    rotation_direction,
+    summarize,
+    trial_stats,
+)
 from rhombikit.docking import (
     ContactAlignment,
     FaceLayout,
@@ -22,12 +29,14 @@ from rhombikit.docking import (
 from rhombikit.errors import ValidationError
 from rhombikit.geometry import ContactType, canonical_cell_mesh
 from rhombikit.io import StructureDoc, export_obj
-from rhombikit.kinematics import legal_moves
+from rhombikit.kinematics import PivotMove, legal_moves
 from rhombikit.lattice import (
+    FACE_DIRS,
     Cell,
     Configuration,
     _as_int,
     _as_real,
+    _dir_index,
     _echo,
     check_pos,
     is_connected,
@@ -252,10 +261,89 @@ def test_check_pos_gives_a_plain_int_tuple(pos):
         (_Triple((1, 1)), "integer triple"),
         ((1, 1, 0, 0), "integer triple"),
         ((1, 1, None), "integer triple"),
+        ({"x": 0, "y": 0, "z": 0}, "integer triple"),
     ],
     ids=_echo,
 )
 def test_check_pos_refuses_what_is_not_a_position(pos, message):
     with pytest.raises(ValidationError, match=message):
         check_pos(pos)
+
+
+XYZ = {"x": 0, "y": 0, "z": 0}
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        Cell,
+        lambda p: Configuration.from_positions([p]),
+        lambda p: PivotMove(p, (0, 0, 0), (1, 1, 0), (1, 0, 1)),
+        lambda p: PivotMove((1, 1, 0), (0, 0, 0), p, (1, 0, 1)),
+    ],
+    ids=["Cell", "from_positions", "PivotMove.mover", "PivotMove.from_dir"],
+)
+def test_str_keyed_mapping_raises_validation_error(call):
+    # it used to raise a bare KeyError: 0 from check_pos
+    with pytest.raises(ValidationError):
+        call(XYZ)
+
+
+# a face direction is an integer triple by check_pos's rule that names
+# one of FACE_DIRS; every spelling of it gives that entry's index
+@pytest.mark.parametrize("index", range(12))
+@pytest.mark.parametrize(
+    "spell",
+    [
+        tuple,
+        list,
+        np.array,
+        lambda d: tuple(np.int64(x) for x in d),
+        _Triple,
+        lambda d: dict(enumerate(d)),
+    ],
+    ids=["tuple", "list", "array", "numpy-ints", "tuple-subclass", "int-keyed-dict"],
+)
+def test_dir_index_reads_every_spelling_of_a_direction(spell, index):
+    assert _dir_index(spell(FACE_DIRS[index])) == index
+
+
+NOT_DIRECTIONS = {
+    "floats": (1.0, 1.0, 0.0),
+    "one-float": (1, 1.0, 0),
+    "float-array": np.array([1.0, 1.0, 0.0]),
+    "bools": (True, True, False),
+    "one-bool": (1, True, 0),
+    "odd-sum": (1, 0, 0),
+    "odd-sum-3": (1, 1, 1),
+    "even-non-face": (2, 0, 0),
+    "origin": (0, 0, 0),
+    "pair": (1, 1),
+    "four": (1, 1, 0, 0),
+    "None": None,
+    "str": "110",
+    "str-keyed-dict": XYZ,
+    "iterator": iter((1, 1, 0)),  # accepted before directions went through check_pos
+}
+
+
+@pytest.mark.parametrize("d", NOT_DIRECTIONS.values(), ids=NOT_DIRECTIONS.keys())
+def test_dir_index_refuses_what_is_not_a_face_direction(d):
+    with pytest.raises(ValidationError, match="not a face direction"):
+        _dir_index(d)
+
+
+@pytest.mark.parametrize("count", [10**400, HUGE], ids=["10**400", "HUGE"])
+@pytest.mark.parametrize("name", ["passive", "active"])
+def test_design_counts_a_float_cannot_hold_are_refused(name, count):
+    # report_table divides the counts as floats: 10**400 raised an
+    # OverflowError there, and HUGE a bare ValueError (str's digit limit)
+    with pytest.raises(ValidationError, match=f"{name} must be a finite number"):
+        _design(**{name: count})
+
+
+def test_design_counts_a_float_can_hold_are_reported():
+    meta = _design(passive=10**300)
+    table = report_table([summarize([trial_stats(_TRIAL)], meta)])
+    assert f"| No. of passive cells | {10**300} |" in table
 
