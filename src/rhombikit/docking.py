@@ -11,11 +11,14 @@ pair of cell orientations, and every face-to-face alignment the lattice
 can realize, so that any cell can grab any other cell in any legal pose.
 ``validate_genderless`` checks that exhaustively (24 x 24 orientations
 across one contact direction, which stands for all 12 by lattice
-symmetry). ``enumerate_valid_layouts`` searches the polarity
-assignments of one face pattern with a single in-plane check of a k-fold
+symmetry). ``enumerate_valid_layouts`` lists the polarity assignments
+of one face pattern that pass a single in-plane check of a k-fold
 symmetric face, which covers any polyhedron with such faces for k >= 2;
 for the cell's two-fold faces it gives exactly validate_genderless's
-verdict on the pattern stamped onto all 12 faces. Below two-fold
+verdict on the pattern stamped onto all 12 faces. It walks the magnets
+in order and keeps only the prefixes that pass so far, at most 2^c of
+them for c orbits of the face's symmetry group, so it never tries the
+2^m assignments of m magnets one by one. Below two-fold
 symmetry no assignment can survive a flipped alignment and the scheme
 does not apply. Pairing tolerance is the constant EPS_MATCH: _partners,
 the one point matcher, applies it both to docking and to FaceLayout's
@@ -30,7 +33,6 @@ and the dock-check command never load it.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -336,41 +338,37 @@ def default_face_positions() -> tuple[tuple[float, float], ...]:
     return tuple(sorted({(-u, -v), (-u, v), (u, -v), (u, v)}))
 
 
-def _partner_maps(positions, k: int) -> list[list[int]] | None:
-    """The partner index of each magnet under each in-plane alignment of
-    two copies of one k-fold symmetric face, or None when some alignment
-    leaves a magnet without a partner.
-
-    When two copies of the face meet, one is flipped over, so the map
-    from partner coordinates into our frame is any of the k in-plane
-    clicks followed by the mirror across the first symmetry axis, _mate
-    with s = 1 (the same k maps as mirroring first). The maps depend on
-    the positions only, not on the polarities.
-    """
-    maps = []
-    for j in range(k):
-        try:
-            maps.append(_partners(positions, _mate(positions, 1, j, k)))
-        except PairingError:
-            return None  # positions cannot pair under this alignment
-    return maps
-
-
 def enumerate_valid_layouts(
     face_positions: Sequence[tuple[float, float]], k: int = 2
 ) -> tuple[tuple[Polarity, ...], ...]:
     """All polarity assignments that make one face pattern genderless.
 
-    Tries every one of the 2^m assignments over the given positions, in
-    binary order with N before S, and keeps those that pass the in-plane
-    check of a k-fold symmetric face, the condition for any polyhedron
-    with such faces: under every one of the k alignments (_partner_maps,
-    computed once per call) each magnet meets an unlike pole. For the
-    rhombic cell (k = 2) this is exactly validate_genderless of the
-    pattern stamped on all 12 faces: with the same pattern on every
-    face, contact_map of each of the 576 alignments maps the partner by
-    _mate(uv, s, 0, 2) with s = +1 or -1, which are the in-plane check's
-    clicks j = 0 and j = 1, and both signs occur among the alignments.
+    The assignments that pass the in-plane check of a k-fold symmetric
+    face, the condition for any polyhedron with such faces: when two
+    copies of the face meet, one is flipped over, so the map from partner
+    coordinates into our frame is one of k reflections (an in-plane click
+    then the mirror across the first symmetry axis, _mate with s = 1), and
+    under each of them every magnet must meet an unlike pole. The k
+    partner maps depend on the positions only; when one leaves a magnet
+    without a partner, nothing passes. For the rhombic cell (k = 2) this
+    is exactly validate_genderless of the pattern stamped on all 12
+    faces: with the same pattern on every face, contact_map of each of
+    the 576 alignments maps the partner by _mate(uv, s, 0, 2) with s = +1
+    or -1, which are the clicks j = 0 and j = 1, and both signs occur
+    among the alignments.
+
+    The search walks the magnets in index order and keeps only the
+    prefixes no check has failed yet, extending each with N, then S, so
+    the result comes in binary order with N before S. Magnet i's pole
+    must be unlike that of each reflection partner p[i] <= i: a
+    reflection is an involution, and FaceLayout's separation makes the
+    pairing unique, so each partner pair is checked once its later magnet
+    is placed, and a magnet that is its own partner never passes. It must
+    also be like that of each earlier p[q[i]], a rotation image that the
+    first rule would force anyway: this removes no assignment, but it
+    holds the walk to at most 2^c prefixes, c being the number of
+    components of the partner graph (the orbits of the face's symmetry
+    group), where the first rule alone can hold 2^(m/2) for m magnets.
     The positions and k must make a FaceLayout (finite, separated, k-fold
     symmetric).
     """
@@ -385,15 +383,22 @@ def enumerate_valid_layouts(
         )
     k = FaceLayout(mags, k).symmetry  # checks k and the positions
     pts = [m.pos for m in mags]
-    maps = _partner_maps(pts, k)
-    if maps is None:
-        return ()
-    pairs = [(i, j) for partner in maps for i, j in enumerate(partner)]
-    return tuple(
-        bits
-        for bits in itertools.product((Polarity.N, Polarity.S), repeat=len(pts))
-        if all(bits[i] is not bits[j] for i, j in pairs)
-    )
+    try:
+        maps = [_partners(pts, _mate(pts, 1, j, k)) for j in range(k)]
+    except PairingError:
+        return ()  # some alignment leaves a magnet without a partner
+    prefixes: list[tuple[Polarity, ...]] = [()]
+    for i in range(len(pts)):
+        unlike = {p[i] for p in maps if p[i] <= i}
+        alike = {p[q[i]] for p in maps for q in maps if p[q[i]] < i}
+        prefixes = [
+            bits
+            for pre in prefixes
+            for bits in (pre + (Polarity.N,), pre + (Polarity.S,))
+            if all(bits[j] is not bits[i] for j in unlike)
+            and all(bits[j] is bits[i] for j in alike)
+        ]
+    return tuple(prefixes)
 
 
 def default_cell_layout() -> CellLayout:

@@ -491,8 +491,8 @@ def contacts(positions: Sequence[int]) -> Contacts:
     return adj
 
 
-def _lowlink(adj: Contacts, root: int) -> tuple[int, set[int]]:
-    """(cells reached from root, articulation cells of root's piece):
+def _lowlink(adj: Contacts) -> tuple[int, set[int]]:
+    """(cells reached from cell 0, articulation cells of its piece):
     one iterative lowlink pass (Hopcroft & Tarjan, CACM 1973) over the
     contact lists of contacts().
 
@@ -502,11 +502,11 @@ def _lowlink(adj: Contacts, root: int) -> tuple[int, set[int]]:
     """
     disc = [-1] * len(adj)
     low = [0] * len(adj)
-    disc[root] = 0
+    disc[0] = 0
     reached = 1
     artic: set[int] = set()
     root_children = 0
-    stack = [(root, iter(adj[root]))]
+    stack = [(0, iter(adj[0]))]
     while stack:
         v, it = stack[-1]
         for _, w in it:
@@ -529,7 +529,7 @@ def _lowlink(adj: Contacts, root: int) -> tuple[int, set[int]]:
                 elif low[v] >= disc[u]:
                     artic.add(u)
     if root_children >= 2:
-        artic.add(root)
+        artic.add(0)
     return reached, artic
 
 
@@ -542,24 +542,18 @@ def is_connected(c: Configuration) -> bool:
         # n connected cells span at most n - 1 steps on every axis, far
         # inside the exact range
         return False
-    return _lowlink(contacts(packed), 0)[0] == len(packed)
+    return _lowlink(contacts(packed))[0] == len(packed)
 
 
 def removable_cells(adj: Contacts) -> set[int]:
     """The indices of the cells whose removal leaves the rest in one
-    piece, from the contact lists of contacts().
+    piece, from the contact lists of contacts(), for a connected set.
 
-    A single cell is removable. For a connected set these are the
-    non-articulation cells, found in one lowlink pass; in a disconnected
-    one, only an isolated cell can be, and only when the cells without
-    it are connected.
+    These are the non-articulation cells, found in one lowlink pass; a
+    single cell is removable. A set the pass from cell 0 does not cover
+    (a disconnected one, or no cells) gives the empty set: there only an
+    isolated cell could be removable, and the callers, the move generator
+    and check_move, ask only about a cell that touches another.
     """
-    n = len(adj)
-    if n <= 1:
-        return set(range(n))
-    reached, artic = _lowlink(adj, 0)
-    if reached == n:
-        return set(range(n)) - artic
-    # the rest of an isolated cell i is one piece when a pass from
-    # another root reaches all of it
-    return {i for i in range(n) if not adj[i] and _lowlink(adj, int(i == 0))[0] == n - 1}
+    reached, artic = _lowlink(adj) if adj else (0, set())
+    return set(range(len(adj))) - artic if reached == len(adj) else set()

@@ -15,6 +15,7 @@ from collections import deque
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from rhombikit.lattice import FACE_DIRS, Configuration, add, sub
 
@@ -86,6 +87,22 @@ def random_connected_positions(rng: np.random.Generator, n: int):
             occupied.add(q)
             cells.append(q)
     return cells
+
+
+def _walk_plus_far_cells(drawn):
+    """The cells of a walk from the origin plus `far` cells far from it
+    and from each other."""
+    steps, far = drawn
+    walk = dict.fromkeys(itertools.accumulate(steps, add, initial=(0, 0, 0)))
+    return list(walk) + [(100 * k, 100 * k, 0) for k in range(1, far + 1)]
+
+
+# a walk of up to 40 steps (1-41 distinct cells) plus up to two far
+# cells: one piece, a cluster plus an isolated cell, two isolated cells,
+# or three pieces
+pieces = st.tuples(
+    st.lists(st.sampled_from(FACE_DIRS), max_size=40), st.integers(0, 2)
+).map(_walk_plus_far_cells)
 
 
 # --------------------------------------------------------------------------

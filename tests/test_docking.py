@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from rhombikit import docking
 from rhombikit.docking import (
@@ -98,23 +100,53 @@ def _symmetric_position_sets(count, seed):
 
 
 def _per_assignment_reference(pts, k):
-    """The in-plane check per assignment, each computing the k partner
-    maps afresh."""
-    pts = np.array(pts, dtype=float)
-
-    def genderless(pols):
-        for j in range(k):
-            try:
-                partner = docking._partners(pts, docking._mate(pts, 1, j, k))
-            except PairingError:
-                return False
-            if any(pols[i] is pols[p] for i, p in enumerate(partner)):
-                return False
-        return True
-
+    """The in-plane check of each of the 2^m assignments, in binary order
+    with N before S: under each of the k alignments every magnet meets an
+    unlike pole, and an alignment that leaves a magnet without a partner
+    passes no assignment."""
+    try:
+        maps = [docking._partners(pts, docking._mate(pts, 1, j, k)) for j in range(k)]
+    except PairingError:
+        return ()
     return tuple(
-        bits for bits in itertools.product((N, S), repeat=len(pts)) if genderless(bits)
+        bits
+        for bits in itertools.product((N, S), repeat=len(pts))
+        if all(bits[i] is not bits[p] for partner in maps for i, p in enumerate(partner))
     )
+
+
+@st.composite
+def _permuted_symmetric_sets(draw):
+    """(k, positions): a k-fold symmetric set of up to 12 magnets, k in
+    2..6, drawn like _symmetric_position_sets and listed in a drawn
+    order."""
+    k = draw(st.integers(2, 6))
+    pts = [(0.0, 0.0)] if draw(st.integers(0, 5)) == 0 else []
+    for _ in range(draw(st.integers(1, 12 // k))):
+        r = draw(st.floats(0.1, 0.6))
+        a = draw(st.floats(0.05, math.pi / k - 0.05))
+        mirrored = draw(st.booleans())
+        for j in range(k):
+            for s in (1, -1) if mirrored else (1,):
+                t = s * a + 2 * math.pi * j / k
+                pts.append((r * math.cos(t), r * math.sin(t)))
+    assume(len(pts) <= 12)
+    try:
+        FaceLayout(tuple(MagnetSpec(p, N) for p in pts), k)
+    except ValidationError:
+        assume(False)  # two orbits came too close
+    return k, draw(st.permutations(pts))
+
+
+def _mirrored_orbits(count):
+    """count doubly mirror-symmetric 4-point orbits (k = 2), listed with
+    the 2-fold orbit (u, v), (-u, -v) of each first and the mirror images
+    (u, -v), (-u, v) after them all, so that magnet 2 * count + i is the
+    mirror image of magnet i."""
+    orbits = [(0.1 + 0.05 * o, 0.07 + 0.03 * o) for o in range(count)]
+    return [p for u, v in orbits for p in ((u, v), (-u, -v))] + [
+        p for u, v in orbits for p in ((u, -v), (-u, v))
+    ]
 
 
 def _mirror_alignment(d=(1, 1, 0)):
@@ -554,16 +586,42 @@ class TestEnumeration:
                 pts.append((0.5 * math.cos(a), 0.5 * math.sin(a)))
         valid = enumerate_valid_layouts(pts, k=4)
         assert len(valid) > 0
+
     def test_matches_per_assignment_path(self):
-        # the partner maps are computed once per call; the reference
-        # recomputes them for every assignment, as the check once did
+        # the walk over consistent prefixes against the check of every
+        # assignment, on sets of which some cannot pair at all
         nonempty = unpairable = 0
         for k, pts in _symmetric_position_sets(60, seed=21):
             want = _per_assignment_reference(pts, k)
             assert enumerate_valid_layouts(pts, k=k) == want, (k, pts)
             nonempty += bool(want)
-            unpairable += docking._partner_maps(np.array(pts), k) is None
+            try:
+                for j in range(k):
+                    docking._partners(pts, docking._mate(pts, 1, j, k))
+            except PairingError:
+                unpairable += 1
         assert nonempty >= 10 and unpairable >= 10, (nonempty, unpairable)
+
+    @settings(derandomize=True, deadline=None, max_examples=150)
+    @given(_permuted_symmetric_sets())
+    def test_matches_per_assignment_path_in_any_order(self, drawn):
+        # the walk prunes by magnet index, so the order of the positions
+        # decides which partner of a pair is checked; the seeded sets
+        # above come in their generation order only
+        k, pts = drawn
+        assert enumerate_valid_layouts(pts, k=k) == _per_assignment_reference(pts, k)
+
+    def test_forty_magnet_face(self):
+        # 2^40 assignments, of which the walk holds at most 2^10 prefixes;
+        # each 2-fold orbit (u, v), (-u, -v) comes first, so a walk that
+        # checked reflection partners alone would hold 2^20 of them
+        pts = _mirrored_orbits(10)
+        valid = enumerate_valid_layouts(pts)
+        assert len(valid) == 2**10
+        assert list(valid) == sorted(valid, key=lambda bits: [p is S for p in bits])
+        assert {tuple(p.flipped() for p in bits) for bits in valid} == set(valid)
+        for bits in valid:  # each orbit's two halves take opposite poles
+            assert all(bits[20 + i] is bits[i].flipped() for i in range(20))
 
     @pytest.mark.parametrize("k", [4.0, "4", True])
     def test_non_int_k_rejected(self, k):

@@ -4,7 +4,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from rhombikit.errors import IllegalMove, ValidationError
@@ -37,7 +37,7 @@ from rhombikit.lattice import (
     sub,
 )
 
-from conftest import random_connected_positions
+from conftest import pieces, random_connected_positions, union_find_connected
 
 
 def _grown(drawn):
@@ -385,6 +385,23 @@ class TestLegalMoves:
 
             agrees()
             _assert_filters_exercised(generated)
+
+    @settings(derandomize=True, deadline=None, max_examples=100)
+    @given(pieces)
+    def test_disconnected_sets_have_no_legal_roll(self, blocker_table_ready, positions):
+        # lattice.removable_cells answers for connected sets only, which
+        # is enough because of this: a mover rests on its substrate, so
+        # it is not an isolated cell, and no roll of a disconnected set is
+        # legal. Every candidate with a free destination disconnects it
+        assume(not union_find_connected(positions))
+        c = Configuration.from_positions(positions)
+        for strict in (False, True):
+            verdicts = Counter()
+            assert legal_moves(c, strict) == _brute_legal_moves(c, strict, verdicts) == []
+            assert set(verdicts) <= {
+                MoveLegality.DESTINATION_OCCUPIED,
+                MoveLegality.DISCONNECTS_STRUCTURE,
+            }, verdicts
 
     # sha256 of repr([_legal_rolls(packed shape, strict) for each shape])
     # over the 475 four-cell box shapes, recorded at commit dbee4b5, whose

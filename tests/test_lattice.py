@@ -44,6 +44,7 @@ from rhombikit.lattice import (
 
 from conftest import (
     bfs_distance_map,
+    pieces,
     random_connected_positions,
     random_valid_pos,
     union_find_connected,
@@ -364,30 +365,15 @@ class TestIsConnected:
             is_connected(Configuration([]))
 
 
-def _walk_plus_far_cells(drawn):
-    """The cells of a walk from the origin plus `far` cells far from it
-    and from each other."""
-    steps, far = drawn
-    walk = dict.fromkeys(itertools.accumulate(steps, add, initial=(0, 0, 0)))
-    return list(walk) + [(100 * k, 100 * k, 0) for k in range(1, far + 1)]
-
-
-# a walk of up to 40 steps (1-41 distinct cells) plus up to two far
-# cells: one piece, a cluster plus an isolated cell, two isolated cells,
-# or three pieces
-_pieces = st.tuples(
-    st.lists(st.sampled_from(FACE_DIRS), max_size=40), st.integers(0, 2)
-).map(_walk_plus_far_cells)
-
-
 class TestRemovableCells:
     @settings(derandomize=True, deadline=None, max_examples=400)
-    @given(_pieces)
+    @given(pieces)
     def test_matches_is_connected_without_each_cell(self, positions):
         # removable_cells works on the contacts of packed positions; the
         # walk's steps take y and z negative too, so every field sign is
         # exercised. The oracle is a union-find over the cells without
-        # each one, which shares no code with the lowlink pass
+        # each one, which shares no code with the lowlink pass; a
+        # disconnected set has no removable cell
         packed = sorted(map(pack, positions))
         expected = {
             i
@@ -395,10 +381,15 @@ class TestRemovableCells:
             if len(packed) == 1
             or union_find_connected(unpack(q) for q in packed if q != p)
         }
+        if not union_find_connected(positions):
+            expected = set()
         assert removable_cells(contacts(packed)) == expected
 
+    def test_no_cells(self):
+        assert removable_cells([]) == set()
+
     @settings(derandomize=True, deadline=None, max_examples=200)
-    @given(_pieces)
+    @given(pieces)
     def test_contacts_are_the_face_neighbours(self, positions):
         packed = sorted(map(pack, positions))
         assert contacts(packed) == [
